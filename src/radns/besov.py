@@ -14,7 +14,7 @@ discrete grid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -27,6 +27,8 @@ from .spectral import (
     as_physical,
     as_spectral,
     lp_norm,
+    pair_pointwise_modulus,
+    per_grid_cache,
 )
 
 
@@ -39,12 +41,9 @@ def _ramp(s: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DyadicPartition:
     """Smooth dyadic partition of unity on frequency space."""
-
-    unresolved_requests: int = dc_field(default=0, compare=False)
-    _block_cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def theta(self, rho) -> np.ndarray:
         """Transition profile: 1 on [0, 1], 0 on [2, inf), smooth in between."""
@@ -65,12 +64,10 @@ class DyadicPartition:
         """Multiplier of the low-frequency cutoff at level j: theta(2^{-j} rho)."""
         return self.theta(np.asarray(rho, dtype=float) * 2.0 ** (-j))
 
+    @per_grid_cache
     def block_multiplier(self, grid: RadialGrid, j: int) -> np.ndarray:
-        """phi_hat_j sampled at the grid nodes, memoised per (grid, j)."""
-        key = (grid.n_modes, grid.outer_radius, j)
-        if key not in self._block_cache:
-            self._block_cache[key] = self.phi_hat(j, grid.rho)
-        return self._block_cache[key]
+        """phi_hat_j sampled at the grid nodes (cached per grid and j)."""
+        return self.phi_hat(j, grid.rho)
 
     def resolved_range(self, grid: RadialGrid) -> tuple[int, int]:
         """Smallest/largest block index whose support meets the grid band."""
@@ -124,111 +121,100 @@ def low_cutoff(field: RadialScalarField, j: int, partition: DyadicPartition | No
     return as_physical(out) if field.space == "physical" else out
 
 
-def _band_indices(spec: BesovSpec, j_min: int, j_max: int,
-                  part: DyadicPartition) -> range:
+def _band_indices(spec: BesovSpec, j_min: int, j_max: int) -> range:
     if spec.band == "full":
         return range(j_min, j_max + 1)
     if spec.band == "low":
-        if spec.j0 < j_min:
-            part.unresolved_requests += 1
         return range(j_min, min(spec.j0, j_max) + 1)
-    if spec.j0 > j_max:
-        part.unresolved_requests += 1
     return range(max(spec.j0, j_min), j_max + 1)
+
+
+def _pair_block_norms(a: RadialScalarField, v: RadialScalarField | None, p: float,
+                      indices: Iterable[int], part: DyadicPartition) -> dict[int, float]:
+    """L^p norm of the blockwise modulus |(block_j a, block_j v)| for each j.
+
+    v = None is the one-field case.  Each field goes to spectral space once;
+    the blocks are synthesised one at a time rather than stacked, which keeps
+    the extra memory at two grid vectors whatever the number of blocks.
+    """
+    a_s = as_spectral(a)
+    v_s = None if v is None else as_spectral(v)
+    norms = {}
+    for j in indices:
+        mult = part.block_multiplier(a.grid, j)
+        ab = as_physical(apply_multiplier(a_s, lambda rho: mult))
+        if v_s is None:
+            norms[j] = lp_norm(ab, p)
+        else:
+            vb = as_physical(apply_multiplier(v_s, lambda rho: mult))
+            norms[j] = lp_norm(pair_pointwise_modulus(ab, vb), p)
+    return norms
+
+
+def lq_sum(terms: Iterable[float], q: float) -> float:
+    """l^q sum over blocks (the maximum for q = inf); 0 for no blocks."""
+    terms = np.asarray(list(terms), dtype=float)
+    if terms.size == 0:
+        return 0.0
+    if np.isinf(q):
+        return float(terms.max())
+    return float(np.sum(terms ** q) ** (1.0 / q))
 
 
 def block_norms(field: RadialScalarField, p: float,
                 partition: DyadicPartition | None = None) -> dict[int, float]:
     """L^p norm of every resolved block, keyed by the dyadic index."""
     part = partition if partition is not None else DyadicPartition()
-    spec_field = as_spectral(field)
     j_min, j_max = part.resolved_range(field.grid)
-    out = {}
-    for j in range(j_min, j_max + 1):
-        mult = part.block_multiplier(field.grid, j)
-        blocked = apply_multiplier(spec_field, lambda rho: mult)
-        out[j] = lp_norm(as_physical(blocked), p)
-    return out
+    return _pair_block_norms(field, None, p, range(j_min, j_max + 1), part)
+
+
+def pair_besov_norm(a: RadialScalarField, v: RadialScalarField | None, spec: BesovSpec,
+                    partition: DyadicPartition | None = None) -> float:
+    """Besov norm of the pair [a; v]: blockwise Euclidean modulus before L^p.
+
+    v = None gives the norm of a alone.
+    """
+    part = partition if partition is not None else DyadicPartition()
+    indices = _band_indices(spec, *part.resolved_range(a.grid))
+    norms = _pair_block_norms(a, v, spec.p, indices, part)
+    return lq_sum((2.0 ** (spec.s * j) * n for j, n in norms.items()), spec.q)
 
 
 def besov_norm(field: RadialScalarField, spec: BesovSpec,
                partition: DyadicPartition | None = None) -> float:
     """Homogeneous Besov norm: l^q sum over blocks of 2^{sj} ||block||_p."""
-    part = partition if partition is not None else DyadicPartition()
-    spec_field = as_spectral(field)
-    j_min, j_max = part.resolved_range(field.grid)
-    terms = []
-    for j in _band_indices(spec, j_min, j_max, part):
-        mult = part.block_multiplier(field.grid, j)
-        blocked = apply_multiplier(spec_field, lambda rho: mult)
-        terms.append(2.0 ** (spec.s * j) * lp_norm(as_physical(blocked), spec.p))
-    if not terms:
-        return 0.0
-    terms = np.asarray(terms)
-    if np.isinf(spec.q):
-        return float(terms.max())
-    return float(np.sum(terms ** spec.q) ** (1.0 / spec.q))
-
-
-def pair_besov_norm(a: RadialScalarField, v: RadialScalarField, spec: BesovSpec,
-                    partition: DyadicPartition | None = None) -> float:
-    """Besov norm of the pair [a; v]: blockwise Euclidean modulus before L^p."""
-    from .spectral import pair_pointwise_modulus
-
-    part = partition if partition is not None else DyadicPartition()
-    a_s, v_s = as_spectral(a), as_spectral(v)
-    j_min, j_max = part.resolved_range(a.grid)
-    terms = []
-    for j in _band_indices(spec, j_min, j_max, part):
-        mult = part.block_multiplier(a.grid, j)
-        ab = as_physical(apply_multiplier(a_s, lambda rho: mult))
-        vb = as_physical(apply_multiplier(v_s, lambda rho: mult))
-        terms.append(2.0 ** (spec.s * j) * lp_norm(pair_pointwise_modulus(ab, vb), spec.p))
-    if not terms:
-        return 0.0
-    terms = np.asarray(terms)
-    if np.isinf(spec.q):
-        return float(terms.max())
-    return float(np.sum(terms ** spec.q) ** (1.0 / spec.q))
+    return pair_besov_norm(field, None, spec, partition)
 
 
 def weighted_besov_norm_p2(field: RadialScalarField, k_axis: int, spec: BesovSpec,
                            partition: DyadicPartition | None = None) -> float:
-    """Besov norm of x_k f at p = 2 via Plancherel on the spectral derivative.
-
-    ||block_j(x_k f)||_2^2 = (4 pi / 3) int phi_hat_j(rho)^2 fhat'(rho)^2 rho^2 drho,
-    with fhat' from centred differences (one-sided at the grid ends).
-    """
+    """Besov norm of x_k f at p = 2: l^q sum of 2^{sj} sqrt(weighted_block_integral)."""
     if spec.p != 2:
         raise UnsupportedParameterError("weighted Besov norms are implemented for p = 2 only")
     if k_axis not in (0, 1, 2):
         raise UnsupportedParameterError(f"axis index must be 0, 1 or 2, got {k_axis}")
     part = partition if partition is not None else DyadicPartition()
-    grid = field.grid
-    fhat = as_spectral(field).values
-    dfhat = np.gradient(fhat, grid.drho)
-    j_min, j_max = part.resolved_range(grid)
-    terms = []
-    for j in _band_indices(spec, j_min, j_max, part):
-        phi2 = part.phi_hat(j, grid.rho) ** 2
-        integral = (4.0 * np.pi / 3.0) * grid.drho * np.sum(phi2 * dfhat ** 2 * grid.rho ** 2)
-        terms.append(2.0 ** (spec.s * j) * math.sqrt(max(integral, 0.0)))
-    if not terms:
-        return 0.0
-    terms = np.asarray(terms)
-    if np.isinf(spec.q):
-        return float(terms.max())
-    return float(np.sum(terms ** spec.q) ** (1.0 / spec.q))
+    spec_field = as_spectral(field)
+    indices = _band_indices(spec, *part.resolved_range(field.grid))
+    return lq_sum((2.0 ** (spec.s * j)
+                   * math.sqrt(max(weighted_block_integral(spec_field, j, part), 0.0))
+                   for j in indices), spec.q)
 
 
 def weighted_block_integral(field: RadialScalarField, j: int,
                             partition: DyadicPartition | None = None) -> float:
-    """Single-block squared value of the p = 2 weighted norm (for oracles)."""
+    """||block_j(x_k f)||_2^2 via Plancherel on the spectral derivative:
+
+    (4 pi / 3) int phi_hat_j(rho)^2 fhat'(rho)^2 rho^2 drho,
+
+    with fhat' from centred differences (one-sided at the grid ends).
+    """
     part = partition if partition is not None else DyadicPartition()
     grid = field.grid
     fhat = as_spectral(field).values
     dfhat = np.gradient(fhat, grid.drho)
-    phi2 = part.phi_hat(j, grid.rho) ** 2
+    phi2 = part.block_multiplier(grid, j) ** 2
     return float((4.0 * np.pi / 3.0) * grid.drho
                  * np.sum(phi2 * dfhat ** 2 * grid.rho ** 2))
 

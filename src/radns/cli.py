@@ -35,9 +35,6 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_ABORT = 3
 
-COMMANDS = ("grid-check", "linear-decay", "simulate", "nonlinear-decay",
-            "lower-bound", "weighted-decay", "kernel-probe", "besov-norm", "fit")
-
 
 def _fmt(value: float) -> str:
     """17-significant-digit decimal rendering; round trips every double."""
@@ -195,9 +192,12 @@ def cmd_fit(args) -> int:
     if column not in CSV_COLUMNS[1:]:
         raise ConfigurationError(f"unknown column {column!r}")
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        # a one-row file parses to a 0-d record; keep it a (short) series
+        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
     except OSError as exc:
         raise ConfigurationError(f"cannot read csv {path}: {exc}") from exc
+    if not {"t", column} <= set(data.dtype.names or ()):
+        raise ConfigurationError(f"csv {path} needs `t` and `{column}` columns")
     series = DecaySeries.from_samples(data["t"], data[column])
     window = (config.get("fit_t_lo"), config.get("fit_t_hi"))
     fit = fit_decay_exponent(series, window)
@@ -234,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="radns",
         description="Radial compressible-flow acoustics laboratory")
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name in _HANDLERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="key = value config file")
         cmd.add_argument("--out", default=".", help="output directory")

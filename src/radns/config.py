@@ -146,6 +146,8 @@ def parse_config(text: str) -> RunConfig:
             config.errors.append(f"duplicate key {key!r} (line {lineno})")
             continue
         config.params[key] = parsed
+    if config.get("fit_t_lo") >= config.get("fit_t_hi"):
+        config.errors.append("fit_t_lo must be below fit_t_hi")
     return config
 
 

@@ -25,9 +25,9 @@ from .semigroup import (
     CutoffPsi,
     apply_semigroup,
     default_cutoff,
+    kernel_band_norm,
     kernel_probe,
     probe_point_grid,
-    scalar_kernel_values,
 )
 from .solver import (
     CSV_COLUMNS,
@@ -38,7 +38,7 @@ from .solver import (
     initial_state,
     simulate,
 )
-from .spectral import RadialScalarField, lp_norm, pair_pointwise_modulus, to_physical
+from .spectral import make_grid
 
 
 @dataclass
@@ -321,20 +321,11 @@ def run_weighted_decay(config: SolverConfig, window: tuple[float, float] = (1.0,
 def block_frame_sup(t: float, j0: int, grid_modes: int = 8192,
                     grid_radius: float = 1500.0, branch: str = "plus") -> float:
     """max over |j - j0| <= 2 of the blockwise kernel sup (B0_inf_inf frame)."""
-    from .besov import DyadicPartition
-    from .spectral import make_grid
-
     grid = make_grid(grid_modes, grid_radius)
-    part = DyadicPartition()
-    j_min, j_max = part.resolved_range(grid)
-    best = 0.0
-    kernel = scalar_kernel_values(grid.rho, t, branch)
-    for j in range(max(j0 - 2, j_min), min(j0 + 2, j_max) + 1):
-        mult = part.block_multiplier(grid, j)
-        re = to_physical(RadialScalarField(grid, (kernel.real * mult).copy(), "spectral"))
-        im = to_physical(RadialScalarField(grid, (kernel.imag * mult).copy(), "spectral"))
-        best = max(best, lp_norm(pair_pointwise_modulus(re, im), math.inf))
-    return best
+    j_min, j_max = DyadicPartition().resolved_range(grid)
+    return max((kernel_band_norm(grid, t, math.inf, "block", j, branch)
+                for j in range(max(j0 - 2, j_min), min(j0 + 2, j_max) + 1)),
+               default=0.0)
 
 
 def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0),

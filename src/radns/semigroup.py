@@ -215,7 +215,7 @@ def kernel_band_norm(grid: RadialGrid, t: float, p: float, band: str,
     elif band == "block":
         if j is None:
             raise UsageError("band='block' needs a dyadic index j")
-        mult = part.phi_hat(j, rho)
+        mult = part.block_multiplier(grid, j)
     else:
         raise UsageError(f"unknown band {band!r}")
     kernel = scalar_kernel_values(rho, t, branch) * mult

@@ -68,6 +68,12 @@ class PressureLaw:
         return (1.0 + np.asarray(a, dtype=float)) ** (self.gamma - 2.0) - 1.0
 
 
+def _whole_steps(span: float, dt: float) -> bool:
+    """span = n dt for a whole n >= 1, up to a relative tolerance of 1e-9."""
+    n = round(span / dt)
+    return n >= 1 and math.isclose(n * dt, span, rel_tol=1e-9)
+
+
 @dataclass
 class SolverConfig:
     """Parameters of one simulation run."""
@@ -87,8 +93,14 @@ class SolverConfig:
     def validate(self) -> None:
         if self.dt <= 0:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.t_final != 0.0 and self.t_final < self.dt:
-            raise ConfigurationError("final time must be 0 or at least one step")
+        # the stepper advances in whole steps: anything else would be rounded
+        if self.t_final != 0.0 and not _whole_steps(self.t_final, self.dt):
+            raise ConfigurationError(
+                f"final time {self.t_final} must be 0 or a whole multiple of dt = {self.dt}")
+        if not _whole_steps(self.output_interval, self.dt):
+            raise ConfigurationError(
+                f"output interval {self.output_interval} must be a whole multiple "
+                f"of dt = {self.dt}")
         if self.amplitude < 0:
             raise ConfigurationError("amplitude must be non-negative")
         if self.width <= 0:
@@ -339,7 +351,7 @@ def simulate(config: SolverConfig,
     tables = make_etd_tables(state.a_hat.grid, config.dt)
     law = config.law()
     n_steps = int(round(config.t_final / config.dt))
-    stride = max(1, int(round(config.output_interval / config.dt)))
+    stride = round(config.output_interval / config.dt)
     for step in range(1, n_steps + 1):
         state = step_etd2(state, law, config, tables)
         # keep the clock exactly representable at output times

@@ -23,6 +23,7 @@ as the scalar profile U on the same physical nodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -132,16 +133,26 @@ def _cosine_sum(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * dct(padded, type=1)[1:-1]
 
 
-_filter_cache: dict = {}
+def per_grid_cache(fn):
+    """Memoise an array computed from a grid plus a few hashable scalars.
+
+    Bounded LRU, so a process that visits many grids does not grow without
+    limit; the cached array is made read-only because every caller shares it.
+    """
+    @functools.lru_cache(maxsize=64)
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        table = fn(*args, **kwargs)
+        table.flags.writeable = False
+        return table
+    return cached
 
 
+@per_grid_cache
 def derivative_filter(grid: RadialGrid) -> np.ndarray:
     """C^inf taper applied to sine coefficients before differentiation."""
-    key = (grid.n_modes, grid.outer_radius)
-    if key not in _filter_cache:
-        x = np.arange(1, grid.n_modes + 1, dtype=float) / (grid.n_modes + 1)
-        _filter_cache[key] = np.exp(-_FILTER_STRENGTH * x ** _FILTER_ORDER)
-    return _filter_cache[key]
+    x = np.arange(1, grid.n_modes + 1, dtype=float) / (grid.n_modes + 1)
+    return np.exp(-_FILTER_STRENGTH * x ** _FILTER_ORDER)
 
 
 # -- transforms ---------------------------------------------------------------
@@ -213,10 +224,6 @@ def profile_sine_coeffs(vec: RadialVectorProfile) -> np.ndarray:
     return _sine_sum(vec.grid, vec.samples, vec.grid.dr)
 
 
-def profile_from_sine_coeffs(grid: RadialGrid, coeffs: np.ndarray) -> RadialVectorProfile:
-    return RadialVectorProfile(grid, _sine_sum(grid, coeffs, grid.drho))
-
-
 def divergence_of_profile(vec: RadialVectorProfile, filtered: bool = True,
                           dealias_fraction: float | None = None) -> RadialScalarField:
     """div(G(r) x/r) = G'(r) + 2 G(r)/r as a physical-space field.
@@ -239,20 +246,15 @@ def divergence_of_profile(vec: RadialVectorProfile, filtered: bool = True,
     return RadialScalarField(grid, g_prime + 2.0 * g / grid.r, "physical")
 
 
-_mask_cache: dict = {}
-
-
+@per_grid_cache
 def dealias_mask(grid: RadialGrid, fraction: float) -> np.ndarray:
     """Mask keeping the lowest `fraction` of the spectral band."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigurationError(f"dealias fraction must lie in (0, 1], got {fraction}")
-    key = (grid.n_modes, grid.outer_radius, fraction)
-    if key not in _mask_cache:
-        keep = int(np.floor(fraction * grid.n_modes))
-        mask = np.zeros(grid.n_modes)
-        mask[:keep] = 1.0
-        _mask_cache[key] = mask
-    return _mask_cache[key]
+    keep = int(np.floor(fraction * grid.n_modes))
+    mask = np.zeros(grid.n_modes)
+    mask[:keep] = 1.0
+    return mask
 
 
 # -- norms --------------------------------------------------------------------

@@ -202,6 +202,38 @@ fit_tol = 0.01
         assert command_dispatch(["fit", "--config", fit_cfg,
                                  "--out", str(tmp_path), "--quiet"]) == 1
 
+    def test_fit_on_one_row_csv_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "one.csv"
+        csv.write_text("t,l2_av,linf_av,besov0_21,besov0_inf1,nl_l2,nl_besov_inf1,"
+                       "weighted_sup\n20,1,1,1,1,1,1,1\n")
+        cfg = write_config(tmp_path, f"csv = {csv}\nfit_t_lo = 5\nfit_t_hi = 20\n")
+        assert command_dispatch(["fit", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == 2
+        assert "holds 1 points" in capsys.readouterr().err
+
+    def test_fit_on_csv_without_column_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "other.csv"
+        csv.write_text("t,x\n1,2\n2,3\n")
+        cfg = write_config(tmp_path, f"csv = {csv}\n")
+        assert command_dispatch(["fit", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == 2
+        assert "l2_av" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("T = 1.03\n", 2, "whole multiple of dt"),
+        ("T = 20\noutput_interval = 0.07\n", 2, "whole multiple of dt"),
+        ("T = 20\nfit_t_lo = 50\nfit_t_hi = 10\n", 2, "fit_t_lo must be below"),
+        ("T = 20\n", 0, ""),
+        ("T = 140\noutput_interval = 10\n", 0, ""),
+    ])
+    def test_reinterpreted_config_rejected(self, tmp_path, capsys, text, code, message):
+        # dt = 0.05: T = 1.03 used to end at 1.05 and an interval of 0.07 to
+        # sample every 0.05; T = 20 and 140 are whole multiples despite rounding
+        cfg = write_config(tmp_path, "N = 64\nR = 500\ndt = 0.05\n" + text)
+        assert command_dispatch(["simulate", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == code
+        assert message in capsys.readouterr().err
+
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)
         command_dispatch(["simulate", "--config", cfg,

@@ -9,9 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from radns.besov import DyadicPartition, j0_for_time
 from radns.decay import (
     DecaySeries,
     ExperimentReport,
+    block_frame_sup,
     fit_decay_exponent,
     run_kernel_lower_probe,
     run_linear_decay,
@@ -23,7 +25,9 @@ from radns.decay import (
     linear_rows,
 )
 from radns.errors import FitError, NumericDomainError, UnsupportedParameterError
+from radns.semigroup import scalar_kernel_values
 from radns.solver import SolverConfig
+from radns.spectral import make_grid
 
 
 class TestTheoreticalExponent:
@@ -214,3 +218,22 @@ class TestKernelProbeDriver:
     def test_rejects_small_time(self):
         with pytest.raises(NumericDomainError):
             run_kernel_lower_probe((2.0, 16.0))
+
+    @pytest.mark.parametrize("t", [4.0, 16.0, 64.0, 256.0])
+    def test_frame_sup_direct_sum_bounds(self, t):
+        # the block kernel is K_j(r) = sqrt(2/pi) drho sum_k rho_k m_k sin(r rho_k)/r
+        # with m = phi_hat_j e^{t lambda}; summed explicitly (no DST) at r = dr it
+        # bounds the node sup from below, and |sin(r rho)/r| <= rho bounds it above
+        grid = make_grid(8192, 1500.0)
+        part = DyadicPartition()
+        j0 = j0_for_time(t)
+        j_min, j_max = part.resolved_range(grid)
+        scale = math.sqrt(2.0 / math.pi) * grid.drho
+        lower = upper = 0.0
+        for j in range(max(j0 - 2, j_min), min(j0 + 2, j_max) + 1):
+            m = part.phi_hat(j, grid.rho) * scalar_kernel_values(grid.rho, t, "plus")
+            at_dr = scale * np.sum(grid.rho * m * np.sin(grid.dr * grid.rho)) / grid.dr
+            lower = max(lower, abs(at_dr))
+            upper = max(upper, scale * np.sum(grid.rho ** 2 * np.abs(m)))
+        value = block_frame_sup(t, j0)
+        assert lower * (1.0 - 1e-12) <= value <= upper
