@@ -6,9 +6,7 @@ below rho = 1 and 0 above rho = 2; block j carries the multiplier
     phi_hat_j(rho) = theta(2^{-j} rho) - theta(2^{-j+1} rho),
 
 supported in [2^{j-1}, 2^{j+1}] and summing telescopically to 1 on the band
-the grid resolves.  The low-pass at level j is the multiplier theta(2^{-j} rho)
-(a smooth stand-in for the sharp ball indicator, to avoid ringing on the
-discrete grid).
+the grid resolves.
 """
 
 from __future__ import annotations
@@ -60,10 +58,6 @@ class DyadicPartition:
         scale = 2.0 ** (-j)
         return self.theta(scale * rho) - self.theta(2.0 * scale * rho)
 
-    def low_pass(self, j: int, rho) -> np.ndarray:
-        """Multiplier of the low-frequency cutoff at level j: theta(2^{-j} rho)."""
-        return self.theta(np.asarray(rho, dtype=float) * 2.0 ** (-j))
-
     @per_grid_cache
     def block_multiplier(self, grid: RadialGrid, j: int) -> np.ndarray:
         """phi_hat_j sampled at the grid nodes (cached per grid and j)."""
@@ -74,11 +68,6 @@ class DyadicPartition:
         j_min = math.ceil(math.log2(grid.drho) - 1.0)
         j_max = math.floor(math.log2(grid.rho[-1]) + 1.0)
         return j_min, j_max
-
-    def exact_band(self, grid: RadialGrid) -> tuple[float, float]:
-        """Frequency interval on which the resolved blocks sum exactly to 1."""
-        j_min, j_max = self.resolved_range(grid)
-        return 2.0 ** (j_min + 1), 2.0 ** j_max
 
 
 @dataclass(frozen=True)
@@ -110,14 +99,6 @@ def block(field: RadialScalarField, j: int, partition: DyadicPartition | None = 
             f"block {j} outside resolved range [{j_min}, {j_max}] of the grid")
     mult = part.block_multiplier(field.grid, j)
     out = apply_multiplier(as_spectral(field), lambda rho: mult)
-    return as_physical(out) if field.space == "physical" else out
-
-
-def low_cutoff(field: RadialScalarField, j: int, partition: DyadicPartition | None = None
-               ) -> RadialScalarField:
-    """Smooth low-pass retaining frequencies below ~2^{j+1}."""
-    part = partition if partition is not None else DyadicPartition()
-    out = apply_multiplier(as_spectral(field), lambda rho: part.low_pass(j, rho))
     return as_physical(out) if field.space == "physical" else out
 
 

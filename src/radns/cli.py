@@ -24,10 +24,9 @@ from .decay import (
     run_lower_bound,
     run_nonlinear_decay,
     run_weighted_decay,
-    linear_rows,
 )
 from .errors import ConfigurationError, FitError, RadnsError, SolverAbort
-from .solver import CSV_COLUMNS, SolverConfig, initial_data_gaussian, simulate
+from .solver import CSV_COLUMNS, initial_data_gaussian, simulate
 from .spectral import make_grid, field_from_samples, to_physical, to_spectral
 
 EXIT_PASS = 0

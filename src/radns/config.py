@@ -53,10 +53,10 @@ _SCHEMA: dict[str, _Key] = {
     "dealias": _Key(_parse_float, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "guard": _Key(_parse_float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "linear_only": _Key(_parse_bool),
-    "p_list": _Key(_parse_float_list,
-                   lambda vs: all(v >= 2 for v in vs), "entries must be >= 2"),
-    "t_list": _Key(_parse_float_list,
-                   lambda vs: all(v >= 4 for v in vs), "entries must be >= 4"),
+    "p_list": _Key(_parse_float_list, lambda vs: vs and all(v >= 2 for v in vs),
+                   "must list one or more entries, each >= 2"),
+    "t_list": _Key(_parse_float_list, lambda vs: vs and all(v >= 4 for v in vs),
+                   "must list one or more entries, each >= 4"),
     "fit_t_lo": _Key(_parse_float, lambda v: v > 0, "must be positive"),
     "fit_t_hi": _Key(_parse_float, lambda v: v > 0, "must be positive"),
     "fit_tol": _Key(_parse_float, lambda v: v > 0, "must be positive"),

@@ -36,6 +36,7 @@ from .solver import (
     SolverState,
     diagnostics_row,
     initial_state,
+    output_steps,
     simulate,
 )
 from .spectral import make_grid
@@ -187,23 +188,20 @@ def _fit_entry(label: str, series: DecaySeries, window: tuple[float, float],
                            extra={"tolerance": tol, "r2_min": r2_min})
 
 
-def linear_rows(config: SolverConfig, times: Sequence[float] | None = None
-                ) -> list[DiagnosticsRow]:
-    """Diagnostics of the exactly propagated data at the requested times.
+def linear_rows(config: SolverConfig) -> list[DiagnosticsRow]:
+    """Diagnostics of the exactly propagated data at simulate's output times.
 
     No time stepping: each output comes from one application of the mode-wise
     propagator to the initial data, so the series carries no integrator error.
     """
     config.validate()
-    if times is None:
-        n_out = int(round(config.t_final / config.output_interval))
-        times = [k * config.output_interval for k in range(n_out + 1)]
     state = initial_state(config)
     partition = DyadicPartition()
     rows = []
-    for t in times:
-        a_hat, v_hat = apply_semigroup(state.a_hat, state.v_hat, float(t))
-        snap = SolverState(float(t), a_hat, v_hat, a_hat, v_hat)
+    for step in output_steps(config):
+        t = step * config.dt
+        a_hat, v_hat = apply_semigroup(state.a_hat, state.v_hat, t)
+        snap = SolverState(t, a_hat, v_hat, a_hat, v_hat)
         rows.append(diagnostics_row(snap, partition))
     return rows
 
@@ -224,10 +222,6 @@ def run_linear_decay(config: SolverConfig, p_list: Sequence[float] = (2.0, math.
     entries = []
     for p in p_list:
         series = series_from_rows(rows, _COLUMN_FOR_P[float(p)])
-        if len(series.t) == 0:
-            entries.append(ExperimentEntry(f"L^{p} linear", theoretical_exponent(p),
-                                           None, None, window, "EMPTY"))
-            continue
         entries.append(_fit_entry(f"L^{p} linear", series, window,
                                   theoretical_exponent(p, "full"),
                                   tol.get(float(p), 0.1), r2_min))
@@ -308,13 +302,9 @@ def run_weighted_decay(config: SolverConfig, window: tuple[float, float] = (1.0,
                 else simulate(config)[0])
     window = (window[0], min(window[1], config.t_final))
     series = series_from_rows(rows, "weighted_sup")
-    if len(series.t) == 0:
-        entry = ExperimentEntry("weighted sup decay", 0.75, None, None, window, "EMPTY")
-    else:
-        entry = _ratio_entry("weighted sup decay", series, window,
-                             lambda t: (t + 1.0) ** 0.75,
-                             max_ratio, against_first=True)
-        entry.target_exponent = 0.75
+    entry = _ratio_entry("weighted sup decay", series, window,
+                         lambda t: (t + 1.0) ** 0.75, max_ratio, against_first=True)
+    entry.target_exponent = 0.75
     return ExperimentReport("weighted-decay", [entry], rows)
 
 

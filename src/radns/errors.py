@@ -32,7 +32,7 @@ class FitError(RadnsError, ValueError):
 
 
 class SolverAbort(RadnsError, RuntimeError):
-    """The time integrator left its validity regime.
+    """The time integrator or a refinement loop left its validity regime.
 
     Carries the failure time and, when known, the offending mode index.
     """

@@ -5,15 +5,16 @@ Each Fourier mode of the pair (a, v) evolves under the 2x2 generator
     M_rho = [[0, -rho], [rho, -rho^2]],
 
 whose eigenvalues coalesce at rho = 2.  Writing mu = -rho^2/2 for half the
-trace and delta^2 = rho^4/4 - rho^2 for the squared spectral gap, the matrix
-exponential has the uniformly stable form
+trace and delta^2 = rho^4/4 - rho^2 for the squared spectral gap, every
+function f of t M used here (the exponential e^{tM} = phi_0(tM) and the phi_1,
+phi_2 of the exponential integrator) has the form
 
-    e^{t M} = e^{t mu} ( cosh(t delta) I + t sinhc(t delta) (M - mu I) ),
+    f(t M) = c0 I + c1 t (M - mu I),
 
-where sinhc(z) = sinh(z)/z turns into sin/sinc for imaginary delta (rho < 2)
-and is evaluated by its power series near the coalescence point.  The same
-divided-difference treatment yields the phi_1, phi_2 coefficients used by the
-exponential integrator.
+with c0, c1 the mean and divided difference of f over the two eigenvalues
+t (mu +/- delta).  They are computed in one place, phi_pair_coefficients,
+which switches to a power series in the signed (t delta)^2 near the
+coalescence point.
 
 This module also evaluates band-limited kernel norms of e^{t lambda(D)} and
 the anisotropically rescaled oscillatory-integral probe that exhibits the
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericDomainError, UsageError
+from .errors import NumericDomainError, SolverAbort, UsageError
 from .spectral import (
     RadialGrid,
     RadialScalarField,
@@ -37,17 +38,9 @@ from .spectral import (
     to_physical,
 )
 
-#: below this value of |t*delta| the hyperbolic/trigonometric factors switch
-#: to their power series, which is exact to double precision there.
+#: below this value of |t*delta| the divided differences switch to their
+#: power series in (t delta)^2, which is exact to double precision there.
 _SERIES_THRESHOLD = 1.0e-3
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalues lambda_plus, lambda_minus of M_rho (1/time units)."""
-
-    lam_plus: complex
-    lam_minus: complex
 
 
 @dataclass(frozen=True)
@@ -59,82 +52,22 @@ class ModeMatrix:
     m21: float
     m22: float
 
-    def determinant(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def apply(self, a: float, v: float) -> tuple[float, float]:
-        return self.m11 * a + self.m12 * v, self.m21 * a + self.m22 * v
-
-
-def eigenvalues(rho: float) -> EigenPair:
-    """Closed-form eigenvalues; complex pair below rho = 2, real above."""
-    if not np.isfinite(rho) or rho <= 0:
-        raise NumericDomainError(f"frequency must be positive, got {rho!r}")
-    half = rho * rho / 2.0
-    if rho < 2.0:
-        rad = math.sqrt(4.0 / (rho * rho) - 1.0)
-        return EigenPair(complex(-half, -half * rad), complex(-half, half * rad))
-    if rho > 2.0:
-        rad = math.sqrt(1.0 - 4.0 / (rho * rho))
-        return EigenPair(complex(-half * (1.0 + rad)), complex(-half * (1.0 - rad)))
-    return EigenPair(complex(-2.0), complex(-2.0))
-
-
-def spectral_abscissa(rho: np.ndarray) -> np.ndarray:
-    """max Re lambda as a function of rho (vectorised)."""
-    rho = np.asarray(rho, dtype=float)
-    half = rho * rho / 2.0
-    slow = np.where(rho > 2.0,
-                    -half * (1.0 - np.sqrt(np.clip(1.0 - 4.0 / rho ** 2, 0.0, None))),
-                    -half)
-    return slow
-
-
-def _cosh_sinhc_factors(rho: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (A, S) with e^{tM} = A I + S (M - mu I), overflow-free.
-
-    A = e^{t mu} cosh(t delta), S = e^{t mu} t sinhc(t delta).
-    """
-    rho = np.asarray(rho, dtype=float)
-    mu = -rho * rho / 2.0
-    disc = rho ** 4 / 4.0 - rho ** 2          # delta^2, either sign
-    A = np.empty_like(rho)
-    S = np.empty_like(rho)
-
-    d = np.sqrt(np.abs(disc))
-    td = t * d
-    small = td < _SERIES_THRESHOLD
-
-    # oscillatory branch (rho < 2): cos / sinc
-    osc = (disc < 0.0) & ~small
-    emu = np.exp(t * mu[osc])
-    A[osc] = emu * np.cos(td[osc])
-    S[osc] = emu * np.sin(td[osc]) / d[osc]
-
-    # hyperbolic branch (rho > 2): combine exponents first so nothing overflows
-    hyp = (disc > 0.0) & ~small
-    ea = np.exp(t * (mu[hyp] + d[hyp]))       # slow eigenvalue, <= 0 exponent
-    eb = np.exp(t * (mu[hyp] - d[hyp]))
-    A[hyp] = 0.5 * (ea + eb)
-    S[hyp] = 0.5 * (ea - eb) / d[hyp]
-
-    # coalescence neighbourhood: power series in (t delta)^2 with correct sign
-    if np.any(small):
-        z2 = (t * t) * disc[small]            # signed (t delta)^2
-        emu = np.exp(t * mu[small])
-        A[small] = emu * (1.0 + z2 / 2.0 + z2 ** 2 / 24.0 + z2 ** 3 / 720.0)
-        S[small] = emu * t * (1.0 + z2 / 6.0 + z2 ** 2 / 120.0 + z2 ** 3 / 5040.0)
-    return A, S
-
 
 def mode_matrices(rho: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised entries (m11, m12, m21, m22) of e^{t M_rho}."""
+    """Vectorised entries (m11, m12, m21, m22) of e^{t M_rho}.
+
+    e^{tM} = phi_0(tM) = A I + S (M - mu I) with (A, S) = (c0, t c1) from
+    phi_pair_coefficients(0, rho, t); on the hyperbolic branch both exponents
+    z +/- w are <= 0, so nothing overflows.
+    """
     if t < 0:
         raise NumericDomainError(f"time must be non-negative, got {t}")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise NumericDomainError("all frequencies must be positive")
-    A, S = _cosh_sinhc_factors(rho, float(t))
+    t = float(t)
+    A, c1 = phi_pair_coefficients(0, rho, t)
+    S = t * c1
     half = rho * rho / 2.0
     return A + S * half, -S * rho, S * rho, A - S * half
 
@@ -317,6 +250,7 @@ def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float
 
     Gauss-Legendre tensor quadrature over the compact support box; the node
     count doubles until the sup changes by less than refine_rtol relative.
+    Raises SolverAbort if that has not happened by max_nodes.
     """
     if t < 4.0:
         raise NumericDomainError(f"probe needs t >= 4, got {t}")
@@ -327,13 +261,17 @@ def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float
         raise UsageError("probe points must be 3D")
     n = max(int(n_nodes), 4)
     value = float(np.max(_probe_integral(t, psi, pts, n, branch)))
+    change = math.inf
     while n < max_nodes:
         n *= 2
         refined = float(np.max(_probe_integral(t, psi, pts, n, branch)))
         if value == 0.0 or abs(refined - value) <= refine_rtol * abs(refined):
             return refined
+        change = abs(refined - value) / abs(refined) if refined != 0.0 else math.inf
         value = refined
-    return value
+    raise SolverAbort(
+        f"kernel probe did not converge by max_nodes = {max_nodes}: last relative "
+        f"change {change:.3g} > refine_rtol = {refine_rtol:g}", time=t)
 
 
 def probe_point_grid(t: float, n_axis: int = 256, n_transverse: int = 64,
@@ -392,8 +330,7 @@ def phi_pair_coefficients(j: int, rho: np.ndarray, dt: float
 
     c0 and c1 are the symmetric mean and divided difference of phi_j over the
     two eigenvalues of dt*M; near coalescence they switch to an even power
-    series in the signed squared gap, mirroring the sinhc treatment of the
-    exponential itself.
+    series in the signed squared gap.  j = 0 gives the propagator e^{dt M}.
     """
     rho = np.asarray(rho, dtype=float)
     mu = -rho * rho / 2.0

@@ -21,7 +21,7 @@ of the forcing alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,7 +34,6 @@ from .spectral import (
     RadialScalarField,
     RadialVectorProfile,
     apply_multiplier,
-    as_physical,
     dealias_mask,
     field_from_samples,
     gradient_profile,
@@ -59,9 +58,6 @@ class PressureLaw:
     def __post_init__(self):
         if self.gamma <= 1.0:
             raise ConfigurationError(f"adiabatic exponent must exceed 1, got {self.gamma}")
-
-    def pressure(self, density):
-        return np.asarray(density, dtype=float) ** self.gamma / self.gamma
 
     def beta(self, a):
         """beta(a) = P'(1+a)/(1+a) - P'(1) = (1+a)^(gamma-2) - 1; beta(0) = 0."""
@@ -332,6 +328,16 @@ def diagnostics_row(state: SolverState, partition: DyadicPartition | None = None
     )
 
 
+def output_steps(config: SolverConfig) -> list[int]:
+    """Step indices of the output rows: 0, each multiple of the output stride,
+    and the last step; a row's time is its step times dt."""
+    n_steps = round(config.t_final / config.dt)
+    steps = list(range(0, n_steps + 1, round(config.output_interval / config.dt)))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
+
+
 def simulate(config: SolverConfig,
              observer: Callable[[SolverState], None] | None = None
              ) -> tuple[list[DiagnosticsRow], SolverState]:
@@ -350,13 +356,13 @@ def simulate(config: SolverConfig,
 
     tables = make_etd_tables(state.a_hat.grid, config.dt)
     law = config.law()
-    n_steps = int(round(config.t_final / config.dt))
-    stride = round(config.output_interval / config.dt)
-    for step in range(1, n_steps + 1):
+    steps = output_steps(config)
+    outputs = set(steps)
+    for step in range(1, steps[-1] + 1):
         state = step_etd2(state, law, config, tables)
         # keep the clock exactly representable at output times
         state.t = step * config.dt
-        if step % stride == 0 or step == n_steps:
+        if step in outputs:
             rows.append(diagnostics_row(state, partition))
             if observer is not None:
                 observer(state)

@@ -274,11 +274,6 @@ def lp_norm(field: RadialScalarField, p: float) -> float:
     return float((4.0 * np.pi * grid.dr * np.sum(vals ** p * grid.r ** 2)) ** (1.0 / p))
 
 
-def profile_lp_norm(vec: RadialVectorProfile, p: float) -> float:
-    """L^p norm of the vector field U(r) x/r; |u(x)| = |U(|x|)| pointwise."""
-    return lp_norm(RadialScalarField(vec.grid, vec.samples, "physical"), p)
-
-
 def weighted_sup_norm(field: RadialScalarField) -> float:
     """sup_r r |f(r)|, the radial form of || |x| f ||_inf."""
     _require_space(field, "physical", "weighted_sup_norm")

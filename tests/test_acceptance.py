@@ -2,7 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
 per criterion.  The two long runs (linear reference and full nonlinear
-reference) are shared module-scoped fixtures.
+reference) are shared module-scoped fixtures.  The criteria that use them,
+and the probe of criterion 10, are marked `slow`: `pytest -m "not slow"`
+runs the rest in under a minute.
 """
 
 import math
@@ -124,6 +126,7 @@ def test_criterion_02_involution_and_parseval():
            f"involution {worst_inv:.3e} <= 1e-12, parseval {worst_par:.3e} <= 1e-10")
 
 
+@pytest.mark.slow
 def test_criterion_03_linear_decay_rates(linear_reference):
     _, rep = linear_reference
     by_label = {e.label: e for e in rep.entries}
@@ -136,6 +139,7 @@ def test_criterion_03_linear_decay_rates(linear_reference):
            f"Linf slope {li.fitted_exponent:.4f} (r2={li.r2:.5f})")
 
 
+@pytest.mark.slow
 def test_criterion_04_sharpness_lower_bound(linear_reference, nonlinear_reference):
     lin_cfg, lin_rep = linear_reference
     nl_cfg, nl_rows = nonlinear_reference
@@ -148,6 +152,7 @@ def test_criterion_04_sharpness_lower_bound(linear_reference, nonlinear_referenc
            f"{ne['ratio']:.3f} <= 3, minima > 0")
 
 
+@pytest.mark.slow
 def test_criterion_05_nonlinear_part_gain(nonlinear_reference):
     config, rows = nonlinear_reference
     rep = run_nonlinear_decay(config, (2.0, math.inf), window=(150.0, 460.0),
@@ -162,6 +167,7 @@ def test_criterion_05_nonlinear_part_gain(nonlinear_reference):
            f"B0_inf1 slope {nlb.fitted_exponent:.4f} (r2={nlb.r2:.5f})")
 
 
+@pytest.mark.slow
 def test_criterion_06_weighted_decay(nonlinear_reference):
     config, rows = nonlinear_reference
     rep = run_weighted_decay(config, window=(1.0, 200.0), rows=rows)
@@ -243,6 +249,7 @@ def test_criterion_09_high_frequency_identity():
            f"worst relative gap {worst:.3e} <= 1e-12, both branches")
 
 
+@pytest.mark.slow
 def test_criterion_10_kernel_probe():
     started = time.time()
     psi = default_cutoff()

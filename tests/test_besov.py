@@ -13,7 +13,6 @@ from radns.besov import (
     block,
     block_norms,
     j0_for_time,
-    low_cutoff,
     pair_besov_norm,
     weighted_besov_norm_p2,
     weighted_block_integral,
@@ -37,6 +36,12 @@ from radns.spectral import (
 @pytest.fixture(scope="module")
 def partition():
     return DyadicPartition()
+
+
+def low_cutoff(field, j, partition):
+    """Smooth low-pass theta(2^{-j} rho) of a spectral field, retaining
+    frequencies below ~2^{j+1}."""
+    return apply_multiplier(field, lambda rho: partition.theta(rho * 2.0 ** (-j)))
 
 
 def band_limited_field(grid, rng, lo_mode=20, hi_mode=400):
@@ -79,8 +84,12 @@ class TestPartition:
         j_min, j_max = partition.resolved_range(grid)
         assert 2.0 ** (j_min + 1) >= grid.drho
         assert 2.0 ** j_max >= grid.rho[-1] / 2.0
-        lo, hi = partition.exact_band(grid)
+        # the resolved blocks sum exactly to 1 on [2^(j_min+1), 2^j_max]
+        lo, hi = 2.0 ** (j_min + 1), 2.0 ** j_max
         assert lo < 1.0 < hi
+        inside = (grid.rho >= lo) & (grid.rho <= hi)
+        total = sum(partition.block_multiplier(grid, j) for j in range(j_min, j_max + 1))
+        assert np.max(np.abs(total[inside] - 1.0)) < 1e-14
 
 
 class TestBlocks:

@@ -234,6 +234,17 @@ fit_tol = 0.01
                                  "--out", str(tmp_path), "--quiet"]) == code
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [
+        ("linear-decay", "p_list"),
+        ("kernel-probe", "t_list"),
+    ])
+    def test_empty_list_rejected(self, tmp_path, capsys, command, key):
+        # an empty p_list would report PASS on zero fits; an empty t_list has no sup
+        cfg = write_config(tmp_path, f"N = 64\nR = 60\nT = 10\n{key} =\n")
+        assert command_dispatch([command, "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == 2
+        assert f"{key} must list one or more entries" in capsys.readouterr().err
+
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)
         command_dispatch(["simulate", "--config", cfg,

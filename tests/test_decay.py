@@ -26,7 +26,7 @@ from radns.decay import (
 )
 from radns.errors import FitError, NumericDomainError, UnsupportedParameterError
 from radns.semigroup import scalar_kernel_values
-from radns.solver import SolverConfig
+from radns.solver import SolverConfig, simulate
 from radns.spectral import make_grid
 
 
@@ -137,6 +137,18 @@ class TestLinearDriver:
         for entry in payload["entries"]:
             assert set(entry) >= {"label", "target_exponent", "fitted_exponent",
                                   "r2", "window", "verdict"}
+
+    @pytest.mark.parametrize("t_final, times", [
+        (7.0, [0.0, 2.0, 4.0, 6.0, 7.0]),
+        (5.0, [0.0, 2.0, 4.0, 5.0]),
+    ])
+    def test_output_times_match_simulate(self, t_final, times):
+        # T not a multiple of the output interval: the last row is at T,
+        # neither past it nor short of it, exactly as simulate reports
+        cfg = small_linear_config(n_modes=255, outer_radius=60.0, t_final=t_final,
+                                  output_interval=2.0)
+        assert [row.t for row in linear_rows(cfg)] == times
+        assert [row.t for row in simulate(cfg)[0]] == times
 
     def test_deterministic(self):
         cfg = small_linear_config(t_final=20.0)

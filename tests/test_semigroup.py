@@ -1,7 +1,9 @@
 """Propagator, eigenvalue, kernel-norm, and probe tests.
 
 The matrix-exponential oracle is an independent 40-term scaled-and-squared
-power series; phi coefficients are checked against augmented-matrix expm.
+power series; phi coefficients (phi_0 = exp included) are checked against
+augmented-matrix expm; the closed-form eigenvalues below are the oracle for
+the scalar kernels e^{t lambda}.
 """
 
 import math
@@ -12,12 +14,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from radns.errors import NumericDomainError, UsageError
+from radns.errors import NumericDomainError, SolverAbort, UsageError
 from radns.semigroup import (
     CutoffPsi,
     apply_semigroup,
     default_cutoff,
-    eigenvalues,
     hi_freq_identity_check,
     kernel_band_norm,
     kernel_probe,
@@ -26,7 +27,6 @@ from radns.semigroup import (
     phi_pair_coefficients,
     probe_point_grid,
     scalar_kernel_values,
-    spectral_abscissa,
 )
 from radns.spectral import field_from_samples, make_grid, zero_field
 
@@ -58,42 +58,74 @@ def as_array(mm) -> np.ndarray:
     return np.array([[mm.m11, mm.m12], [mm.m21, mm.m22]])
 
 
+def eigenvalues(rho: float) -> tuple[complex, complex]:
+    """Closed-form (lambda_plus, lambda_minus) of M_rho: complex pair below
+    rho = 2, real above, -2 twice at coalescence."""
+    half = rho * rho / 2.0
+    if rho < 2.0:
+        rad = math.sqrt(4.0 / (rho * rho) - 1.0)
+        return complex(-half, -half * rad), complex(-half, half * rad)
+    if rho > 2.0:
+        rad = math.sqrt(1.0 - 4.0 / (rho * rho))
+        return complex(-half * (1.0 + rad)), complex(-half * (1.0 - rad))
+    return complex(-2.0), complex(-2.0)
+
+
+def spectral_abscissa(rho: float) -> float:
+    """max Re lambda of M_rho."""
+    return max(lam.real for lam in eigenvalues(rho))
+
+
+def assert_kernels_match(rho: float, t: float = 0.75) -> None:
+    """scalar_kernel_values(rho, t, branch) == exp(t lambda_branch)."""
+    lam_plus, lam_minus = eigenvalues(rho)
+    for branch, lam in (("plus", lam_plus), ("minus", lam_minus)):
+        value = scalar_kernel_values(np.array([rho]), t, branch)[0]
+        assert value == pytest.approx(np.exp(t * lam), rel=1e-13, abs=0.0)
+
+
 class TestEigenvalues:
     def test_coalescence_point(self):
-        pair = eigenvalues(2.0)
-        assert pair.lam_plus == pair.lam_minus == -2.0
+        lam_plus, lam_minus = eigenvalues(2.0)
+        assert lam_plus == lam_minus == -2.0
+        assert_kernels_match(2.0)
 
     def test_unit_frequency(self):
-        pair = eigenvalues(1.0)
-        assert pair.lam_plus == pytest.approx(-0.5 - 1j * math.sqrt(3) / 2)
-        assert pair.lam_minus == pytest.approx(-0.5 + 1j * math.sqrt(3) / 2)
+        lam_plus, lam_minus = eigenvalues(1.0)
+        assert lam_plus == pytest.approx(-0.5 - 1j * math.sqrt(3) / 2)
+        assert lam_minus == pytest.approx(-0.5 + 1j * math.sqrt(3) / 2)
+        assert_kernels_match(1.0)
 
     def test_low_frequency_series(self):
-        pair = eigenvalues(0.01)
-        assert abs(pair.lam_plus - (-0.01j - 5e-5)) < 1e-6
-        assert abs(pair.lam_minus - (0.01j - 5e-5)) < 1e-6
+        lam_plus, lam_minus = eigenvalues(0.01)
+        assert abs(lam_plus - (-0.01j - 5e-5)) < 1e-6
+        assert abs(lam_minus - (0.01j - 5e-5)) < 1e-6
+        assert_kernels_match(0.01)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=0.01, max_value=64.0))
     def test_trace_determinant_stability(self, rho):
-        pair = eigenvalues(rho)
-        assert pair.lam_plus + pair.lam_minus == pytest.approx(-rho * rho, rel=1e-12)
-        assert pair.lam_plus * pair.lam_minus == pytest.approx(rho * rho, rel=1e-12)
-        assert pair.lam_plus.real < 0 and pair.lam_minus.real < 0
+        lam_plus, lam_minus = eigenvalues(rho)
+        assert lam_plus + lam_minus == pytest.approx(-rho * rho, rel=1e-12)
+        assert lam_plus * lam_minus == pytest.approx(rho * rho, rel=1e-12)
+        assert lam_plus.real < 0 and lam_minus.real < 0
+        assert_kernels_match(rho, t=min(1.0, 1.0 / (rho * rho)))
 
     def test_branch_structure(self):
-        low = eigenvalues(1.5)
-        assert low.lam_plus.imag != 0
-        assert low.lam_plus == low.lam_minus.conjugate()
-        high = eigenvalues(3.0)
-        assert high.lam_plus.imag == 0 and high.lam_minus.imag == 0
-        assert high.lam_plus.real < high.lam_minus.real < 0
+        low_plus, low_minus = eigenvalues(1.5)
+        assert low_plus.imag != 0
+        assert low_plus == low_minus.conjugate()
+        high_plus, high_minus = eigenvalues(3.0)
+        assert high_plus.imag == 0 and high_minus.imag == 0
+        assert high_plus.real < high_minus.real < 0
+        assert_kernels_match(1.5)
+        assert_kernels_match(3.0)
 
     def test_domain_error(self):
         with pytest.raises(NumericDomainError):
-            eigenvalues(0.0)
+            mode_matrices(np.array([0.0]), 1.0)
         with pytest.raises(NumericDomainError):
-            eigenvalues(-1.0)
+            mode_matrices(np.array([1.0, -1.0]), 1.0)
 
 
 class TestModeExponential:
@@ -123,7 +155,8 @@ class TestModeExponential:
                 entry_scale = max(abs(v) for v in
                                   (mm.m11, mm.m12, mm.m21, mm.m22))
                 tol = max(1e-10 * target, 64 * np.finfo(float).eps * entry_scale ** 2)
-                assert abs(mm.determinant() - target) <= tol
+                det = mm.m11 * mm.m22 - mm.m12 * mm.m21
+                assert abs(det - target) <= tol
 
     def test_negative_time_rejected(self):
         with pytest.raises(NumericDomainError):
@@ -133,8 +166,7 @@ class TestModeExponential:
         for rho in np.geomspace(0.02, 64.0, 30):
             for t in (0.1, 1.0, 5.0):
                 mm = mode_exponential(rho, t)
-                bound = 2.0 * math.exp(t * spectral_abscissa(np.array([rho]))[0]) \
-                    * (1.0 + t * rho * rho)
+                bound = 2.0 * math.exp(t * spectral_abscissa(rho)) * (1.0 + t * rho * rho)
                 assert max(abs(v) for v in
                            (mm.m11, mm.m12, mm.m21, mm.m22)) <= bound
 
@@ -172,7 +204,7 @@ class TestApplySemigroup:
         v.values[k0] = -1.0
         a2, v2 = apply_semigroup(a, v, 0.7)
         mm = mode_exponential(grid.rho[k0], 0.7)
-        ea, ev = mm.apply(2.0, -1.0)
+        ea, ev = mm.m11 * 2.0 - mm.m12, mm.m21 * 2.0 - mm.m22
         assert a2.values[k0] == pytest.approx(ea, rel=1e-13)
         assert v2.values[k0] == pytest.approx(ev, rel=1e-13)
         mask = np.ones(128, dtype=bool)
@@ -200,7 +232,7 @@ class TestPhiCoefficients:
             aug[b * n:(b + 1) * n, (b + 1) * n:(b + 2) * n] = np.eye(n)
         return scipy.linalg.expm(aug)[:n, j * n:(j + 1) * n]
 
-    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("j", [0, 1, 2])
     def test_against_augmented_expm(self, j):
         for rho in (0.006, 0.01, 0.5, 1.9, 1.999, 2.0, 2.001, 2.1, 4.0, 16.0, 103.0):
             for dt in (0.05, 0.5):
@@ -322,6 +354,13 @@ class TestKernelProbe:
                                              np.asarray(xi3)).shape)
 
         assert kernel_probe(16.0, ZeroPsi(), [(0.0, 0.0, 0.0)]) == 0.0
+
+    def test_unconverged_refinement_raises(self):
+        # 4 -> 8 nodes changes the sup far more than 1e-12: no silent return
+        with pytest.raises(SolverAbort, match=r"max_nodes = 8: last relative change") as err:
+            kernel_probe(16.0, default_cutoff(), probe_point_grid(16.0),
+                         n_nodes=4, max_nodes=8, refine_rtol=1e-12)
+        assert err.value.time == 16.0
 
     def test_empty_probe_set_rejected(self):
         with pytest.raises(UsageError):

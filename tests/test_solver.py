@@ -40,15 +40,25 @@ def small_config(**overrides):
     return SolverConfig(**base)
 
 
+def pressure(gamma, density):
+    """The gamma-law P(rho) = rho^gamma / gamma that PressureLaw encodes."""
+    return np.asarray(density, dtype=float) ** gamma / gamma
+
+
 class TestPressureLaw:
     def test_normalisation(self):
         for gamma in (1.1, 1.4, 2.0, 5.0 / 3.0):
             law = PressureLaw(gamma)
             # P'(1) = 1 by construction of the gamma-law
             eps = 1e-7
-            deriv = (law.pressure(1 + eps) - law.pressure(1 - eps)) / (2 * eps)
+            deriv = (pressure(gamma, 1 + eps) - pressure(gamma, 1 - eps)) / (2 * eps)
             assert deriv == pytest.approx(1.0, rel=1e-8)
             assert law.beta(0.0) == 0.0
+            # beta(a) = P'(1+a)/(1+a) - P'(1), P' by central differences
+            for a in (-0.3, 0.2):
+                rho = 1.0 + a
+                p_prime = (pressure(gamma, rho + eps) - pressure(gamma, rho - eps)) / (2 * eps)
+                assert law.beta(a) == pytest.approx(p_prime / rho - deriv, abs=1e-7)
 
     def test_beta_vanishes_at_gamma_two(self):
         law = PressureLaw(2.0)

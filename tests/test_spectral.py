@@ -25,7 +25,6 @@ from radns.spectral import (
     make_grid,
     pair_lp_norm,
     pair_pointwise_modulus,
-    profile_lp_norm,
     to_physical,
     to_spectral,
     weighted_sup_norm,
@@ -297,12 +296,17 @@ class TestNorms:
         assert weighted_sup_norm(f) == pytest.approx(3 * math.sqrt(3) / 16, abs=1e-6)
 
     def test_profile_norm_matches_scalar(self):
+        # |U(r) x/r| = |U(r)| pointwise, so the vector field's L^p norm is the
+        # rectangle rule (4 pi dr sum |U|^p r^2)^(1/p) of the profile modulus
         grid = make_grid(256, 10.0)
-        vals = np.exp(-grid.r)
+        vals = np.exp(-grid.r) * np.cos(3.0 * grid.r)
         vec = RadialVectorProfile(grid, vals)
-        f = field_from_samples(grid, vals)
-        for p in (1, 2, math.inf):
-            assert profile_lp_norm(vec, p) == lp_norm(f, p)
+        f = field_from_samples(grid, vec.samples)
+        for p in (1, 2):
+            oracle = (4.0 * math.pi * grid.dr
+                      * np.sum(np.abs(vals) ** p * grid.r ** 2)) ** (1.0 / p)
+            assert lp_norm(f, p) == pytest.approx(oracle, rel=1e-14)
+        assert lp_norm(f, math.inf) == np.max(np.abs(vals))
 
     def test_pair_norms(self):
         grid = make_grid(256, 10.0)
