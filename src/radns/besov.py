@@ -17,16 +17,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BandRangeError, NumericDomainError, UnsupportedParameterError
+from .errors import BandRangeError, NumericDomainError, UnsupportedParameterError, UsageError
 from .spectral import (
     RadialGrid,
     RadialScalarField,
     apply_multiplier,
     as_physical,
     as_spectral,
-    lp_norm,
-    pair_pointwise_modulus,
     per_grid_cache,
+    spectral_lp_norm,
 )
 
 
@@ -114,22 +113,16 @@ def _pair_block_norms(a: RadialScalarField, v: RadialScalarField | None, p: floa
                       indices: Iterable[int], part: DyadicPartition) -> dict[int, float]:
     """L^p norm of the blockwise modulus |(block_j a, block_j v)| for each j.
 
-    v = None is the one-field case.  Each field goes to spectral space once;
-    the blocks are synthesised one at a time rather than stacked, which keeps
-    the extra memory at two grid vectors whatever the number of blocks.
+    v = None is the one-field case.  The fields are read in spectral space and
+    each block's stacked (a, v) rows go to `spectral_lp_norm` (Parseval for
+    p = 2, else one transform call).  Blocks go one at a time, which keeps the
+    extra memory at a few stacks whatever the number of blocks.
     """
-    a_s = as_spectral(a)
-    v_s = None if v is None else as_spectral(v)
-    norms = {}
-    for j in indices:
-        mult = part.block_multiplier(a.grid, j)
-        ab = as_physical(apply_multiplier(a_s, lambda rho: mult))
-        if v_s is None:
-            norms[j] = lp_norm(ab, p)
-        else:
-            vb = as_physical(apply_multiplier(v_s, lambda rho: mult))
-            norms[j] = lp_norm(pair_pointwise_modulus(ab, vb), p)
-    return norms
+    if v is not None and v.grid != a.grid:
+        raise UsageError("pair fields live on different grids")
+    hat = np.stack([as_spectral(f).values for f in (a, v) if f is not None])
+    return {j: spectral_lp_norm(a.grid, part.block_multiplier(a.grid, j) * hat, p)
+            for j in indices}
 
 
 def lq_sum(terms: Iterable[float], q: float) -> float:

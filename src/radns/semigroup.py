@@ -30,13 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericDomainError, SolverAbort, UsageError
-from .spectral import (
-    RadialGrid,
-    RadialScalarField,
-    lp_norm,
-    pair_pointwise_modulus,
-    to_physical,
-)
+from .spectral import RadialGrid, RadialScalarField, spectral_lp_norm
 
 #: below this value of |t*delta| the divided differences switch to their
 #: power series in (t delta)^2, which is exact to double precision there.
@@ -101,24 +95,28 @@ def hi_freq_identity_check(rho: float, t: float, branch: str = "plus") -> tuple[
         raise NumericDomainError(f"identity holds for rho > 2, got {rho}")
     if t < 0:
         raise NumericDomainError(f"time must be non-negative, got {t}")
-    if branch not in ("plus", "minus"):
-        raise UsageError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    sign = 1.0 if branch == "plus" else -1.0
+    sign = _branch_sign(branch)
     s = math.sqrt(1.0 - 4.0 / (rho * rho))
     lhs = -t * (rho * rho / 2.0) * (1.0 + sign * s)
     rhs = -2.0 * t / (1.0 - sign * s)
     return lhs, rhs
 
 
+def _branch_sign(branch: str) -> float:
+    if branch not in ("plus", "minus"):
+        raise UsageError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    return 1.0 if branch == "plus" else -1.0
+
+
 # -- scalar semigroup kernels --------------------------------------------------
 
 def scalar_kernel_values(rho: np.ndarray, t: float, branch: str = "plus") -> np.ndarray:
     """e^{t lambda_branch(rho)} as complex values (vectorised)."""
+    sign = _branch_sign(branch)
     rho = np.asarray(rho, dtype=float)
     half = rho * rho / 2.0
     out = np.empty(rho.shape, dtype=complex)
     low = rho < 2.0
-    sign = 1.0 if branch == "plus" else -1.0
     rad_low = np.sqrt(np.clip(4.0 / rho[low] ** 2 - 1.0, 0.0, None))
     out[low] = np.exp(-t * half[low] * (1.0 + 1j * sign * rad_low))
     hi = ~low
@@ -152,9 +150,7 @@ def kernel_band_norm(grid: RadialGrid, t: float, p: float, band: str,
     else:
         raise UsageError(f"unknown band {band!r}")
     kernel = scalar_kernel_values(rho, t, branch) * mult
-    re = to_physical(RadialScalarField(grid, kernel.real.copy(), "spectral"))
-    im = to_physical(RadialScalarField(grid, kernel.imag.copy(), "spectral"))
-    return lp_norm(pair_pointwise_modulus(re, im), p)
+    return spectral_lp_norm(grid, np.stack((kernel.real, kernel.imag)), p)
 
 
 # -- anisotropic lower-bound probe ---------------------------------------------

@@ -24,6 +24,7 @@ as the scalar profile U on the same physical nodes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -170,12 +171,16 @@ def to_spectral(field: RadialScalarField) -> RadialScalarField:
     return RadialScalarField(grid, ghat / grid.rho, "spectral")
 
 
+def physical_values(grid: RadialGrid, hat: np.ndarray) -> np.ndarray:
+    """f(r_m) from fhat(rho_k) for one field, or for a stack of fields (one
+    row each) in a single transform call."""
+    return _sine_sum(grid, grid.rho * hat, grid.drho) / grid.r
+
+
 def to_physical(field: RadialScalarField) -> RadialScalarField:
     """Inverse weighted DST-I: fhat(rho_k) -> f(r_m).  Exact involution."""
     _require_space(field, "spectral", "to_physical")
-    grid = field.grid
-    g = _sine_sum(grid, grid.rho * field.values, grid.drho)
-    return RadialScalarField(grid, g / grid.r, "physical")
+    return RadialScalarField(field.grid, physical_values(field.grid, field.values), "physical")
 
 
 def as_physical(field: RadialScalarField) -> RadialScalarField:
@@ -201,27 +206,27 @@ def apply_multiplier(field: RadialScalarField, multiplier: Callable[[np.ndarray]
 # -- radial differential operators -------------------------------------------
 
 def gradient_profile(field: RadialScalarField, filtered: bool = True) -> RadialVectorProfile:
-    """Profile U = w'(r) of the gradient of a radial scalar w.
+    """Profile U = w'(r) of the gradient of a radial scalar w."""
+    return physical_and_gradient(as_spectral(field), filtered)[1]
+
+
+def physical_and_gradient(field: RadialScalarField, filtered: bool = True
+                          ) -> tuple[RadialScalarField, RadialVectorProfile]:
+    """w(r_m) and the gradient profile U = w'(r) of a spectral field w from
+    one synthesis.
 
     Works through the sine coefficients of g(r) = r w(r): the derivative is
     the matching cosine sum, and w' = g'/r - g/r^2.
     """
+    _require_space(field, "spectral", "physical_and_gradient")
     grid = field.grid
-    if field.space == "spectral":
-        ghat = grid.rho * field.values
-        g = _sine_sum(grid, ghat, grid.drho)
-    else:
-        g = grid.r * field.values
-        ghat = _sine_sum(grid, g, grid.dr)
+    ghat = grid.rho * field.values
+    g = _sine_sum(grid, ghat, grid.drho)
     if filtered:
         ghat = ghat * derivative_filter(grid)
     g_prime = np.sqrt(2.0 / np.pi) * grid.drho * _cosine_sum(grid.rho * ghat)
-    return RadialVectorProfile(grid, g_prime / grid.r - g / grid.r ** 2)
-
-
-def profile_sine_coeffs(vec: RadialVectorProfile) -> np.ndarray:
-    """Sine coefficients of the odd extension of a vector profile."""
-    return _sine_sum(vec.grid, vec.samples, vec.grid.dr)
+    return (RadialScalarField(grid, g / grid.r, "physical"),
+            RadialVectorProfile(grid, g_prime / grid.r - g / grid.r ** 2))
 
 
 def divergence_of_profile(vec: RadialVectorProfile, filtered: bool = True,
@@ -235,7 +240,7 @@ def divergence_of_profile(vec: RadialVectorProfile, filtered: bool = True,
     grid = vec.grid
     if not np.all(np.isfinite(vec.samples)):
         raise NumericDomainError("profile contains non-finite samples")
-    coeffs = profile_sine_coeffs(vec)
+    coeffs = _sine_sum(grid, vec.samples, grid.dr)      # of the odd extension of G
     g = vec.samples
     if dealias_fraction is not None:
         coeffs = coeffs * dealias_mask(grid, dealias_fraction)
@@ -274,21 +279,23 @@ def lp_norm(field: RadialScalarField, p: float) -> float:
     return float((4.0 * np.pi * grid.dr * np.sum(vals ** p * grid.r ** 2)) ** (1.0 / p))
 
 
+def spectral_lp_norm(grid: RadialGrid, hat: np.ndarray, p: float) -> float:
+    """L^p norm of the pointwise modulus of the fields whose spectral values
+    are the rows of `hat` (one field: one row).
+
+    p = 2 needs no transform: by exact discrete Parseval (dr drho = pi/(N+1))
+    4 pi drho sum rho^2 |hat|^2 equals the rectangle rule of lp_norm.  Other
+    p synthesise every row in one transform call, and all-zero rows need none.
+    """
+    hat = np.atleast_2d(hat)
+    if p == 2:
+        return math.sqrt(4.0 * np.pi * grid.drho * np.sum(grid.rho ** 2 * hat ** 2))
+    modulus = (np.hypot.reduce(physical_values(grid, hat), axis=0) if hat.any()
+               else np.zeros(grid.n_modes))
+    return lp_norm(RadialScalarField(grid, modulus, "physical"), p)
+
+
 def weighted_sup_norm(field: RadialScalarField) -> float:
     """sup_r r |f(r)|, the radial form of || |x| f ||_inf."""
     _require_space(field, "physical", "weighted_sup_norm")
     return float(np.max(field.grid.r * np.abs(field.values), initial=0.0))
-
-
-def pair_pointwise_modulus(a: RadialScalarField, v: RadialScalarField) -> RadialScalarField:
-    """Pointwise Euclidean modulus sqrt(a^2 + v^2) of a physical-space pair."""
-    _require_space(a, "physical", "pair_pointwise_modulus")
-    _require_space(v, "physical", "pair_pointwise_modulus")
-    if a.grid != v.grid:
-        raise UsageError("pair fields live on different grids")
-    return RadialScalarField(a.grid, np.hypot(a.values, v.values), "physical")
-
-
-def pair_lp_norm(a: RadialScalarField, v: RadialScalarField, p: float) -> float:
-    """L^p norm of the two-component field [a; v] (pointwise modulus first)."""
-    return lp_norm(pair_pointwise_modulus(a, v), p)

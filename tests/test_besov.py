@@ -21,6 +21,7 @@ from radns.errors import (
     BandRangeError,
     NumericDomainError,
     UnsupportedParameterError,
+    UsageError,
 )
 from radns.spectral import (
     apply_multiplier,
@@ -29,6 +30,7 @@ from radns.spectral import (
     lp_norm,
     make_grid,
     to_physical,
+    to_spectral,
     zero_field,
 )
 
@@ -42,6 +44,35 @@ def low_cutoff(field, j, partition):
     """Smooth low-pass theta(2^{-j} rho) of a spectral field, retaining
     frequencies below ~2^{j+1}."""
     return apply_multiplier(field, lambda rho: partition.theta(rho * 2.0 ** (-j)))
+
+
+def oracle_block_norms(a, v, p, indices, partition):
+    """One block at a time, one field at a time, in physical space: each block
+    synthesised alone, then the pointwise modulus and the rectangle-rule L^p
+    norm.  v = None is the one-field case."""
+    fields = [f if f.space == "spectral" else to_spectral(f)
+              for f in (a, v) if f is not None]
+    norms = {}
+    for j in indices:
+        mult = partition.block_multiplier(a.grid, j)
+        blocks = [to_physical(apply_multiplier(f, lambda rho: mult)).values for f in fields]
+        modulus = np.hypot(*blocks) if len(blocks) == 2 else blocks[0]
+        norms[j] = lp_norm(field_from_samples(a.grid, modulus), p)
+    return norms
+
+
+def oracle_pair_besov_norm(a, v, spec, partition):
+    """l^q sum of 2^{sj} times the oracle block norms over the spec's band."""
+    j_min, j_max = partition.resolved_range(a.grid)
+    lo = max(spec.j0, j_min) if spec.band == "high" else j_min
+    hi = min(spec.j0, j_max) if spec.band == "low" else j_max
+    norms = oracle_block_norms(a, v, spec.p, range(lo, hi + 1), partition)
+    terms = [2.0 ** (spec.s * j) * n for j, n in norms.items()]
+    if not terms:
+        return 0.0
+    if math.isinf(spec.q):
+        return max(terms)
+    return sum(t ** spec.q for t in terms) ** (1.0 / spec.q)
 
 
 def band_limited_field(grid, rng, lo_mode=20, hi_mode=400):
@@ -206,6 +237,87 @@ class TestBesovNorm:
         spec = BesovSpec(0.0, 2.0, 1.0)
         assert pair_besov_norm(f, zero_field(grid), spec, partition) == \
             pytest.approx(besov_norm(f, spec, partition), rel=1e-14)
+
+
+def oracle_fields(grid):
+    """A physical Gaussian, a spectral oscillating profile and a band-limited
+    field whose top blocks are exactly zero."""
+    a = field_from_profile_function(grid, lambda r: np.exp(-r ** 2))
+    v = to_spectral(field_from_profile_function(
+        grid, lambda r: np.cos(3.0 * r) * np.exp(-r ** 2 / 4.0)))
+    return a, v, band_limited_field(grid, np.random.default_rng(5), 20, 400)
+
+
+def _inclusive(partition, grid):
+    """(j_min, j_max + 1): the resolved block indices as range() bounds."""
+    j_min, j_max = partition.resolved_range(grid)
+    return j_min, j_max + 1
+
+
+class TestBlockPathOracle:
+    """block_norms, besov_norm and pair_besov_norm against the physical-space
+    block loop, for p in {1, 2, 3, inf} and full, low and high bands."""
+
+    GRID = (1023, 40.0)
+    SPECS = [("full", None), ("low", 0), ("high", 1)]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_block_norms(self, partition, p):
+        grid = make_grid(*self.GRID)
+        for f in oracle_fields(grid):
+            oracle = oracle_block_norms(f, None, p, range(*_inclusive(partition, grid)),
+                                        partition)
+            norms = block_norms(f, p, partition)
+            assert norms.keys() == oracle.keys()
+            for j, n in oracle.items():
+                assert norms[j] == pytest.approx(n, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("band,j0", SPECS)
+    def test_besov_norms(self, partition, p, band, j0):
+        grid = make_grid(*self.GRID)
+        a, v, banded = oracle_fields(grid)
+        zero = zero_field(grid, "spectral")
+        for q in (1.0, 2.0, math.inf):
+            spec = BesovSpec(0.5, p, q, band=band, j0=j0)
+            for f in (a, v, banded):
+                assert besov_norm(f, spec, partition) == pytest.approx(
+                    oracle_pair_besov_norm(f, None, spec, partition), rel=1e-12)
+            for x, y in ((a, v), (v, banded), (banded, zero), (zero, a)):
+                assert pair_besov_norm(x, y, spec, partition) == pytest.approx(
+                    oracle_pair_besov_norm(x, y, spec, partition), rel=1e-12)
+
+    def test_zero_blocks_skip_the_transform(self, partition, transform_counter):
+        grid = make_grid(*self.GRID)
+        _, _, banded = oracle_fields(grid)
+        zero = zero_field(grid, "spectral")
+        indices = range(*_inclusive(partition, grid))
+        empty = [j for j in indices
+                 if not np.any(partition.block_multiplier(grid, j) * banded.values)]
+        assert len(empty) >= 2
+        n_full = len(indices) - len(empty)
+        for p in (1.0, 2.0, math.inf):
+            oracle = oracle_block_norms(banded, None, p, indices, partition)
+            start = transform_counter[0]
+            norms = block_norms(banded, p, partition)
+            # one row per block with content; p = 2 is Parseval, no transform
+            assert transform_counter[0] - start == (0 if p == 2.0 else n_full)
+            assert all(norms[j] == 0.0 for j in empty)
+            for j, n in oracle.items():
+                assert norms[j] == pytest.approx(n, rel=1e-12)
+            start = transform_counter[0]
+            pair = pair_besov_norm(banded, zero, BesovSpec(0.0, p, 1.0), partition)
+            assert transform_counter[0] - start == (0 if p == 2.0 else 2 * n_full)
+            assert pair == pytest.approx(sum(oracle.values()), rel=1e-12)
+        start = transform_counter[0]
+        assert pair_besov_norm(zero, zero, BesovSpec(0.0, math.inf, 1.0), partition) == 0.0
+        assert transform_counter[0] == start
+
+    def test_mismatched_grids_rejected(self, partition):
+        a = zero_field(make_grid(256, 20.0))
+        with pytest.raises(UsageError):
+            pair_besov_norm(a, zero_field(make_grid(256, 30.0)),
+                            BesovSpec(0.0, 2.0, 1.0), partition)
 
 
 class TestLowCutoff:

@@ -273,6 +273,18 @@ class TestHighFrequencyIdentity:
             hi_freq_identity_check(1.0, 1.0)
 
 
+class TestBranchValidation:
+    def test_misspelt_branch_rejected(self):
+        # "plsu" used to be read as "minus" with no error
+        grid = make_grid(256, 20.0)
+        with pytest.raises(UsageError, match="branch must be 'plus' or 'minus'"):
+            scalar_kernel_values([1.0, 3.0], 1.0, "plsu")
+        with pytest.raises(UsageError, match="branch must be 'plus' or 'minus'"):
+            kernel_band_norm(grid, 5.0, 2.0, "low", branch="plsu")
+        with pytest.raises(UsageError, match="branch must be 'plus' or 'minus'"):
+            kernel_probe(16.0, default_cutoff(), [(0.0, 0.0, 0.0)], branch="plsu")
+
+
 class TestKernelBandNorms:
     def test_low_band_l2_slope(self):
         grid = make_grid(8192, 700.0)

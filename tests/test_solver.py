@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from radns.besov import BesovSpec, DyadicPartition
 from radns.errors import ConfigurationError, SolverAbort
 from radns.semigroup import apply_semigroup, mode_exponential
 from radns.solver import (
     PressureLaw,
     SolverConfig,
     SolverState,
+    diagnostics_row,
     initial_data_gaussian,
     initial_state,
     make_etd_tables,
@@ -29,8 +31,10 @@ from radns.spectral import (
     make_grid,
     to_physical,
     to_spectral,
+    weighted_sup_norm,
     zero_field,
 )
+from test_besov import oracle_pair_besov_norm
 
 
 def small_config(**overrides):
@@ -266,6 +270,71 @@ class TestNonlinearPart:
         nl = rows[-1].nl_l2
         total = rows[-1].l2_av
         assert nl < total / 10.0
+
+
+def oracle_row(state, partition):
+    """The row as the physical-space formulas give it: each field synthesised
+    alone, L^p norms by the rectangle rule of the pointwise modulus, and Besov
+    norms from the one-block-at-a-time loop."""
+    grid = state.a_hat.grid
+    a, v = to_physical(state.a_hat), to_physical(state.v_hat)
+    nl_a = to_physical(RadialScalarField(
+        grid, state.a_hat.values - state.a_lin_hat.values, "spectral"))
+    nl_v = to_physical(RadialScalarField(
+        grid, state.v_hat.values - state.v_lin_hat.values, "spectral"))
+    modulus = field_from_samples(grid, np.hypot(a.values, v.values))
+    nl_modulus = field_from_samples(grid, np.hypot(nl_a.values, nl_v.values))
+    spec21, spec_inf1 = BesovSpec(0.0, 2.0, 1.0), BesovSpec(0.0, math.inf, 1.0)
+    return (state.t, lp_norm(modulus, 2.0), lp_norm(modulus, math.inf),
+            oracle_pair_besov_norm(a, v, spec21, partition),
+            oracle_pair_besov_norm(a, v, spec_inf1, partition),
+            lp_norm(nl_modulus, 2.0),
+            oracle_pair_besov_norm(nl_a, nl_v, spec_inf1, partition),
+            weighted_sup_norm(modulus))
+
+
+class TestDiagnosticsRow:
+    """Transforms per row: one two-row synthesis of (a, v), then one two-row
+    transform per block for each p = inf pair norm; every p = 2 norm is
+    Parseval, and an identically zero nonlinear part costs nothing."""
+
+    def snapshot(self, linear):
+        grid = make_grid(1023, 40.0)
+        rng = np.random.default_rng(3)
+        decay = np.exp(-0.05 * grid.rho ** 2)
+        a, v, da, dv = (rng.standard_normal(grid.n_modes) * decay for _ in range(4))
+        a_hat = RadialScalarField(grid, a, "spectral")
+        v_hat = RadialScalarField(grid, v, "spectral")
+        if linear:        # as linear_rows builds it: the pair is its own linear flow
+            return SolverState(3.0, a_hat, v_hat, a_hat, v_hat)
+        return SolverState(3.0, a_hat, v_hat, RadialScalarField(grid, a - 1e-3 * da, "spectral"),
+                           RadialScalarField(grid, v - 1e-3 * dv, "spectral"))
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_transform_count(self, transform_counter, linear):
+        partition = DyadicPartition()
+        state = self.snapshot(linear)
+        j_min, j_max = partition.resolved_range(state.a_hat.grid)
+        n_blocks = j_max - j_min + 1
+        diagnostics_row(state, partition)
+        assert transform_counter[0] == (2 + 2 * n_blocks if linear else 2 + 4 * n_blocks)
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_matches_physical_space_formulas(self, linear):
+        partition = DyadicPartition()
+        state = self.snapshot(linear)
+        row = diagnostics_row(state, partition).as_tuple()
+        for got, want in zip(row, oracle_row(state, partition)):
+            assert got == pytest.approx(want, rel=1e-12)
+        if linear:
+            assert row[5] == 0.0 and row[6] == 0.0
+
+    def test_stepped_state_matches(self):
+        cfg = small_config(t_final=2.0, output_interval=1.0)
+        rows, state = simulate(cfg)
+        partition = DyadicPartition()
+        for got, want in zip(rows[-1].as_tuple(), oracle_row(state, partition)):
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestSimulate:

@@ -23,8 +23,7 @@ from radns.spectral import (
     gradient_profile,
     lp_norm,
     make_grid,
-    pair_lp_norm,
-    pair_pointwise_modulus,
+    spectral_lp_norm,
     to_physical,
     to_spectral,
     weighted_sup_norm,
@@ -309,13 +308,40 @@ class TestNorms:
         assert lp_norm(f, math.inf) == np.max(np.abs(vals))
 
     def test_pair_norms(self):
+        # spectral_lp_norm of a stack is the L^p norm of the pointwise modulus
+        # of the synthesised rows: a zero second row changes nothing, and two
+        # equal rows scale every norm by sqrt(2)
         grid = make_grid(256, 10.0)
         a = field_from_profile_function(grid, lambda r: np.exp(-r ** 2))
-        v = zero_field(grid)
-        assert pair_lp_norm(a, v, 2) == lp_norm(a, 2)
-        b = field_from_samples(grid, a.values.copy())
-        expected = math.sqrt(2.0) * lp_norm(a, 2)
-        assert pair_lp_norm(a, b, 2) == pytest.approx(expected, rel=1e-12)
+        a_hat = to_spectral(a).values
+        zero = np.zeros(grid.n_modes)
+        for p in (1, 2, 3, math.inf):
+            single = spectral_lp_norm(grid, a_hat, p)
+            assert spectral_lp_norm(grid, (a_hat, zero), p) == single
+            assert spectral_lp_norm(grid, (zero, a_hat), p) == single
+            assert single == pytest.approx(lp_norm(a, p), rel=1e-12)
+            assert spectral_lp_norm(grid, (a_hat, a_hat), p) == pytest.approx(
+                math.sqrt(2.0) * lp_norm(a, p), rel=1e-12)
+
+    def test_pair_norm_matches_physical_modulus(self):
+        # rectangle rule of the pointwise modulus hypot(a, b) of the
+        # synthesised pair, for a pair that is not a multiple of one field
+        grid = make_grid(512, 20.0)
+        a = field_from_profile_function(grid, lambda r: np.exp(-r ** 2))
+        b = field_from_profile_function(grid, lambda r: np.cos(2.0 * r) * np.exp(-r ** 2 / 3))
+        stack = np.stack((to_spectral(a).values, to_spectral(b).values))
+        modulus = field_from_samples(grid, np.hypot(a.values, b.values))
+        for p in (1, 2, 3, math.inf):
+            assert spectral_lp_norm(grid, stack, p) == pytest.approx(
+                lp_norm(modulus, p), rel=1e-12)
+
+    def test_zero_stack(self):
+        grid = make_grid(64, 8.0)
+        zeros = np.zeros((2, grid.n_modes))
+        for p in (1, 2, math.inf):
+            assert spectral_lp_norm(grid, zeros, p) == 0.0
+        with pytest.raises(ConfigurationError):
+            spectral_lp_norm(grid, zeros, 0.5)
 
 
 class TestWeightedFourierBound:
