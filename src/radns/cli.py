@@ -123,7 +123,6 @@ def cmd_grid_check(args) -> int:
 def cmd_linear_decay(args) -> int:
     config = _load(args)
     solver = config.solver_config()
-    solver.linear_only = True
     window = (config.get("fit_t_lo"), config.get("fit_t_hi"))
     report = run_linear_decay(solver, config.get("p_list"), window=window)
     return _report_exit(args, report, "linear_decay.json")

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .besov import DyadicPartition, _ramp
 from .errors import NumericDomainError, SolverAbort, UsageError
 from .spectral import RadialGrid, RadialScalarField, spectral_lp_norm
 
@@ -111,23 +112,18 @@ def _branch_sign(branch: str) -> float:
 # -- scalar semigroup kernels --------------------------------------------------
 
 def scalar_kernel_values(rho: np.ndarray, t: float, branch: str = "plus") -> np.ndarray:
-    """e^{t lambda_branch(rho)} as complex values (vectorised)."""
+    """e^{t lambda_branch(rho)} as complex values (vectorised).
+
+    lambda = -(rho^2/2)(1 +/- sqrt(1 - 4/rho^2)); the complex square root is
+    imaginary below rho = 2 and real above, so one expression covers both.
+    """
     sign = _branch_sign(branch)
     rho = np.asarray(rho, dtype=float)
-    half = rho * rho / 2.0
-    out = np.empty(rho.shape, dtype=complex)
-    low = rho < 2.0
-    rad_low = np.sqrt(np.clip(4.0 / rho[low] ** 2 - 1.0, 0.0, None))
-    out[low] = np.exp(-t * half[low] * (1.0 + 1j * sign * rad_low))
-    hi = ~low
-    rad_hi = np.sqrt(np.clip(1.0 - 4.0 / rho[hi] ** 2, 0.0, None))
-    out[hi] = np.exp(-t * half[hi] * (1.0 + sign * rad_hi))
-    return out
+    return np.exp(-t * (rho * rho / 2.0) * (1.0 + sign * np.sqrt((1.0 - 4.0 / rho ** 2) + 0j)))
 
 
 def kernel_band_norm(grid: RadialGrid, t: float, p: float, band: str,
-                     j: int | None = None, branch: str = "plus",
-                     partition=None) -> float:
+                     j: int | None = None, branch: str = "plus") -> float:
     """L^p norm of the band-limited scalar kernel F^{-1}[m_band e^{t lambda}].
 
     band is 'low' (smooth pass below rho ~ 1), 'high' (complement of the
@@ -135,9 +131,7 @@ def kernel_band_norm(grid: RadialGrid, t: float, p: float, band: str,
     """
     if t <= 0:
         raise NumericDomainError(f"time must be positive, got {t}")
-    from .besov import DyadicPartition  # local import keeps module layering acyclic
-
-    part = partition if partition is not None else DyadicPartition()
+    part = DyadicPartition()
     rho = grid.rho
     if band == "low":
         mult = part.theta(2.0 * rho)
@@ -154,15 +148,6 @@ def kernel_band_norm(grid: RadialGrid, t: float, p: float, band: str,
 
 
 # -- anisotropic lower-bound probe ---------------------------------------------
-
-def _bump(s: np.ndarray) -> np.ndarray:
-    """C^inf bump exp(-1/(1-s^2)) on |s| < 1, zero outside."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
-    return out
-
 
 @dataclass(frozen=True)
 class CutoffPsi:
@@ -183,8 +168,9 @@ class CutoffPsi:
                                             np.asarray(xi2, float),
                                             np.asarray(xi3, float))
         norm = np.sqrt(xi1 ** 2 + xi2 ** 2 + xi3 ** 2)
-        shell = _bump((norm - self.shell_center) / self.shell_width)
-        axial = _bump((np.abs(xi1) - self.axial_center) / self.axial_width)
+        # C^inf bumps exp(-1/(1 - s^2)) on |s| < 1
+        shell = _ramp(1.0 - ((norm - self.shell_center) / self.shell_width) ** 2)
+        axial = _ramp(1.0 - ((np.abs(xi1) - self.axial_center) / self.axial_width) ** 2)
         return shell * axial
 
 
@@ -204,38 +190,35 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int,
     The integrand is even in each coordinate, so the integral over the full
     symmetric support box is 8x the cosine-weighted integral over the positive
     octant with xi_1 in [t^{-1/2}/2, t^{-1/2}], xi_{2,3} in [0, t^{-3/4}].
+    Points must lie on a coordinate axis, so each needs only the marginal of
+    the weighted integrand along its axis; the three marginals are summed one
+    xi_1 slab at a time.
     """
+    points = np.asarray(points, dtype=float)
+    if np.any(np.count_nonzero(points, axis=1) > 1):
+        raise UsageError("probe points must lie on a coordinate axis")
     s = 1.0 / math.sqrt(t)
     x1, w1 = _gauss_nodes(0.5 * s, s, n_nodes)
     x2, w2 = _gauss_nodes(0.0, t ** -0.75, n_nodes)
     x3, w3 = x2, w2
 
-    xi1 = x1[:, None, None]
-    xi2 = x2[None, :, None]
-    xi3 = x3[None, None, :]
-    rho = np.sqrt(xi1 ** 2 + xi2 ** 2 + xi3 ** 2)
-    cutoff = psi(math.sqrt(t) * xi1, t ** 0.75 * xi2, t ** 0.75 * xi3)
-    weighted = scalar_kernel_values(np.ravel(rho), t, branch).reshape(rho.shape) * cutoff
-    weighted = weighted * (w1[:, None, None] * w2[None, :, None] * w3[None, None, :])
+    xi2 = x2[:, None]
+    xi3 = x3[None, :]
+    scaled2, scaled3 = t ** 0.75 * xi2, t ** 0.75 * xi3
+    marginals = np.zeros((3, n_nodes), dtype=complex)
+    for i, (xi1, wi) in enumerate(zip(x1, w1)):
+        rho = np.sqrt(xi1 ** 2 + xi2 ** 2 + xi3 ** 2)
+        slab = scalar_kernel_values(rho, t, branch)
+        slab *= psi(math.sqrt(t) * xi1, scaled2, scaled3)
+        slab *= wi * w2[:, None] * w3[None, :]
+        marginals[0, i] = slab.sum()
+        marginals[1] += slab.sum(axis=1)
+        marginals[2] += slab.sum(axis=0)
 
     vals = np.empty(len(points), dtype=complex)
-    # probe points with two zero coordinates only need a marginal sum
-    marginals = (weighted.sum(axis=(1, 2)), weighted.sum(axis=(0, 2)),
-                 weighted.sum(axis=(0, 1)))
-    axes_nodes = (x1, x2, x3)
-    general = [i for i, p in enumerate(points)
-               if np.count_nonzero(p) > 1]
     for i, point in enumerate(points):
-        if i in general:
-            continue
         axis = int(np.argmax(np.abs(point)))
-        vals[i] = np.cos(point[axis] * axes_nodes[axis]) @ marginals[axis]
-    if general:
-        flat = weighted.reshape(n_nodes, n_nodes * n_nodes)
-        for i in general:
-            p1, p2, p3 = points[i]
-            t1 = (np.cos(p1 * x1) @ flat).reshape(n_nodes, n_nodes)
-            vals[i] = np.cos(p3 * x3) @ (np.cos(p2 * x2) @ t1)
+        vals[i] = np.cos(point[axis] * (x1, x2, x3)[axis]) @ marginals[axis]
     return 8.0 * np.abs(vals)
 
 
@@ -246,7 +229,8 @@ def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float
 
     Gauss-Legendre tensor quadrature over the compact support box; the node
     count doubles until the sup changes by less than refine_rtol relative.
-    Raises SolverAbort if that has not happened by max_nodes.
+    Raises SolverAbort if that has not happened by max_nodes, and UsageError
+    for a point off the coordinate axes.
     """
     if t < 4.0:
         raise NumericDomainError(f"probe needs t >= 4, got {t}")
@@ -270,14 +254,14 @@ def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float
         f"change {change:.3g} > refine_rtol = {refine_rtol:g}", time=t)
 
 
-def probe_point_grid(t: float, n_axis: int = 256, n_transverse: int = 64,
-                     extent: float = 4.0) -> np.ndarray:
+def probe_point_grid(t: float) -> np.ndarray:
     """Axis-aligned probe set matching the kernel's anisotropic scales.
 
-    The stationary scale along the wave axis is x_1 ~ t; transverse ~ t^{3/4}.
+    The stationary scale along the wave axis is x_1 ~ t (256 points up to
+    4t); transverse ~ t^{3/4} (64 points up to 4 t^{3/4} on each other axis).
     """
-    ax = np.linspace(0.0, extent * t, n_axis)
-    tr = np.linspace(0.0, extent * t ** 0.75, n_transverse)
+    ax = np.linspace(0.0, 4.0 * t, 256)
+    tr = np.linspace(0.0, 4.0 * t ** 0.75, 64)
     pts = [(x, 0.0, 0.0) for x in ax]
     pts += [(0.0, x, 0.0) for x in tr]
     pts += [(0.0, 0.0, x) for x in tr]

@@ -21,7 +21,7 @@ of the forcing alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -145,8 +145,7 @@ class DiagnosticsRow:
     weighted_sup: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.t, self.l2_av, self.linf_av, self.besov0_21,
-                self.besov0_inf1, self.nl_l2, self.nl_besov_inf1, self.weighted_sup)
+        return tuple(getattr(self, name) for name in CSV_COLUMNS)
 
     def __post_init__(self):
         vals = self.as_tuple()
@@ -156,8 +155,7 @@ class DiagnosticsRow:
             raise SolverAbort("negative norm in diagnostics", time=self.t)
 
 
-CSV_COLUMNS = ("t", "l2_av", "linf_av", "besov0_21", "besov0_inf1",
-               "nl_l2", "nl_besov_inf1", "weighted_sup")
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 def initial_data_gaussian(amplitude: float, width: float, grid: RadialGrid

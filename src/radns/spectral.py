@@ -205,13 +205,12 @@ def apply_multiplier(field: RadialScalarField, multiplier: Callable[[np.ndarray]
 
 # -- radial differential operators -------------------------------------------
 
-def gradient_profile(field: RadialScalarField, filtered: bool = True) -> RadialVectorProfile:
+def gradient_profile(field: RadialScalarField) -> RadialVectorProfile:
     """Profile U = w'(r) of the gradient of a radial scalar w."""
-    return physical_and_gradient(as_spectral(field), filtered)[1]
+    return physical_and_gradient(as_spectral(field))[1]
 
 
-def physical_and_gradient(field: RadialScalarField, filtered: bool = True
-                          ) -> tuple[RadialScalarField, RadialVectorProfile]:
+def physical_and_gradient(field: RadialScalarField) -> tuple[RadialScalarField, RadialVectorProfile]:
     """w(r_m) and the gradient profile U = w'(r) of a spectral field w from
     one synthesis.
 
@@ -222,14 +221,13 @@ def physical_and_gradient(field: RadialScalarField, filtered: bool = True
     grid = field.grid
     ghat = grid.rho * field.values
     g = _sine_sum(grid, ghat, grid.drho)
-    if filtered:
-        ghat = ghat * derivative_filter(grid)
+    ghat = ghat * derivative_filter(grid)
     g_prime = np.sqrt(2.0 / np.pi) * grid.drho * _cosine_sum(grid.rho * ghat)
     return (RadialScalarField(grid, g / grid.r, "physical"),
             RadialVectorProfile(grid, g_prime / grid.r - g / grid.r ** 2))
 
 
-def divergence_of_profile(vec: RadialVectorProfile, filtered: bool = True,
+def divergence_of_profile(vec: RadialVectorProfile,
                           dealias_fraction: float | None = None) -> RadialScalarField:
     """div(G(r) x/r) = G'(r) + 2 G(r)/r as a physical-space field.
 
@@ -245,8 +243,7 @@ def divergence_of_profile(vec: RadialVectorProfile, filtered: bool = True,
     if dealias_fraction is not None:
         coeffs = coeffs * dealias_mask(grid, dealias_fraction)
         g = _sine_sum(grid, coeffs, grid.drho)
-    if filtered:
-        coeffs = coeffs * derivative_filter(grid)
+    coeffs = coeffs * derivative_filter(grid)
     g_prime = np.sqrt(2.0 / np.pi) * grid.drho * _cosine_sum(grid.rho * coeffs)
     return RadialScalarField(grid, g_prime + 2.0 * g / grid.r, "physical")
 

@@ -7,6 +7,7 @@ the scalar kernels e^{t lambda}.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scipy.integrate import simpson
 from radns.errors import NumericDomainError, SolverAbort, UsageError
 from radns.semigroup import (
     CutoffPsi,
+    _probe_integral,
     apply_semigroup,
     default_cutoff,
     hi_freq_identity_check,
@@ -82,6 +84,45 @@ def assert_kernels_match(rho: float, t: float = 0.75) -> None:
     for branch, lam in (("plus", lam_plus), ("minus", lam_minus)):
         value = scalar_kernel_values(np.array([rho]), t, branch)[0]
         assert value == pytest.approx(np.exp(t * lam), rel=1e-13, abs=0.0)
+
+
+def two_branch_kernel_values(rho, t: float, branch: str) -> np.ndarray:
+    """e^{t lambda_branch(rho)} by masked branches: a complex exponent below
+    rho = 2, a real one at and above it."""
+    sign = 1.0 if branch == "plus" else -1.0
+    rho = np.asarray(rho, dtype=float)
+    half = rho * rho / 2.0
+    out = np.empty(rho.shape, dtype=complex)
+    low = rho < 2.0
+    rad_low = np.sqrt(np.clip(4.0 / rho[low] ** 2 - 1.0, 0.0, None))
+    out[low] = np.exp(-t * half[low] * (1.0 + 1j * sign * rad_low))
+    hi = ~low
+    rad_hi = np.sqrt(np.clip(1.0 - 4.0 / rho[hi] ** 2, 0.0, None))
+    out[hi] = np.exp(-t * half[hi] * (1.0 + sign * rad_hi))
+    return out
+
+
+def full_tensor_probe_integral(t: float, psi, points, n_nodes: int, branch: str) -> np.ndarray:
+    """The probe integral from the whole n^3 weighted integrand, contracted
+    with cos(x_1 xi_1) cos(x_2 xi_2) cos(x_3 xi_3) for every point, on or
+    off the axes."""
+    s = 1.0 / math.sqrt(t)
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x1, w1 = 0.5 * (s - 0.5 * s) * x + 0.5 * (1.5 * s), 0.5 * (s - 0.5 * s) * w
+    x2, w2 = 0.5 * t ** -0.75 * (x + 1.0), 0.5 * t ** -0.75 * w
+    xi1 = x1[:, None, None]
+    xi2 = x2[None, :, None]
+    xi3 = x2[None, None, :]
+    rho = np.sqrt(xi1 ** 2 + xi2 ** 2 + xi3 ** 2)
+    cutoff = psi(math.sqrt(t) * xi1, t ** 0.75 * xi2, t ** 0.75 * xi3)
+    weighted = two_branch_kernel_values(rho, t, branch) * cutoff
+    weighted = weighted * (w1[:, None, None] * w2[None, :, None] * w2[None, None, :])
+    flat = weighted.reshape(n_nodes, n_nodes * n_nodes)
+    vals = []
+    for p1, p2, p3 in points:
+        t1 = (np.cos(p1 * x1) @ flat).reshape(n_nodes, n_nodes)
+        vals.append(np.cos(p3 * x2) @ (np.cos(p2 * x2) @ t1))
+    return 8.0 * np.abs(np.array(vals))
 
 
 class TestEigenvalues:
@@ -285,6 +326,18 @@ class TestBranchValidation:
             kernel_probe(16.0, default_cutoff(), [(0.0, 0.0, 0.0)], branch="plsu")
 
 
+class TestScalarKernelValues:
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("t", [0.01, 0.25, 1.0])
+    def test_matches_two_branch_oracle(self, branch, t):
+        near_two = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]
+        rho = np.concatenate((np.linspace(40.0 / 20000, 40.0, 20000), near_two))
+        want = two_branch_kernel_values(rho, t, branch)
+        assert np.count_nonzero(want) > 10000
+        np.testing.assert_allclose(scalar_kernel_values(rho, t, branch), want,
+                                   rtol=4.4e-16, atol=0.0)
+
+
 class TestKernelBandNorms:
     def test_low_band_l2_slope(self):
         grid = make_grid(8192, 700.0)
@@ -382,8 +435,36 @@ class TestKernelProbe:
         with pytest.raises(NumericDomainError):
             kernel_probe(2.0, default_cutoff(), [(0.0, 0.0, 0.0)])
 
+    def test_off_axis_point_rejected(self):
+        with pytest.raises(UsageError, match="coordinate axis"):
+            kernel_probe(16.0, default_cutoff(), [(0.0, 0.0, 0.0), (1.0, 0.0, 2.0)])
+        with pytest.raises(UsageError, match="coordinate axis"):
+            _probe_integral(16.0, default_cutoff(), np.array([[1.0, 2.0, 0.0]]), 8, "plus")
+
     def test_probe_grid_shape(self):
         pts = probe_point_grid(16.0)
         assert pts.shape[1] == 3
         assert len(pts) == 256 + 2 * 64
         assert pts[:, 0].max() == pytest.approx(4.0 * 16.0)
+
+
+class TestProbeIntegral:
+    @pytest.mark.parametrize("n_nodes", [32, 64])
+    @pytest.mark.parametrize("t", [16.0, 64.0, 256.0])
+    def test_matches_full_tensor_oracle(self, t, n_nodes):
+        psi = default_cutoff()
+        pts = np.vstack(([0.0, 0.0, 0.0], probe_point_grid(t)))
+        got = _probe_integral(t, psi, pts, n_nodes, "plus")
+        want = full_tensor_probe_integral(t, psi, pts, n_nodes, "plus")
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_memory_below_one_tensor(self):
+        # the marginals are summed slab by slab: no n^3 array is ever built
+        n = 128
+        tracemalloc.start()
+        try:
+            _probe_integral(16.0, default_cutoff(), probe_point_grid(16.0), n, "plus")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n ** 3 * 8
