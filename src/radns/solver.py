@@ -7,9 +7,17 @@ The pair evolves as
 
 with u reconstructed from v through u = -|D|^{-1} grad v (radial fields are
 curl-free, so the full viscous operator collapses to A u = |D| grad v and only
-the combined viscosity enters, normalised to 1).  The radial identities
-u.grad(u) = grad(U^2/2) and grad of a radial scalar = profile of its radial
-derivative turn every forcing term into profile arithmetic.
+the combined viscosity enters, normalised to 1).  With u = U(r) x/r,
+q = |D|^{-1} v (U = -q') and w = |D| v, two radial identities remove every
+derivative of a product: div u = w gives U' = w - 2U/r, so u.grad(u) has the
+profile U U', and f = -div(a U x/r) = -(a' U + a w).  For h = |D|^{-1}
+div(G x/r), G the combined forcing profile, integrating by parts against
+sin(r rho) gives rho^2 h_hat = S - rho C, with S = sqrt(2/pi) int G sin(r rho)
+dr and C = sqrt(2/pi) int r G cos(r rho) dr: the boundary term r G sin(r rho)
+vanishes at r = 0 and at r = R, where sin(R rho_k) = sin(k pi) = 0.  A forcing
+evaluation is three two-transform syntheses ((a, a'), (w, w'), q'), one DST
+for f and a DST plus a DCT for h: 9 transforms (the vector-profile calculus it
+replaced took 17), and an ETD2 step makes 19 (35 before).
 
 Integration is second-order exponential time differencing over the exact
 per-mode propagator: the linear flow commits no time-discretisation error, so
@@ -32,12 +40,11 @@ from .semigroup import apply_mode_function, mode_matrices, phi_pair_coefficients
 from .spectral import (
     RadialGrid,
     RadialScalarField,
-    RadialVectorProfile,
+    _cosine_sum,
+    _sine_sum,
     apply_multiplier,
     dealias_mask,
     field_from_samples,
-    gradient_profile,
-    divergence_of_profile,
     lp_norm,
     make_grid,
     physical_and_gradient,
@@ -169,27 +176,27 @@ def initial_data_gaussian(amplitude: float, width: float, grid: RadialGrid
     return a0, zero_field(grid)
 
 
-def reconstruct_velocity(v_hat: RadialScalarField) -> RadialVectorProfile:
-    """Profile U of u = -|D|^{-1} grad v (the only velocity a radial v allows)."""
-    q_hat = apply_multiplier(v_hat, lambda rho: 1.0 / rho)
-    grad = gradient_profile(q_hat)
-    return RadialVectorProfile(v_hat.grid, -grad.samples)
-
-
 def _check_density(a_phys: np.ndarray, guard: float, t: float) -> None:
+    """Abort on a non-finite a, a floor 1+a <= guard or a size |a| >= 1,
+    naming the trigger that fired and the node where it did."""
     if not np.all(np.isfinite(a_phys)):
         bad = int(np.flatnonzero(~np.isfinite(a_phys))[0])
         raise SolverAbort("non-finite density perturbation", time=t, mode_index=bad)
-    if np.max(np.abs(a_phys)) >= 1.0 or np.min(1.0 + a_phys) <= guard:
-        bad = int(np.argmin(a_phys))
+    low, high = int(np.argmin(a_phys)), int(np.argmax(np.abs(a_phys)))
+    if 1.0 + a_phys[low] <= guard:
         raise SolverAbort(
-            f"density floor breached: min(1+a) = {1.0 + a_phys.min():.4f}",
-            time=t, mode_index=bad)
+            f"density floor breached: min(1+a) = {1.0 + a_phys[low]:.4f} <= guard {guard}",
+            time=t, mode_index=low)
+    if abs(a_phys[high]) >= 1.0:
+        raise SolverAbort(
+            f"density perturbation too large: max|a| = {abs(a_phys[high]):.4f} >= 1",
+            time=t, mode_index=high)
 
 
 def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
                   ) -> tuple[RadialScalarField, RadialScalarField]:
-    """Spectral forcing pair (f_hat, h_hat) at the current state."""
+    """Spectral forcing pair (f_hat, h_hat) at the current state, by the
+    radial identities of the module docstring on the dealiased fields."""
     grid = state.a_hat.grid
     if config.linear_only:
         return zero_field(grid, "spectral"), zero_field(grid, "spectral")
@@ -198,31 +205,22 @@ def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
     a_hat = RadialScalarField(grid, state.a_hat.values * mask, "spectral")
     v_hat = RadialScalarField(grid, state.v_hat.values * mask, "spectral")
 
-    a, grad_a = physical_and_gradient(a_hat)
-    _check_density(a.values, config.density_guard, state.t)
-    w_hat = apply_multiplier(v_hat, lambda rho: rho)          # |D| v
-    w, grad_w = physical_and_gradient(w_hat)
-    velocity = reconstruct_velocity(v_hat)
+    a, a_r = physical_and_gradient(a_hat)
+    _check_density(a, config.density_guard, state.t)
+    w, w_r = physical_and_gradient(apply_multiplier(v_hat, lambda rho: rho))  # w = |D| v
+    u = -physical_and_gradient(apply_multiplier(v_hat, lambda rho: 1.0 / rho))[1]
+    u_r = w - 2.0 * u / grid.r                    # div(U x/r) = w
 
-    half_speed = to_spectral(field_from_samples(grid, 0.5 * velocity.samples ** 2))
-    half_speed = RadialScalarField(grid, half_speed.values * mask, "spectral")
-    grad_half_speed = gradient_profile(half_speed)
+    # f = -div(a U x/r) = -(a' U + a w)
+    f_hat = to_spectral(RadialScalarField(grid, -(a_r * u + a * w), "physical"))
 
-    # f = -div(a u)
-    transport = RadialVectorProfile(grid, a.values * velocity.samples)
-    f_phys = divergence_of_profile(transport, dealias_fraction=config.dealias_fraction)
-    f_hat = to_spectral(RadialScalarField(grid, -f_phys.values, "physical"))
-
-    # h = |D|^{-1} div(G x/r) with the combined forcing profile G
-    forcing = (-grad_half_speed.samples
-               - (a.values / (1.0 + a.values)) * grad_w.samples
-               - law.beta(a.values) * grad_a.samples)
-    div_g = divergence_of_profile(RadialVectorProfile(grid, forcing),
-                                  dealias_fraction=config.dealias_fraction)
-    h_hat = apply_multiplier(to_spectral(div_g), lambda rho: 1.0 / rho)
+    # h = |D|^{-1} div(G x/r); by parts, rho^2 h_hat = S - rho C
+    g = -u * u_r - (a / (1.0 + a)) * w_r - law.beta(a) * a_r
+    cosine = np.sqrt(2.0 / np.pi) * grid.dr * _cosine_sum(grid.r * g)
+    h_hat = (_sine_sum(grid, g, grid.dr) - grid.rho * cosine) / grid.rho ** 2
 
     return (RadialScalarField(grid, f_hat.values * mask, "spectral"),
-            RadialScalarField(grid, h_hat.values * mask, "spectral"))
+            RadialScalarField(grid, h_hat * mask, "spectral"))
 
 
 @dataclass

@@ -14,11 +14,6 @@ transform, which is its own inverse.  On the paired grids
 
 the discretised map is the type-I discrete sine transform and the duality
 condition dr*drho = pi/(N+1) makes the discrete round trip exact.
-
-Radially symmetric vector fields are necessarily of the form U(r) x/r (hence
-curl-free: every such field is the gradient of a radial scalar, so the
-divergence-free Helmholtz component vanishes identically).  They are stored
-as the scalar profile U on the same physical nodes.
 """
 
 from __future__ import annotations
@@ -80,14 +75,6 @@ class RadialScalarField:
 
     def copy(self) -> "RadialScalarField":
         return RadialScalarField(self.grid, self.values.copy(), self.space)
-
-
-@dataclass
-class RadialVectorProfile:
-    """Profile U of the 3D radial vector field U(r) x/r, sampled at r_m."""
-
-    grid: RadialGrid
-    samples: np.ndarray
 
 
 def make_grid(n_modes: int, outer_radius: float) -> RadialGrid:
@@ -205,13 +192,8 @@ def apply_multiplier(field: RadialScalarField, multiplier: Callable[[np.ndarray]
 
 # -- radial differential operators -------------------------------------------
 
-def gradient_profile(field: RadialScalarField) -> RadialVectorProfile:
-    """Profile U = w'(r) of the gradient of a radial scalar w."""
-    return physical_and_gradient(as_spectral(field))[1]
-
-
-def physical_and_gradient(field: RadialScalarField) -> tuple[RadialScalarField, RadialVectorProfile]:
-    """w(r_m) and the gradient profile U = w'(r) of a spectral field w from
+def physical_and_gradient(field: RadialScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """w(r_m) and the radial derivative w'(r_m) of a spectral field w from
     one synthesis.
 
     Works through the sine coefficients of g(r) = r w(r): the derivative is
@@ -223,29 +205,7 @@ def physical_and_gradient(field: RadialScalarField) -> tuple[RadialScalarField, 
     g = _sine_sum(grid, ghat, grid.drho)
     ghat = ghat * derivative_filter(grid)
     g_prime = np.sqrt(2.0 / np.pi) * grid.drho * _cosine_sum(grid.rho * ghat)
-    return (RadialScalarField(grid, g / grid.r, "physical"),
-            RadialVectorProfile(grid, g_prime / grid.r - g / grid.r ** 2))
-
-
-def divergence_of_profile(vec: RadialVectorProfile,
-                          dealias_fraction: float | None = None) -> RadialScalarField:
-    """div(G(r) x/r) = G'(r) + 2 G(r)/r as a physical-space field.
-
-    G' comes from differentiating the sine expansion of G itself; when a
-    dealias fraction is given the top modes of that expansion are zeroed and
-    the 2G/r term uses the truncated profile for consistency.
-    """
-    grid = vec.grid
-    if not np.all(np.isfinite(vec.samples)):
-        raise NumericDomainError("profile contains non-finite samples")
-    coeffs = _sine_sum(grid, vec.samples, grid.dr)      # of the odd extension of G
-    g = vec.samples
-    if dealias_fraction is not None:
-        coeffs = coeffs * dealias_mask(grid, dealias_fraction)
-        g = _sine_sum(grid, coeffs, grid.drho)
-    coeffs = coeffs * derivative_filter(grid)
-    g_prime = np.sqrt(2.0 / np.pi) * grid.drho * _cosine_sum(grid.rho * coeffs)
-    return RadialScalarField(grid, g_prime + 2.0 * g / grid.r, "physical")
+    return g / grid.r, g_prime / grid.r - g / grid.r ** 2
 
 
 @per_grid_cache

@@ -252,6 +252,31 @@ class TestApplySemigroup:
         mask[k0] = False
         assert np.all(a2.values[mask] == 0.0)
 
+    def test_linear_energy_identity(self):
+        # each mode obeys d/dt (a^2 + v^2) = -2 rho^2 v^2, so with
+        # E = 4 pi drho sum rho^2 (a^2 + v^2) and D = 4 pi drho sum rho^4 v^2,
+        # E(t) + 2 int_0^t D(s) ds = E(0); the integral by Gauss-Legendre
+        grid = make_grid(511, 30.0)
+        rho = grid.rho
+        a = field_from_samples(grid, 2 ** -1.5 * np.exp(-rho ** 2 / 4), "spectral")
+        v = field_from_samples(grid, rho * np.exp(-rho ** 2), "spectral")
+        weight = 4.0 * math.pi * grid.drho
+
+        def energy(a_hat, v_hat):
+            return weight * np.sum(rho ** 2 * (a_hat.values ** 2 + v_hat.values ** 2))
+
+        def dissipation(s):
+            return weight * np.sum(rho ** 4 * apply_semigroup(a, v, s)[1].values ** 2)
+
+        t = 2.0
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        integral = 0.5 * t * sum(wk * dissipation(0.5 * t * (xk + 1.0))
+                                 for xk, wk in zip(nodes, weights))
+        e0 = energy(a, v)
+        et = energy(*apply_semigroup(a, v, t))
+        assert et < e0
+        assert et + 2.0 * integral == pytest.approx(e0, rel=1e-12)
+
     def test_grid_mismatch_rejected(self):
         a = zero_field(make_grid(64, 9.0), "spectral")
         v = zero_field(make_grid(64, 10.0), "spectral")

@@ -18,23 +18,25 @@ from radns.solver import (
     make_etd_tables,
     nonlinear_part,
     nonlinear_rhs,
-    reconstruct_velocity,
     simulate,
     step_etd2,
 )
 from radns.spectral import (
     RadialScalarField,
     apply_multiplier,
-    divergence_of_profile,
+    dealias_mask,
     field_from_samples,
     lp_norm,
     make_grid,
+    physical_and_gradient,
+    physical_values,
     to_physical,
     to_spectral,
     weighted_sup_norm,
     zero_field,
 )
 from test_besov import oracle_pair_besov_norm
+from test_spectral import RadialVectorProfile, divergence_of_profile, gradient_profile
 
 
 def small_config(**overrides):
@@ -95,6 +97,49 @@ class TestInitialData:
         grid = make_grid(4095, 60.0)
         a0, _ = initial_data_gaussian(0.01, 1.0, grid)
         assert lp_norm(a0, 2) == pytest.approx(0.01 * (math.pi / 2) ** 0.75, rel=1e-8)
+
+
+def reconstruct_velocity(v_hat):
+    """Profile U of u = -|D|^{-1} grad v (the only velocity a radial v allows)."""
+    q_hat = apply_multiplier(v_hat, lambda rho: 1.0 / rho)
+    grad = gradient_profile(q_hat)
+    return RadialVectorProfile(v_hat.grid, -grad.samples)
+
+
+def reference_rhs(state, law, config):
+    """The forcing pair as the general vector-profile calculus gives it:
+    U from |D|^{-1} v, grad(U^2/2) from a dealiased re-synthesis of U^2/2,
+    and both divergences from the dealiased sine expansion of the profile
+    (17 transforms).  Oracle for nonlinear_rhs."""
+    grid = state.a_hat.grid
+    mask = dealias_mask(grid, config.dealias_fraction)
+    a_hat = RadialScalarField(grid, state.a_hat.values * mask, "spectral")
+    v_hat = RadialScalarField(grid, state.v_hat.values * mask, "spectral")
+
+    a, grad_a = physical_and_gradient(a_hat)
+    w_hat = apply_multiplier(v_hat, lambda rho: rho)          # |D| v
+    _, grad_w = physical_and_gradient(w_hat)
+    velocity = reconstruct_velocity(v_hat)
+
+    half_speed = to_spectral(field_from_samples(grid, 0.5 * velocity.samples ** 2))
+    half_speed = RadialScalarField(grid, half_speed.values * mask, "spectral")
+    grad_half_speed = gradient_profile(half_speed)
+
+    # f = -div(a u)
+    transport = RadialVectorProfile(grid, a * velocity.samples)
+    f_phys = divergence_of_profile(transport, dealias_fraction=config.dealias_fraction)
+    f_hat = to_spectral(RadialScalarField(grid, -f_phys.values, "physical"))
+
+    # h = |D|^{-1} div(G x/r) with the combined forcing profile G
+    forcing = (-grad_half_speed.samples
+               - (a / (1.0 + a)) * grad_w
+               - law.beta(a) * grad_a)
+    div_g = divergence_of_profile(RadialVectorProfile(grid, forcing),
+                                  dealias_fraction=config.dealias_fraction)
+    h_hat = apply_multiplier(to_spectral(div_g), lambda rho: 1.0 / rho)
+
+    return (RadialScalarField(grid, f_hat.values * mask, "spectral"),
+            RadialScalarField(grid, h_hat.values * mask, "spectral"))
 
 
 class TestReconstructVelocity:
@@ -197,6 +242,127 @@ class TestNonlinearRhs:
         with pytest.raises(SolverAbort) as err:
             nonlinear_rhs(state, cfg.law(), cfg)
         assert err.value.time == 0.0
+        assert "floor" in str(err.value) and err.value.mode_index == 0
+
+    def test_density_size_abort_names_its_node(self):
+        # 1 + a >= 1 clears the floor; it is |a| >= 1 that fires, at the peak
+        cfg = small_config()
+        grid = cfg.grid()
+        a_phys = field_from_samples(grid, 1.2 * np.exp(-grid.r ** 2))
+        state = make_state(grid, to_spectral(a_phys).values, np.zeros(grid.n_modes))
+        with pytest.raises(SolverAbort) as err:
+            nonlinear_rhs(state, cfg.law(), cfg)
+        assert "max|a|" in str(err.value) and "floor" not in str(err.value)
+        assert err.value.mode_index == int(np.argmax(a_phys.values)) == 0
+
+    def test_transform_count(self, transform_counter):
+        # three two-transform syntheses, one DST for f, a DST and a DCT for h
+        cfg = small_config()
+        state = initial_state(cfg)
+        tables = make_etd_tables(state.a_hat.grid, cfg.dt)
+        transform_counter[0] = 0
+        nonlinear_rhs(state, cfg.law(), cfg)
+        assert transform_counter[0] == 9
+        transform_counter[0] = 0
+        # two RHS calls and the synthesis behind the end-of-step density check
+        step_etd2(state, cfg.law(), cfg, tables)
+        assert transform_counter[0] == 19
+
+
+def smooth_state(grid, rng, amplitude=0.01):
+    """Random polynomial-times-Gaussian spectra: a_hat = P(rho^2/s) e^{-rho^2/s}
+    and v_hat = rho Q(rho^2/s') e^{-rho^2/s'} (a velocity potential vanishes
+    linearly at rho = 0), each scaled to a physical sup of `amplitude`."""
+    rho2 = grid.rho ** 2
+    fields = []
+    for odd in (False, True):
+        s = rng.uniform(1.0, 2.0)
+        hat = np.polyval(rng.standard_normal(2), rho2 / s) * np.exp(-rho2 / s)
+        if odd:
+            hat = grid.rho * hat
+        fields.append(amplitude * hat / np.max(np.abs(physical_values(grid, hat))))
+    return make_state(grid, *fields)
+
+
+class TestReferenceRhs:
+    """nonlinear_rhs against reference_rhs, the vector-profile path it
+    replaced.  The two differ most at the lowest modes of h_hat, where the
+    reference loses digits dividing the transform of div(G x/r) by a small
+    rho (rho_1 = pi/R), so the N = 8191, R = 1100 grid gets a wider bound."""
+
+    @pytest.mark.parametrize("n_modes, radius, tol", [(511, 30.0, 1e-12),
+                                                      (8191, 1100.0, 1e-7)])
+    def test_matches_on_random_smooth_states(self, n_modes, radius, tol):
+        cfg = small_config(n_modes=n_modes, outer_radius=radius)
+        grid, law = cfg.grid(), cfg.law()
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            state = smooth_state(grid, rng)
+            for got, want in zip(nonlinear_rhs(state, law, cfg),
+                                 reference_rhs(state, law, cfg)):
+                scale = np.max(np.abs(want.values))
+                assert np.max(np.abs(got.values - want.values)) <= tol * scale
+
+
+def gaussian_state_calculus(r, amp, gamma):
+    """Closed forms for a = amp e^{-r^2} and v_hat = rho e^{-rho^2}.
+
+    Then q = |D|^{-1} v = 2^{-3/2} e^{-r^2/4}, U = -q' and w = |D| v = -Lap q
+    are Gaussians times polynomials.  Returns f = -(a' U + a w), the forcing
+    profile G = -U U' - a/(1+a) w' - beta(a) a' and G', each derivative by
+    hand.
+    """
+    e, ea = np.exp(-r ** 2 / 4), np.exp(-r ** 2)
+    u = 2 ** -2.5 * r * e
+    u1 = 2 ** -2.5 * (1 - r ** 2 / 2) * e
+    u2 = 2 ** -2.5 * (r ** 3 / 4 - 1.5 * r) * e
+    w = 2 ** -1.5 * (1.5 - r ** 2 / 4) * e
+    w1 = 2 ** -1.5 * (r ** 3 / 8 - 1.25 * r) * e
+    w2 = 2 ** -1.5 * (-1.25 + r ** 2 - r ** 4 / 16) * e
+    a, a1, a2 = amp * ea, -2 * amp * r * ea, amp * (4 * r ** 2 - 2) * ea
+    beta = (1 + a) ** (gamma - 2) - 1
+    beta1 = (gamma - 2) * (1 + a) ** (gamma - 3)        # d beta / d a
+    f = -(a1 * u + a * w)
+    g = -u * u1 - a / (1 + a) * w1 - beta * a1
+    g1 = (-(u1 ** 2 + u * u2) - a1 / (1 + a) ** 2 * w1 - a / (1 + a) * w2
+          - beta1 * a1 ** 2 - beta * a2)
+    return f, g, g1
+
+
+class TestAnalyticState:
+    """Manufactured state with closed-form radial calculus: catches a wrong
+    sign or factor in any forcing term, which self-convergence cannot."""
+
+    @pytest.mark.parametrize("rhs", [nonlinear_rhs, reference_rhs])
+    def test_forcing_pair_matches_closed_form(self, rhs):
+        cfg = small_config()          # resolves every product below the 2/3 edge
+        grid, amp = cfg.grid(), 0.3
+        state = make_state(grid, amp * 2 ** -1.5 * np.exp(-grid.rho ** 2 / 4),
+                           grid.rho * np.exp(-grid.rho ** 2))
+        f, g, g1 = gaussian_state_calculus(grid.r, amp, cfg.gamma)
+        div_g = g1 + 2.0 * g / grid.r             # div(G x/r), so |D| h
+        f_hat, h_hat = rhs(state, cfg.law(), cfg)
+        assert np.max(np.abs(to_physical(f_hat).values - f)) <= 1e-11 * np.max(np.abs(f))
+        rho_h = to_physical(apply_multiplier(h_hat, lambda rho: rho)).values
+        assert np.max(np.abs(rho_h - div_g)) <= 1e-11 * np.max(np.abs(div_g))
+
+    def test_h_path_gaussian_flux(self):
+        # v = 0 and beta(a) = 1/(2 amp) turn G into r e^{-r^2}, so
+        # h_hat = (rho/2) 2^{-3/2} e^{-rho^2/4}, on the reference grid
+        amp = 0.1
+
+        class FluxLaw(PressureLaw):
+            def beta(self, a):
+                return np.full_like(np.asarray(a, dtype=float), 0.5 / amp)
+
+        cfg = small_config(n_modes=8191, outer_radius=1100.0)
+        grid = cfg.grid()
+        state = make_state(grid, amp * 2 ** -1.5 * np.exp(-grid.rho ** 2 / 4),
+                           np.zeros(grid.n_modes))
+        f_hat, h_hat = nonlinear_rhs(state, FluxLaw(), cfg)
+        exact = grid.rho / 2 * 2 ** -1.5 * np.exp(-grid.rho ** 2 / 4)
+        assert np.all(f_hat.values == 0.0)
+        assert np.max(np.abs(h_hat.values - exact)) <= 1e-10 * np.max(exact)
 
 
 class TestStepEtd2:

@@ -6,6 +6,7 @@ quadrature for integrals, and scalar minimisation for sup-type norms.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,20 +16,61 @@ from scipy.optimize import minimize_scalar
 
 from radns.errors import ConfigurationError, NumericDomainError, UsageError
 from radns.spectral import (
-    RadialVectorProfile,
+    RadialGrid,
+    _cosine_sum,
+    _sine_sum,
     apply_multiplier,
-    divergence_of_profile,
+    as_spectral,
+    dealias_mask,
+    derivative_filter,
     field_from_profile_function,
     field_from_samples,
-    gradient_profile,
     lp_norm,
     make_grid,
+    physical_and_gradient,
     spectral_lp_norm,
     to_physical,
     to_spectral,
     weighted_sup_norm,
     zero_field,
 )
+
+
+# The vector-profile layer the nonlinear RHS once went through (a radial
+# vector field U(r) x/r stored as its profile U), kept as an oracle for the
+# derivatives and for test_solver.reference_rhs.
+
+@dataclass
+class RadialVectorProfile:
+    """Profile U of the 3D radial vector field U(r) x/r, sampled at r_m."""
+
+    grid: RadialGrid
+    samples: np.ndarray
+
+
+def gradient_profile(field):
+    """Profile U = w'(r) of the gradient of a radial scalar w."""
+    return RadialVectorProfile(field.grid, physical_and_gradient(as_spectral(field))[1])
+
+
+def divergence_of_profile(vec, dealias_fraction=None):
+    """div(G(r) x/r) = G'(r) + 2 G(r)/r as a physical-space field.
+
+    G' comes from differentiating the sine expansion of G itself; when a
+    dealias fraction is given the top modes of that expansion are zeroed and
+    the 2G/r term uses the truncated profile for consistency.
+    """
+    grid = vec.grid
+    if not np.all(np.isfinite(vec.samples)):
+        raise NumericDomainError("profile contains non-finite samples")
+    coeffs = _sine_sum(grid, vec.samples, grid.dr)      # of the odd extension of G
+    g = vec.samples
+    if dealias_fraction is not None:
+        coeffs = coeffs * dealias_mask(grid, dealias_fraction)
+        g = _sine_sum(grid, coeffs, grid.drho)
+    coeffs = coeffs * derivative_filter(grid)
+    g_prime = np.sqrt(2.0 / np.pi) * grid.drho * _cosine_sum(grid.rho * coeffs)
+    return field_from_samples(grid, g_prime + 2.0 * g / grid.r)
 
 
 def direct_sine_transform(grid, samples):
@@ -201,22 +243,23 @@ class TestDerivatives:
     def test_gradient_gaussian(self):
         grid = make_grid(4096, 40.0)
         f = field_from_profile_function(grid, lambda r: np.exp(-r ** 2 / 2))
-        grad = gradient_profile(f)
+        values, grad = physical_and_gradient(to_spectral(f))
         exact = -grid.r * np.exp(-grid.r ** 2 / 2)
-        assert np.max(np.abs(grad.samples - exact)) < 1e-10
+        assert np.max(np.abs(grad - exact)) < 1e-10
+        assert np.max(np.abs(values - f.values)) < 1e-14
 
     def test_gradient_zero(self):
         grid = make_grid(64, 8.0)
-        assert np.all(gradient_profile(zero_field(grid)).samples == 0.0)
+        assert np.all(physical_and_gradient(zero_field(grid, "spectral"))[1] == 0.0)
 
     def test_gradient_single_mode(self):
         grid = make_grid(1024, 20.0)
         k0 = 4
         rho0 = grid.rho[k0]
         f = field_from_profile_function(grid, lambda r: np.sin(rho0 * r) / r)
-        grad = gradient_profile(f)
+        grad = physical_and_gradient(to_spectral(f))[1]
         exact = rho0 * np.cos(rho0 * grid.r) / grid.r - np.sin(rho0 * grid.r) / grid.r ** 2
-        assert np.max(np.abs(grad.samples - exact)) < 1e-11
+        assert np.max(np.abs(grad - exact)) < 1e-11
 
     def test_gradient_accepts_spectral_input(self):
         grid = make_grid(512, 20.0)
