@@ -135,14 +135,6 @@ def lq_sum(terms: Iterable[float], q: float) -> float:
     return float(np.sum(terms ** q) ** (1.0 / q))
 
 
-def block_norms(field: RadialScalarField, p: float,
-                partition: DyadicPartition | None = None) -> dict[int, float]:
-    """L^p norm of every resolved block, keyed by the dyadic index."""
-    part = partition if partition is not None else DyadicPartition()
-    j_min, j_max = part.resolved_range(field.grid)
-    return _pair_block_norms(field, None, p, range(j_min, j_max + 1), part)
-
-
 def pair_besov_norm(a: RadialScalarField, v: RadialScalarField | None, spec: BesovSpec,
                     partition: DyadicPartition | None = None) -> float:
     """Besov norm of the pair [a; v]: blockwise Euclidean modulus before L^p.
@@ -159,38 +151,6 @@ def besov_norm(field: RadialScalarField, spec: BesovSpec,
                partition: DyadicPartition | None = None) -> float:
     """Homogeneous Besov norm: l^q sum over blocks of 2^{sj} ||block||_p."""
     return pair_besov_norm(field, None, spec, partition)
-
-
-def weighted_besov_norm_p2(field: RadialScalarField, k_axis: int, spec: BesovSpec,
-                           partition: DyadicPartition | None = None) -> float:
-    """Besov norm of x_k f at p = 2: l^q sum of 2^{sj} sqrt(weighted_block_integral)."""
-    if spec.p != 2:
-        raise UnsupportedParameterError("weighted Besov norms are implemented for p = 2 only")
-    if k_axis not in (0, 1, 2):
-        raise UnsupportedParameterError(f"axis index must be 0, 1 or 2, got {k_axis}")
-    part = partition if partition is not None else DyadicPartition()
-    spec_field = as_spectral(field)
-    indices = _band_indices(spec, *part.resolved_range(field.grid))
-    return lq_sum((2.0 ** (spec.s * j)
-                   * math.sqrt(max(weighted_block_integral(spec_field, j, part), 0.0))
-                   for j in indices), spec.q)
-
-
-def weighted_block_integral(field: RadialScalarField, j: int,
-                            partition: DyadicPartition | None = None) -> float:
-    """||block_j(x_k f)||_2^2 via Plancherel on the spectral derivative:
-
-    (4 pi / 3) int phi_hat_j(rho)^2 fhat'(rho)^2 rho^2 drho,
-
-    with fhat' from centred differences (one-sided at the grid ends).
-    """
-    part = partition if partition is not None else DyadicPartition()
-    grid = field.grid
-    fhat = as_spectral(field).values
-    dfhat = np.gradient(fhat, grid.drho)
-    phi2 = part.block_multiplier(grid, j) ** 2
-    return float((4.0 * np.pi / 3.0) * grid.drho
-                 * np.sum(phi2 * dfhat ** 2 * grid.rho ** 2))
 
 
 def j0_for_time(t: float) -> int:

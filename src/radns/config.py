@@ -53,8 +53,9 @@ _SCHEMA: dict[str, _Key] = {
     "dealias": _Key(_parse_float, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "guard": _Key(_parse_float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "linear_only": _Key(_parse_bool),
-    "p_list": _Key(_parse_float_list, lambda vs: vs and all(v >= 2 for v in vs),
-                   "must list one or more entries, each >= 2"),
+    # the CSV holds the p = 2 and p = inf norms only
+    "p_list": _Key(_parse_float_list, lambda vs: vs and all(v in (2, math.inf) for v in vs),
+                   "must list one or more entries, each 2 or inf"),
     "t_list": _Key(_parse_float_list, lambda vs: vs and all(v >= 4 for v in vs),
                    "must list one or more entries, each >= 4"),
     "fit_t_lo": _Key(_parse_float, lambda v: v > 0, "must be positive"),
@@ -71,10 +72,16 @@ _SCHEMA: dict[str, _Key] = {
     "j0": _Key(int),
 }
 
+#: config key -> SolverConfig field; the field's default is the key's default
+_SOLVER_FIELDS = {
+    "N": "n_modes", "R": "outer_radius", "dt": "dt", "T": "t_final",
+    "output_interval": "output_interval", "gamma": "gamma", "c": "amplitude",
+    "w": "width", "dealias": "dealias_fraction", "guard": "density_guard",
+    "linear_only": "linear_only",
+}
+
 _DEFAULTS: dict[str, Any] = {
-    "N": 16384, "R": 500.0, "dt": 0.05, "T": 200.0, "gamma": 1.4,
-    "c": 0.01, "w": 1.0, "output_interval": 1.0, "dealias": 2.0 / 3.0,
-    "guard": 0.5, "linear_only": False,
+    **{key: getattr(SolverConfig, name) for key, name in _SOLVER_FIELDS.items()},
     "p_list": [2.0, math.inf], "t_list": [16.0, 64.0, 256.0],
     "fit_t_lo": 10.0, "fit_t_hi": 200.0, "fit_tol": 0.1,
     "s": 0.0, "p": 2.0, "q": 1.0, "band": "full", "j0": 0,
@@ -101,19 +108,7 @@ class RunConfig:
         return key in self.params
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            n_modes=self.get("N"),
-            outer_radius=self.get("R"),
-            dt=self.get("dt"),
-            t_final=self.get("T"),
-            output_interval=self.get("output_interval"),
-            gamma=self.get("gamma"),
-            amplitude=self.get("c"),
-            width=self.get("w"),
-            dealias_fraction=self.get("dealias"),
-            density_guard=self.get("guard"),
-            linear_only=self.get("linear_only"),
-        )
+        return SolverConfig(**{name: self.get(key) for key, name in _SOLVER_FIELDS.items()})
 
 
 def parse_config(text: str) -> RunConfig:

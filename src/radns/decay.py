@@ -224,7 +224,7 @@ def run_linear_decay(config: SolverConfig, p_list: Sequence[float] = (2.0, math.
         series = series_from_rows(rows, _COLUMN_FOR_P[float(p)])
         entries.append(_fit_entry(f"L^{p} linear", series, window,
                                   theoretical_exponent(p, "full"),
-                                  tol.get(float(p), 0.1), r2_min))
+                                  tol[float(p)], r2_min))
     return ExperimentReport("linear-decay", entries, rows)
 
 
@@ -251,13 +251,13 @@ def run_nonlinear_decay(config: SolverConfig,
         total = series_from_rows(rows, _COLUMN_FOR_P[p])
         entries.append(_fit_entry(f"L^{p} total", total, window,
                                   theoretical_exponent(p, "full"),
-                                  total_tol.get(p, 0.1), r2_min_total))
+                                  total_tol[p], r2_min_total))
         nl_col = "nl_l2" if p == 2.0 else "nl_besov_inf1"
         nl = series_from_rows(rows, nl_col)
         label = "nonlinear part L^2" if p == 2.0 else "nonlinear part B0_inf1"
         entries.append(_fit_entry(label, nl, window,
                                   theoretical_exponent(p, "nonlinear"),
-                                  nl_tol.get(p, 0.2), r2_min_nl))
+                                  nl_tol[p], r2_min_nl))
     return ExperimentReport("nonlinear-decay", entries, rows)
 
 

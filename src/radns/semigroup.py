@@ -14,7 +14,9 @@ phi_2 of the exponential integrator) has the form
 with c0, c1 the mean and divided difference of f over the two eigenvalues
 t (mu +/- delta).  They are computed in one place, phi_pair_coefficients,
 which switches to a power series in the signed (t delta)^2 near the
-coalescence point.
+coalescence point.  Every such function is applied the same way: its four
+per-mode entries (mode_function_entries) multiply the pair in one entry
+product (mode_product).
 
 This module also evaluates band-limited kernel norms of e^{t lambda(D)} and
 the anisotropically rescaled oscillatory-integral probe that exhibits the
@@ -48,23 +50,38 @@ class ModeMatrix:
     m22: float
 
 
+def mode_function_entries(j: int, rho: np.ndarray, t: float
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (m11, m12, m21, m22) of phi_j(t M_rho); j = 0 is e^{tM}.
+
+    phi_j(tM) = c0 I + s (M - mu I) with (c0, s) = (c0, t c1) from
+    phi_pair_coefficients(j, rho, t) and M - mu I = [[rho^2/2, -rho],
+    [rho, -rho^2/2]].
+    """
+    c0, c1 = phi_pair_coefficients(j, rho, t)
+    s = t * c1
+    half = rho * rho / 2.0
+    return c0 + s * half, -s * rho, s * rho, c0 - s * half
+
+
+def mode_product(entries, a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply per-mode entries (m11, m12, m21, m22) to the pair (a, v)."""
+    m11, m12, m21, m22 = entries
+    return m11 * a + m12 * v, m21 * a + m22 * v
+
+
 def mode_matrices(rho: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised entries (m11, m12, m21, m22) of e^{t M_rho}.
 
-    e^{tM} = phi_0(tM) = A I + S (M - mu I) with (A, S) = (c0, t c1) from
-    phi_pair_coefficients(0, rho, t); on the hyperbolic branch both exponents
-    z +/- w are <= 0, so nothing overflows.
+    The validated j = 0 case of mode_function_entries; on the hyperbolic
+    branch both exponents z +/- w are <= 0, so nothing overflows.
     """
     if t < 0:
         raise NumericDomainError(f"time must be non-negative, got {t}")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise NumericDomainError("all frequencies must be positive")
-    t = float(t)
-    A, c1 = phi_pair_coefficients(0, rho, t)
-    S = t * c1
-    half = rho * rho / 2.0
-    return A + S * half, -S * rho, S * rho, A - S * half
+    return mode_function_entries(0, rho, float(t))
 
 
 def mode_exponential(rho: float, t: float) -> ModeMatrix:
@@ -80,9 +97,8 @@ def apply_semigroup(a_hat: RadialScalarField, v_hat: RadialScalarField, t: float
         raise UsageError("apply_semigroup needs both fields on the same grid")
     if a_hat.space != "spectral" or v_hat.space != "spectral":
         raise UsageError("apply_semigroup acts on spectral-space fields")
-    m11, m12, m21, m22 = mode_matrices(a_hat.grid.rho, t)
-    a_new = m11 * a_hat.values + m12 * v_hat.values
-    v_new = m21 * a_hat.values + m22 * v_hat.values
+    a_new, v_new = mode_product(mode_matrices(a_hat.grid.rho, t),
+                                a_hat.values, v_hat.values)
     return (RadialScalarField(a_hat.grid, a_new, "spectral"),
             RadialScalarField(v_hat.grid, v_new, "spectral"))
 
@@ -346,11 +362,3 @@ def phi_pair_coefficients(j: int, rho: np.ndarray, dt: float
         c1[~small] = np.real((hi - lo) / (2.0 * w))
     return c0, c1
 
-
-def apply_mode_function(c0: np.ndarray, c1: np.ndarray, rho: np.ndarray, dt: float,
-                        a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply c0 I + c1 dt (M_rho - mu I) to the stacked pair (a, v)."""
-    half = rho * rho / 2.0
-    out_a = c0 * a + c1 * dt * (half * a - rho * v)
-    out_v = c0 * v + c1 * dt * (rho * a - half * v)
-    return out_a, out_v

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
 from .besov import BesovSpec, DyadicPartition, pair_besov_norm
 from .errors import ConfigurationError, SolverAbort
-from .semigroup import apply_mode_function, mode_matrices, phi_pair_coefficients
+from .semigroup import mode_function_entries, mode_matrices, mode_product
 from .spectral import (
     RadialGrid,
     RadialScalarField,
@@ -73,8 +72,11 @@ class PressureLaw:
 
 
 def _whole_steps(span: float, dt: float) -> bool:
-    """span = n dt for a whole n >= 1, up to a relative tolerance of 1e-9."""
-    n = round(span / dt)
+    """span = n dt for a whole, finite n >= 1, up to a relative tolerance of 1e-9."""
+    ratio = span / dt
+    if not math.isfinite(ratio):
+        return False
+    n = round(ratio)
     return n >= 1 and math.isclose(n * dt, span, rel_tol=1e-9)
 
 
@@ -225,36 +227,30 @@ def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
 
 @dataclass
 class EtdTables:
-    """Per-(grid, dt) propagator entries and phi coefficients."""
+    """Per-(grid, dt) entries (m11, m12, m21, m22) of e^{dt M}, phi_1 and phi_2."""
 
     dt: float
     exp_entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    phi1: tuple[np.ndarray, np.ndarray]
-    phi2: tuple[np.ndarray, np.ndarray]
+    phi1: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    phi2: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def make_etd_tables(grid: RadialGrid, dt: float) -> EtdTables:
     return EtdTables(dt=dt,
                      exp_entries=mode_matrices(grid.rho, dt),
-                     phi1=phi_pair_coefficients(1, grid.rho, dt),
-                     phi2=phi_pair_coefficients(2, grid.rho, dt))
-
-
-def _propagate(entries, a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m11, m12, m21, m22 = entries
-    return m11 * a + m12 * v, m21 * a + m22 * v
+                     phi1=mode_function_entries(1, grid.rho, dt),
+                     phi2=mode_function_entries(2, grid.rho, dt))
 
 
 def step_etd2(state: SolverState, law: PressureLaw, config: SolverConfig,
               tables: EtdTables) -> SolverState:
     """One predictor/corrector exponential step of size tables.dt."""
     grid = state.a_hat.grid
-    rho = grid.rho
     dt = tables.dt
 
     f0, h0 = nonlinear_rhs(state, law, config)
-    ea, ev = _propagate(tables.exp_entries, state.a_hat.values, state.v_hat.values)
-    p1a, p1v = apply_mode_function(*tables.phi1, rho, dt, f0.values, h0.values)
+    ea, ev = mode_product(tables.exp_entries, state.a_hat.values, state.v_hat.values)
+    p1a, p1v = mode_product(tables.phi1, f0.values, h0.values)
     mid_a = ea + dt * p1a
     mid_v = ev + dt * p1v
 
@@ -264,13 +260,12 @@ def step_etd2(state: SolverState, law: PressureLaw, config: SolverConfig,
         v_hat=RadialScalarField(grid, mid_v, "spectral"),
         a_lin_hat=state.a_lin_hat, v_lin_hat=state.v_lin_hat)
     f1, h1 = nonlinear_rhs(mid_state, law, config)
-    p2a, p2v = apply_mode_function(*tables.phi2, rho, dt,
-                                   f1.values - f0.values, h1.values - h0.values)
+    p2a, p2v = mode_product(tables.phi2, f1.values - f0.values, h1.values - h0.values)
     new_a = mid_a + dt * p2a
     new_v = mid_v + dt * p2v
 
-    lin_a, lin_v = _propagate(tables.exp_entries,
-                              state.a_lin_hat.values, state.v_lin_hat.values)
+    lin_a, lin_v = mode_product(tables.exp_entries,
+                                state.a_lin_hat.values, state.v_lin_hat.values)
     new = SolverState(
         t=state.t + dt,
         a_hat=RadialScalarField(grid, new_a, "spectral"),
@@ -337,9 +332,7 @@ def output_steps(config: SolverConfig) -> list[int]:
     return steps
 
 
-def simulate(config: SolverConfig,
-             observer: Callable[[SolverState], None] | None = None
-             ) -> tuple[list[DiagnosticsRow], SolverState]:
+def simulate(config: SolverConfig) -> tuple[list[DiagnosticsRow], SolverState]:
     """Run the configured simulation, sampling diagnostics at the cadence.
 
     Deterministic: fixed evaluation order, no randomness anywhere.
@@ -348,8 +341,6 @@ def simulate(config: SolverConfig,
     partition = DyadicPartition()
     state = initial_state(config)
     rows = [diagnostics_row(state, partition)]
-    if observer is not None:
-        observer(state)
     if config.t_final == 0.0:
         return rows, state
 
@@ -363,6 +354,4 @@ def simulate(config: SolverConfig,
         state.t = step * config.dt
         if step in outputs:
             rows.append(diagnostics_row(state, partition))
-            if observer is not None:
-                observer(state)
     return rows, state

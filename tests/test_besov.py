@@ -4,23 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from radns.besov import (
     BesovSpec,
     DyadicPartition,
+    _pair_block_norms,
     besov_norm,
     block,
-    block_norms,
     j0_for_time,
     pair_besov_norm,
-    weighted_besov_norm_p2,
-    weighted_block_integral,
 )
 from radns.errors import (
     BandRangeError,
     NumericDomainError,
-    UnsupportedParameterError,
     UsageError,
 )
 from radns.spectral import (
@@ -214,7 +210,8 @@ class TestBesovNorm:
         rng = np.random.default_rng(5)
         for _ in range(5):
             f = field_from_samples(grid, rng.standard_normal(2048))
-            norms = block_norms(f, 2.0, partition)
+            norms = _pair_block_norms(f, None, 2.0, range(*_inclusive(partition, grid)),
+                                      partition)
             total = sum(v ** 2 for v in norms.values())
             assert total <= 3.0 * lp_norm(f, 2.0) ** 2
 
@@ -255,7 +252,7 @@ def _inclusive(partition, grid):
 
 
 class TestBlockPathOracle:
-    """block_norms, besov_norm and pair_besov_norm against the physical-space
+    """_pair_block_norms, besov_norm and pair_besov_norm against the physical-space
     block loop, for p in {1, 2, 3, inf} and full, low and high bands."""
 
     GRID = (1023, 40.0)
@@ -267,7 +264,8 @@ class TestBlockPathOracle:
         for f in oracle_fields(grid):
             oracle = oracle_block_norms(f, None, p, range(*_inclusive(partition, grid)),
                                         partition)
-            norms = block_norms(f, p, partition)
+            norms = _pair_block_norms(f, None, p, range(*_inclusive(partition, grid)),
+                                      partition)
             assert norms.keys() == oracle.keys()
             for j, n in oracle.items():
                 assert norms[j] == pytest.approx(n, rel=1e-12)
@@ -299,7 +297,7 @@ class TestBlockPathOracle:
         for p in (1.0, 2.0, math.inf):
             oracle = oracle_block_norms(banded, None, p, indices, partition)
             start = transform_counter[0]
-            norms = block_norms(banded, p, partition)
+            norms = _pair_block_norms(banded, None, p, indices, partition)
             # one row per block with content; p = 2 is Parseval, no transform
             assert transform_counter[0] - start == (0 if p == 2.0 else n_full)
             assert all(norms[j] == 0.0 for j in empty)
@@ -349,44 +347,6 @@ class TestLowCutoff:
             total += block(f, j, partition).values
         rel = np.max(np.abs(total - f.values)) / np.max(np.abs(f.values))
         assert rel < 1e-10
-
-
-class TestWeightedBesov:
-    def test_constant_block_contributes_zero(self, partition):
-        grid = make_grid(2048, 200.0)
-        coeffs = np.ones(grid.n_modes)
-        f = field_from_samples(grid, coeffs, "spectral")
-        assert weighted_block_integral(f, 0, partition) == pytest.approx(0.0, abs=1e-20)
-
-    def test_gaussian_blocks_match_quadrature_oracle(self, partition):
-        grid = make_grid(32767, 5000.0)
-        f = field_from_samples(grid, np.exp(-grid.rho ** 2 / 2), "spectral")
-        for j in (-1, 0, 1, 2):
-            mine = weighted_block_integral(f, j, partition)
-            oracle = (4.0 * math.pi / 3.0) * quad(
-                lambda rho: partition.phi_hat(j, np.array([rho]))[0] ** 2
-                * rho ** 4 * math.exp(-rho ** 2),
-                max(2.0 ** (j - 1) - 1e-9, 0.0), 2.0 ** (j + 1), limit=200)[0]
-            assert mine == pytest.approx(oracle, rel=1e-6)
-
-    def test_zero_field(self, partition):
-        grid = make_grid(256, 20.0)
-        spec = BesovSpec(0.5, 2.0, 1.0)
-        for k in (0, 1, 2):
-            assert weighted_besov_norm_p2(zero_field(grid), k, spec, partition) == 0.0
-
-    def test_axis_independence(self, partition):
-        grid = make_grid(1024, 100.0)
-        f = field_from_samples(grid, np.exp(-grid.rho ** 2), "spectral")
-        spec = BesovSpec(0.0, 2.0, 1.0)
-        vals = [weighted_besov_norm_p2(f, k, spec, partition) for k in (0, 1, 2)]
-        assert vals[0] == vals[1] == vals[2] > 0.0
-
-    def test_p_not_two_rejected(self, partition):
-        grid = make_grid(256, 20.0)
-        with pytest.raises(UnsupportedParameterError):
-            weighted_besov_norm_p2(zero_field(grid), 0,
-                                   BesovSpec(0.0, 4.0, 1.0), partition)
 
 
 class TestCutoffIndex:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from radns.cli import command_dispatch
-from radns.config import parse_config
+from radns.config import RunConfig, parse_config
+from radns.solver import SolverConfig
 
 
 GOOD_CONFIG = """\
@@ -71,6 +72,9 @@ class TestParseConfig:
         solver = config.solver_config()
         assert solver.n_modes == 16384
         assert solver.gamma == 1.4
+
+    def test_solver_defaults_are_the_solver_config_defaults(self):
+        assert RunConfig().solver_config() == SolverConfig()
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -225,11 +229,17 @@ fit_tol = 0.01
         ("T = 20\nfit_t_lo = 50\nfit_t_hi = 10\n", 2, "fit_t_lo must be below"),
         ("T = 20\n", 0, ""),
         ("T = 140\noutput_interval = 10\n", 0, ""),
+        # no finite number of steps: these used to raise OverflowError
+        ("T = inf\n", 2, "whole multiple of dt"),
+        ("T = 20\noutput_interval = inf\n", 2, "whole multiple of dt"),
+        ("dt = 1e-320\n", 2, "whole multiple of dt"),
     ])
     def test_reinterpreted_config_rejected(self, tmp_path, capsys, text, code, message):
-        # dt = 0.05: T = 1.03 used to end at 1.05 and an interval of 0.07 to
-        # sample every 0.05; T = 20 and 140 are whole multiples despite rounding
-        cfg = write_config(tmp_path, "N = 64\nR = 500\ndt = 0.05\n" + text)
+        # dt = 0.05 unless the case sets it: T = 1.03 used to end at 1.05 and an
+        # interval of 0.07 to sample every 0.05; T = 20 and 140 are whole
+        # multiples despite rounding
+        dt = "" if text.startswith("dt") else "dt = 0.05\n"
+        cfg = write_config(tmp_path, "N = 64\nR = 500\n" + dt + text)
         assert command_dispatch(["simulate", "--config", cfg,
                                  "--out", str(tmp_path), "--quiet"]) == code
         assert message in capsys.readouterr().err
@@ -244,6 +254,15 @@ fit_tol = 0.01
         assert command_dispatch([command, "--config", cfg,
                                  "--out", str(tmp_path), "--quiet"]) == 2
         assert f"{key} must list one or more entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["linear-decay", "nonlinear-decay"])
+    def test_unsupported_p_rejected(self, tmp_path, capsys, command):
+        # p = 3 has no CSV column: it used to pass the schema and raise KeyError
+        cfg = write_config(tmp_path, "N = 64\nR = 60\nT = 10\np_list = 2, 3\n")
+        assert command_dispatch([command, "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == 2
+        assert "p_list must list one or more entries, each 2 or inf" in \
+            capsys.readouterr().err
 
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)

@@ -25,6 +25,7 @@ from radns.semigroup import (
     kernel_band_norm,
     kernel_probe,
     mode_exponential,
+    mode_function_entries,
     mode_matrices,
     phi_pair_coefficients,
     probe_point_grid,
@@ -308,6 +309,8 @@ class TestPhiCoefficients:
                 oracle = self.phi_oracle(j, dt * M)
                 scale = np.max(np.abs(oracle))
                 assert np.max(np.abs(approx - oracle)) <= 1e-12 * scale
+                entries = np.reshape(mode_function_entries(j, np.array([rho]), dt), (2, 2))
+                assert np.max(np.abs(entries - oracle)) <= 1e-12 * scale
 
 
 class TestHighFrequencyIdentity:
