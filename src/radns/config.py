@@ -56,8 +56,8 @@ _SCHEMA: dict[str, _Key] = {
     # the CSV holds the p = 2 and p = inf norms only
     "p_list": _Key(_parse_float_list, lambda vs: vs and all(v in (2, math.inf) for v in vs),
                    "must list one or more entries, each 2 or inf"),
-    "t_list": _Key(_parse_float_list, lambda vs: vs and all(v >= 4 for v in vs),
-                   "must list one or more entries, each >= 4"),
+    "t_list": _Key(_parse_float_list, lambda vs: vs and all(4 <= v < math.inf for v in vs),
+                   "must list one or more entries, each finite and >= 4"),
     "fit_t_lo": _Key(_parse_float, lambda v: v > 0, "must be positive"),
     "fit_t_hi": _Key(_parse_float, lambda v: v > 0, "must be positive"),
     "fit_tol": _Key(_parse_float, lambda v: v > 0, "must be positive"),

@@ -19,15 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import DyadicPartition, j0_for_time
-from .errors import FitError, NumericDomainError, UnsupportedParameterError
+from .besov import DyadicPartition, _pair_block_norms, j0_for_time, lq_sum
+from .errors import FitError, NumericDomainError, SolverAbort, UnsupportedParameterError
 from .semigroup import (
-    CutoffPsi,
     apply_semigroup,
     default_cutoff,
-    kernel_band_norm,
     kernel_probe,
     probe_point_grid,
+    scalar_kernel_values,
 )
 from .solver import (
     CSV_COLUMNS,
@@ -39,7 +38,7 @@ from .solver import (
     output_steps,
     simulate,
 )
-from .spectral import make_grid
+from .spectral import RadialScalarField, make_grid
 
 
 @dataclass
@@ -75,7 +74,6 @@ class FitResult:
     intercept: float
     r_squared: float
     window: tuple[float, float]
-    zero_variance: bool = False
     dropped: int = 0
 
 
@@ -111,8 +109,7 @@ def fit_decay_exponent(series: DecaySeries, window: tuple[float, float]) -> FitR
     var = float(np.dot(xm, xm))
     sst = float(np.dot(ym, ym))
     if sst <= 1e-24 * max(1.0, float(np.dot(y, y))):
-        return FitResult(0.0, float(y.mean()), 1.0, window,
-                         zero_variance=True, dropped=series.dropped)
+        return FitResult(0.0, float(y.mean()), 1.0, window, dropped=series.dropped)
     slope_ols = float(np.dot(xm, ym) / var)
     intercept = float(y.mean() - slope_ols * x.mean())
     residual = y - (slope_ols * x + intercept)
@@ -171,6 +168,13 @@ class ExperimentReport:
 _COLUMN_FOR_P = {2.0: "l2_av", math.inf: "linf_av"}
 
 
+def _require_csv_p(p_list: Sequence[float]) -> None:
+    """The diagnostics rows hold the p = 2 and p = inf norms only."""
+    bad = [p for p in p_list if float(p) not in _COLUMN_FOR_P]
+    if bad:
+        raise UnsupportedParameterError(f"decay fits cover p = 2 and inf only, got {bad}")
+
+
 def series_from_rows(rows: Sequence[DiagnosticsRow], column: str) -> DecaySeries:
     idx = CSV_COLUMNS.index(column)
     data = np.array([row.as_tuple() for row in rows])
@@ -214,6 +218,7 @@ def run_linear_decay(config: SolverConfig, p_list: Sequence[float] = (2.0, math.
                      tolerances: dict | None = None,
                      r2_min: float = 0.995) -> ExperimentReport:
     """Fit L^p decay exponents of the linear flow against sigma(p)."""
+    _require_csv_p(p_list)
     rows = linear_rows(config)
     tol = dict(_DEFAULT_EXPONENT_TOL)
     if tolerances:
@@ -240,6 +245,7 @@ def run_nonlinear_decay(config: SolverConfig,
     The p = inf remainder is measured through the summed-block sup norm, the
     route on which the p != 2 estimate actually rests.
     """
+    _require_csv_p(p_list)
     if rows is None:
         rows, _ = simulate(config)
     window = (window[0], min(window[1], config.t_final))
@@ -279,7 +285,6 @@ def _ratio_entry(label: str, series: DecaySeries, window: tuple[float, float],
 
 
 def run_lower_bound(config: SolverConfig, window: tuple[float, float] = (20.0, 200.0),
-                    max_ratio: float = 3.0,
                     rows: list[DiagnosticsRow] | None = None) -> ExperimentReport:
     """t^2 ||(a, v)(t)||_inf must stay in a bounded band: the sup-norm floor."""
     if rows is None:
@@ -289,50 +294,51 @@ def run_lower_bound(config: SolverConfig, window: tuple[float, float] = (20.0, 2
     series = series_from_rows(rows, "linf_av")
     mode = "linear" if config.linear_only else "nonlinear"
     entry = _ratio_entry(f"t^2 sup-norm floor ({mode})", series, window,
-                         lambda t: t ** 2, max_ratio, against_first=False)
+                         lambda t: t ** 2, 3.0, against_first=False)
     return ExperimentReport("lower-bound", [entry], rows)
 
 
 def run_weighted_decay(config: SolverConfig, window: tuple[float, float] = (1.0, 200.0),
-                       max_ratio: float = 5.0,
                        rows: list[DiagnosticsRow] | None = None) -> ExperimentReport:
-    """(t+1)^{3/4} sup_r r|(a, v)| must stay within max_ratio of its start."""
+    """(t+1)^{3/4} sup_r r|(a, v)| must stay within a factor 5 of its start."""
     if rows is None:
         rows = (linear_rows(config) if config.linear_only
                 else simulate(config)[0])
     window = (window[0], min(window[1], config.t_final))
     series = series_from_rows(rows, "weighted_sup")
     entry = _ratio_entry("weighted sup decay", series, window,
-                         lambda t: (t + 1.0) ** 0.75, max_ratio, against_first=True)
+                         lambda t: (t + 1.0) ** 0.75, 5.0, against_first=True)
     entry.target_exponent = 0.75
     return ExperimentReport("weighted-decay", [entry], rows)
 
 
-def block_frame_sup(t: float, j0: int, grid_modes: int = 8192,
-                    grid_radius: float = 1500.0, branch: str = "plus") -> float:
+def block_frame_sup(t: float, j0: int) -> float:
     """max over |j - j0| <= 2 of the blockwise kernel sup (B0_inf_inf frame)."""
-    grid = make_grid(grid_modes, grid_radius)
-    j_min, j_max = DyadicPartition().resolved_range(grid)
-    return max((kernel_band_norm(grid, t, math.inf, "block", j, branch)
-                for j in range(max(j0 - 2, j_min), min(j0 + 2, j_max) + 1)),
-               default=0.0)
+    grid = make_grid(8192, 1500.0)
+    part = DyadicPartition()
+    j_min, j_max = part.resolved_range(grid)
+    kernel = scalar_kernel_values(grid.rho, t)
+    norms = _pair_block_norms(RadialScalarField(grid, kernel.real, "spectral"),
+                              RadialScalarField(grid, kernel.imag, "spectral"), math.inf,
+                              range(max(j0 - 2, j_min), min(j0 + 2, j_max) + 1), part)
+    return lq_sum(norms.values(), math.inf)
 
 
-def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0),
-                           psi: CutoffPsi | None = None,
-                           max_ratio: float = 3.0) -> ExperimentReport:
-    """Anisotropic probe sweep: t^2 * probe sup must stay in a factor band.
+def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> ExperimentReport:
+    """Anisotropic probe sweep: t^2 * probe sup must stay in a factor-3 band.
 
     Also reports, per time, the dyadic-frame sup near the matching cutoff
     index, which dominates the probe value up to a constant.
     """
-    if any(t < 4.0 for t in t_list):
-        raise NumericDomainError("probe times must satisfy t >= 4")
-    cut = psi if psi is not None else default_cutoff()
+    if not all(4.0 <= t < math.inf for t in t_list):
+        raise NumericDomainError("probe times must be finite and satisfy t >= 4")
+    max_ratio = 3.0
     scaled = []
     details = []
     for t in t_list:
-        value = kernel_probe(t, cut, probe_point_grid(t))
+        value = kernel_probe(t, default_cutoff(), probe_point_grid(t))
+        if not math.isfinite(t * t * value):
+            raise SolverAbort(f"t^2 * probe sup is not finite at t = {t:g}", time=t)
         j0 = j0_for_time(t)
         frame = block_frame_sup(t, j0)
         scaled.append(t * t * value)

@@ -18,8 +18,8 @@ coalescence point.  Every such function is applied the same way: its four
 per-mode entries (mode_function_entries) multiply the pair in one entry
 product (mode_product).
 
-This module also evaluates band-limited kernel norms of e^{t lambda(D)} and
-the anisotropically rescaled oscillatory-integral probe that exhibits the
+This module also evaluates the scalar kernels e^{t lambda(D)} and the
+anisotropically rescaled oscillatory-integral probe that exhibits the
 t^{-2} sup-norm floor of the low-frequency kernel.
 """
 
@@ -31,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import DyadicPartition, _ramp
+from .besov import _ramp
 from .errors import NumericDomainError, SolverAbort, UsageError
-from .spectral import RadialGrid, RadialScalarField, spectral_lp_norm
+from .spectral import RadialScalarField
 
 #: below this value of |t*delta| the divided differences switch to their
 #: power series in (t delta)^2, which is exact to double precision there.
@@ -136,31 +136,6 @@ def scalar_kernel_values(rho: np.ndarray, t: float, branch: str = "plus") -> np.
     sign = _branch_sign(branch)
     rho = np.asarray(rho, dtype=float)
     return np.exp(-t * (rho * rho / 2.0) * (1.0 + sign * np.sqrt((1.0 - 4.0 / rho ** 2) + 0j)))
-
-
-def kernel_band_norm(grid: RadialGrid, t: float, p: float, band: str,
-                     j: int | None = None, branch: str = "plus") -> float:
-    """L^p norm of the band-limited scalar kernel F^{-1}[m_band e^{t lambda}].
-
-    band is 'low' (smooth pass below rho ~ 1), 'high' (complement of the
-    smooth pass below rho ~ 8), or 'block' with a dyadic index j.
-    """
-    if t <= 0:
-        raise NumericDomainError(f"time must be positive, got {t}")
-    part = DyadicPartition()
-    rho = grid.rho
-    if band == "low":
-        mult = part.theta(2.0 * rho)
-    elif band == "high":
-        mult = 1.0 - part.theta(rho / 4.0)
-    elif band == "block":
-        if j is None:
-            raise UsageError("band='block' needs a dyadic index j")
-        mult = part.block_multiplier(grid, j)
-    else:
-        raise UsageError(f"unknown band {band!r}")
-    kernel = scalar_kernel_values(rho, t, branch) * mult
-    return spectral_lp_norm(grid, np.stack((kernel.real, kernel.imag)), p)
 
 
 # -- anisotropic lower-bound probe ---------------------------------------------

@@ -218,7 +218,7 @@ def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
 
     # h = |D|^{-1} div(G x/r); by parts, rho^2 h_hat = S - rho C
     g = -u * u_r - (a / (1.0 + a)) * w_r - law.beta(a) * a_r
-    cosine = np.sqrt(2.0 / np.pi) * grid.dr * _cosine_sum(grid.r * g)
+    cosine = _cosine_sum(grid, grid.r * g, grid.dr)
     h_hat = (_sine_sum(grid, g, grid.dr) - grid.rho * cosine) / grid.rho ** 2
 
     return (RadialScalarField(grid, f_hat.values * mask, "spectral"),

@@ -115,10 +115,11 @@ def _sine_sum(grid: RadialGrid, coeffs: np.ndarray, step: float) -> np.ndarray:
     return np.sqrt(2.0 / np.pi) * step * 0.5 * dst(coeffs, type=1)
 
 
-def _cosine_sum(coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k cos(pi m k/(N+1)) for m = 1..N via a padded DCT-I."""
+def _cosine_sum(grid: RadialGrid, coeffs: np.ndarray, step: float) -> np.ndarray:
+    """sqrt(2/pi) * step * sum_k coeffs_k cos(node_m * dual_node_k), via a
+    DCT-I padded with zero end coefficients."""
     padded = np.concatenate(([0.0], coeffs, [0.0]))
-    return 0.5 * dct(padded, type=1)[1:-1]
+    return np.sqrt(2.0 / np.pi) * step * 0.5 * dct(padded, type=1)[1:-1]
 
 
 def per_grid_cache(fn):
@@ -204,7 +205,7 @@ def physical_and_gradient(field: RadialScalarField) -> tuple[np.ndarray, np.ndar
     ghat = grid.rho * field.values
     g = _sine_sum(grid, ghat, grid.drho)
     ghat = ghat * derivative_filter(grid)
-    g_prime = np.sqrt(2.0 / np.pi) * grid.drho * _cosine_sum(grid.rho * ghat)
+    g_prime = _cosine_sum(grid, grid.rho * ghat, grid.drho)
     return g / grid.r, g_prime / grid.r - g / grid.r ** 2
 
 

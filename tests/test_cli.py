@@ -264,6 +264,19 @@ fit_tol = 0.01
         assert "p_list must list one or more entries, each 2 or inf" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_list, code, message", [
+        # t^2 overflows while the probe underflows to 0: this used to write NaN
+        ("1e300", 3, "t^2 * probe sup is not finite at t = 1e+300"),
+        # this used to run the t = 16 probe, then abort on a nan relative change
+        ("16 inf", 2, "t_list must list one or more entries, each finite and >= 4"),
+    ], ids=["overflowing", "infinite"])
+    def test_bad_probe_time_rejected(self, tmp_path, capsys, t_list, code, message):
+        cfg = write_config(tmp_path, f"t_list = {t_list}\n")
+        assert command_dispatch(["kernel-probe", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "kernel_probe.json").exists()
+
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)
         command_dispatch(["simulate", "--config", cfg,

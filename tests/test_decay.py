@@ -84,7 +84,6 @@ class TestFit:
         fit = fit_decay_exponent(DecaySeries.from_samples(t, np.full(10, 3.0)),
                                  (1.0, 10.0))
         assert fit.slope == 0.0
-        assert fit.zero_variance
         assert fit.r_squared == 1.0
 
     def test_perturbed_power_law(self):
@@ -119,7 +118,18 @@ def small_linear_report():
                             tolerances={2.0: 0.1, math.inf: 0.2}, r2_min=0.98)
 
 
+def no_rows(*args, **kwargs):
+    raise AssertionError("rows computed for an unsupported p")
+
+
 class TestLinearDriver:
+    def test_unsupported_p_rejected_before_rows(self, monkeypatch):
+        # p = 3 has no diagnostics column: it used to raise KeyError: 3.0
+        monkeypatch.setattr("radns.decay.linear_rows", no_rows)
+        cfg = SolverConfig(n_modes=64, outer_radius=60.0, t_final=10.0)
+        with pytest.raises(UnsupportedParameterError, match="p = 2 and inf only"):
+            run_linear_decay(cfg, p_list=(3,))
+
     def test_rates_at_small_scale(self, small_linear_report):
         assert small_linear_report.passed
         by_label = {e.label: e for e in small_linear_report.entries}
@@ -167,6 +177,13 @@ def small_nonlinear_rows():
 
 
 class TestNonlinearDriver:
+    def test_unsupported_p_rejected_before_rows(self, monkeypatch):
+        # the KeyError used to come only after the whole simulation
+        monkeypatch.setattr("radns.decay.simulate", no_rows)
+        cfg = SolverConfig(n_modes=64, outer_radius=60.0, t_final=10.0)
+        with pytest.raises(UnsupportedParameterError, match="p = 2 and inf only"):
+            run_nonlinear_decay(cfg, p_list=(2.0, 3.0))
+
     def test_smoke_fits(self, small_nonlinear_rows):
         cfg, rows = small_nonlinear_rows
         report = run_nonlinear_decay(cfg, (2.0,), window=(10.0, 60.0),
@@ -230,6 +247,10 @@ class TestKernelProbeDriver:
     def test_rejects_small_time(self):
         with pytest.raises(NumericDomainError):
             run_kernel_lower_probe((2.0, 16.0))
+        # inf and nan used to pass here and abort only after the full refinement
+        for t in (math.inf, math.nan):
+            with pytest.raises(NumericDomainError):
+                run_kernel_lower_probe((16.0, t))
 
     @pytest.mark.parametrize("t", [4.0, 16.0, 64.0, 256.0])
     def test_frame_sup_direct_sum_bounds(self, t):

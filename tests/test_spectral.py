@@ -69,7 +69,7 @@ def divergence_of_profile(vec, dealias_fraction=None):
         coeffs = coeffs * dealias_mask(grid, dealias_fraction)
         g = _sine_sum(grid, coeffs, grid.drho)
     coeffs = coeffs * derivative_filter(grid)
-    g_prime = np.sqrt(2.0 / np.pi) * grid.drho * _cosine_sum(grid.rho * coeffs)
+    g_prime = _cosine_sum(grid, grid.rho * coeffs, grid.drho)
     return field_from_samples(grid, g_prime + 2.0 * g / grid.r)
 
 
