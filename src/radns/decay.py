@@ -14,30 +14,15 @@ here is either a fitted-exponent window or a boundedness-ratio check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .besov import DyadicPartition, _pair_block_norms, j0_for_time, lq_sum
 from .errors import FitError, NumericDomainError, SolverAbort, UnsupportedParameterError
-from .semigroup import (
-    apply_semigroup,
-    default_cutoff,
-    kernel_probe,
-    probe_point_grid,
-    scalar_kernel_values,
-)
-from .solver import (
-    CSV_COLUMNS,
-    DiagnosticsRow,
-    SolverConfig,
-    SolverState,
-    diagnostics_row,
-    initial_state,
-    output_steps,
-    simulate,
-)
+from .semigroup import default_cutoff, kernel_probe, probe_point_grid, scalar_kernel_values
+from .solver import CSV_COLUMNS, DiagnosticsRow, SolverConfig, simulate
 from .spectral import RadialScalarField, make_grid
 
 
@@ -195,19 +180,11 @@ def _fit_entry(label: str, series: DecaySeries, window: tuple[float, float],
 def linear_rows(config: SolverConfig) -> list[DiagnosticsRow]:
     """Diagnostics of the exactly propagated data at simulate's output times.
 
-    No time stepping: each output comes from one application of the mode-wise
-    propagator to the initial data, so the series carries no integrator error.
+    This is simulate's linear-only run, which takes no time step: each output
+    is one application of the mode-wise propagator to the initial data, so
+    the series carries no integrator error.
     """
-    config.validate()
-    state = initial_state(config)
-    partition = DyadicPartition()
-    rows = []
-    for step in output_steps(config):
-        t = step * config.dt
-        a_hat, v_hat = apply_semigroup(state.a_hat, state.v_hat, t)
-        snap = SolverState(t, a_hat, v_hat, a_hat, v_hat)
-        rows.append(diagnostics_row(snap, partition))
-    return rows
+    return simulate(replace(config, linear_only=True))[0]
 
 
 _DEFAULT_EXPONENT_TOL = {2.0: 0.05, math.inf: 0.10}
@@ -288,8 +265,7 @@ def run_lower_bound(config: SolverConfig, window: tuple[float, float] = (20.0, 2
                     rows: list[DiagnosticsRow] | None = None) -> ExperimentReport:
     """t^2 ||(a, v)(t)||_inf must stay in a bounded band: the sup-norm floor."""
     if rows is None:
-        rows = (linear_rows(config) if config.linear_only
-                else simulate(config)[0])
+        rows = simulate(config)[0]
     window = (window[0], min(window[1], config.t_final))
     series = series_from_rows(rows, "linf_av")
     mode = "linear" if config.linear_only else "nonlinear"
@@ -302,8 +278,7 @@ def run_weighted_decay(config: SolverConfig, window: tuple[float, float] = (1.0,
                        rows: list[DiagnosticsRow] | None = None) -> ExperimentReport:
     """(t+1)^{3/4} sup_r r|(a, v)| must stay within a factor 5 of its start."""
     if rows is None:
-        rows = (linear_rows(config) if config.linear_only
-                else simulate(config)[0])
+        rows = simulate(config)[0]
     window = (window[0], min(window[1], config.t_final))
     series = series_from_rows(rows, "weighted_sup")
     entry = _ratio_entry("weighted sup decay", series, window,
@@ -312,15 +287,31 @@ def run_weighted_decay(config: SolverConfig, window: tuple[float, float] = (1.0,
     return ExperimentReport("weighted-decay", [entry], rows)
 
 
+#: N and R of the fixed grid the B0_inf_inf frame is read on
+_FRAME_GRID = (8192, 1500.0)
+
+
+def _frame_blocks(t: float, j0: int) -> range:
+    """Blocks j0 - 2 .. j0 + 2 of the frame at time t.  A window the frame
+    grid does not resolve in full would read a smaller sup, or 0 when it is
+    empty, so it raises NumericDomainError instead."""
+    j_min, j_max = DyadicPartition().resolved_range(make_grid(*_FRAME_GRID))
+    if j0 - 2 < j_min or j0 + 2 > j_max:
+        raise NumericDomainError(
+            f"frame blocks {j0 - 2} .. {j0 + 2} at t = {t:g} leave the range "
+            f"[{j_min}, {j_max}] resolved by the N = {_FRAME_GRID[0]}, "
+            f"R = {_FRAME_GRID[1]:g} frame grid")
+    return range(j0 - 2, j0 + 3)
+
+
 def block_frame_sup(t: float, j0: int) -> float:
     """max over |j - j0| <= 2 of the blockwise kernel sup (B0_inf_inf frame)."""
-    grid = make_grid(8192, 1500.0)
-    part = DyadicPartition()
-    j_min, j_max = part.resolved_range(grid)
+    blocks = _frame_blocks(t, j0)
+    grid = make_grid(*_FRAME_GRID)
     kernel = scalar_kernel_values(grid.rho, t)
     norms = _pair_block_norms(RadialScalarField(grid, kernel.real, "spectral"),
                               RadialScalarField(grid, kernel.imag, "spectral"), math.inf,
-                              range(max(j0 - 2, j_min), min(j0 + 2, j_max) + 1), part)
+                              blocks, DyadicPartition())
     return lq_sum(norms.values(), math.inf)
 
 
@@ -332,6 +323,10 @@ def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> Exp
     """
     if not all(4.0 <= t < math.inf for t in t_list):
         raise NumericDomainError("probe times must be finite and satisfy t >= 4")
+    for t in t_list:            # every time is checked before the first probe
+        if not math.isfinite(t * t):    # then t^2 * sup is not finite for any sup
+            raise SolverAbort(f"t^2 * probe sup is not finite at t = {t:g}", time=t)
+        _frame_blocks(t, j0_for_time(t))
     max_ratio = 3.0
     scaled = []
     details = []

@@ -73,9 +73,6 @@ class RadialScalarField:
     values: np.ndarray
     space: Space
 
-    def copy(self) -> "RadialScalarField":
-        return RadialScalarField(self.grid, self.values.copy(), self.space)
-
 
 def make_grid(n_modes: int, outer_radius: float) -> RadialGrid:
     """Build the paired radial/spectral grid with DST-I duality."""
@@ -110,12 +107,12 @@ def zero_field(grid: RadialGrid, space: Space = "physical") -> RadialScalarField
 
 # -- sine/cosine kernels ------------------------------------------------------
 
-def _sine_sum(grid: RadialGrid, coeffs: np.ndarray, step: float) -> np.ndarray:
+def _sine_sum(coeffs: np.ndarray, step: float) -> np.ndarray:
     """sqrt(2/pi) * step * sum_k coeffs_k sin(node_m * dual_node_k)."""
     return np.sqrt(2.0 / np.pi) * step * 0.5 * dst(coeffs, type=1)
 
 
-def _cosine_sum(grid: RadialGrid, coeffs: np.ndarray, step: float) -> np.ndarray:
+def _cosine_sum(coeffs: np.ndarray, step: float) -> np.ndarray:
     """sqrt(2/pi) * step * sum_k coeffs_k cos(node_m * dual_node_k), via a
     DCT-I padded with zero end coefficients."""
     padded = np.concatenate(([0.0], coeffs, [0.0]))
@@ -155,14 +152,14 @@ def to_spectral(field: RadialScalarField) -> RadialScalarField:
     """Weighted DST-I: physical samples f(r_m) -> transform values fhat(rho_k)."""
     _require_space(field, "physical", "to_spectral")
     grid = field.grid
-    ghat = _sine_sum(grid, grid.r * field.values, grid.dr)
+    ghat = _sine_sum(grid.r * field.values, grid.dr)
     return RadialScalarField(grid, ghat / grid.rho, "spectral")
 
 
 def physical_values(grid: RadialGrid, hat: np.ndarray) -> np.ndarray:
     """f(r_m) from fhat(rho_k) for one field, or for a stack of fields (one
     row each) in a single transform call."""
-    return _sine_sum(grid, grid.rho * hat, grid.drho) / grid.r
+    return _sine_sum(grid.rho * hat, grid.drho) / grid.r
 
 
 def to_physical(field: RadialScalarField) -> RadialScalarField:
@@ -203,9 +200,9 @@ def physical_and_gradient(field: RadialScalarField) -> tuple[np.ndarray, np.ndar
     _require_space(field, "spectral", "physical_and_gradient")
     grid = field.grid
     ghat = grid.rho * field.values
-    g = _sine_sum(grid, ghat, grid.drho)
+    g = _sine_sum(ghat, grid.drho)
     ghat = ghat * derivative_filter(grid)
-    g_prime = _cosine_sum(grid, grid.rho * ghat, grid.drho)
+    g_prime = _cosine_sum(grid.rho * ghat, grid.drho)
     return g / grid.r, g_prime / grid.r - g / grid.r ** 2
 
 

@@ -269,13 +269,28 @@ fit_tol = 0.01
         ("1e300", 3, "t^2 * probe sup is not finite at t = 1e+300"),
         # this used to run the t = 16 probe, then abort on a nan relative change
         ("16 inf", 2, "t_list must list one or more entries, each finite and >= 4"),
-    ], ids=["overflowing", "infinite"])
+        # frame blocks j0 +- 2 below the frame grid's j_min = -9: the window used
+        # to be empty and report frame_sup 0, or cut and report a smaller sup
+        ("1e8", 2, "frame blocks -14 .. -10 at t = 1e+08 leave the range [-9, 5]"),
+        ("262144", 2, "frame blocks -10 .. -6 at t = 262144 leave the range [-9, 5]"),
+    ], ids=["overflowing", "infinite", "empty-frame", "cut-frame"])
     def test_bad_probe_time_rejected(self, tmp_path, capsys, t_list, code, message):
         cfg = write_config(tmp_path, f"t_list = {t_list}\n")
         assert command_dispatch(["kernel-probe", "--config", cfg,
                                  "--out", str(tmp_path), "--quiet"]) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "kernel_probe.json").exists()
+
+    def test_linear_only_simulate_matches_linear_decay(self, tmp_path):
+        # both take e^{tM} of the initial data at each output time, with no step
+        cfg = write_config(tmp_path, "N = 511\nR = 30\nT = 2\noutput_interval = 0.25\n"
+                                     "c = 0.01\nlinear_only = true\nfit_t_lo = 0.5\n")
+        assert command_dispatch(["linear-decay", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) in (0, 1)
+        assert command_dispatch(["simulate", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == 0
+        assert ((tmp_path / "diagnostics.csv").read_bytes()
+                == (tmp_path / "linear-decay.csv").read_bytes())
 
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)

@@ -252,6 +252,16 @@ class TestKernelProbeDriver:
             with pytest.raises(NumericDomainError):
                 run_kernel_lower_probe((16.0, t))
 
+    def test_cut_frame_rejected_before_any_probe(self, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("probe ran before every time was checked")
+
+        monkeypatch.setattr("radns.decay.kernel_probe", no_probe)
+        with pytest.raises(NumericDomainError, match="t = 1e\\+08"):
+            run_kernel_lower_probe((16.0, 1e8))
+        with pytest.raises(NumericDomainError, match="frame blocks"):
+            block_frame_sup(1e8, j0_for_time(1e8))
+
     @pytest.mark.parametrize("t", [4.0, 16.0, 64.0, 256.0])
     def test_frame_sup_direct_sum_bounds(self, t):
         # the block kernel is K_j(r) = sqrt(2/pi) drho sum_k rho_k m_k sin(r rho_k)/r

@@ -16,7 +16,6 @@ from radns.solver import (
     initial_data_gaussian,
     initial_state,
     make_etd_tables,
-    nonlinear_part,
     nonlinear_rhs,
     simulate,
     step_etd2,
@@ -179,7 +178,7 @@ class TestReconstructVelocity:
 def make_state(grid, a_vals, v_vals):
     a = RadialScalarField(grid, a_vals, "spectral")
     v = RadialScalarField(grid, v_vals, "spectral")
-    return SolverState(0.0, a, v, a.copy(), v.copy())
+    return SolverState(0.0, a, v)
 
 
 class TestNonlinearRhs:
@@ -418,16 +417,28 @@ class TestStepEtd2:
 
 class TestNonlinearPart:
     def test_zero_at_start(self):
-        cfg = small_config()
-        state = initial_state(cfg)
-        nl_a, nl_v = nonlinear_part(state)
-        assert np.all(nl_a.values == 0.0) and np.all(nl_v.values == 0.0)
+        rows, _ = simulate(small_config())
+        assert rows[0].t == 0.0
+        assert rows[0].nl_l2 == rows[0].nl_besov_inf1 == 0.0
 
     def test_zero_data_zero_for_all_time(self):
         cfg = small_config(amplitude=0.0, t_final=1.0)
         rows, state = simulate(cfg)
-        nl_a, nl_v = nonlinear_part(state)
-        assert np.all(nl_a.values == 0.0) and np.all(nl_v.values == 0.0)
+        assert np.all(state.a_hat.values == 0.0) and np.all(state.v_hat.values == 0.0)
+        for row in rows:
+            assert row.nl_l2 == row.nl_besov_inf1 == 0.0
+
+    def test_quadratic_in_amplitude(self):
+        # the Duhamel remainder is quadratic in the data, so doubling c must
+        # scale its norms by 4; a linear flow off by one step in time would
+        # leave an O(c) residue and scale them by about 2
+        cfg = small_config(t_final=2.0, output_interval=1.0)
+        once, _ = simulate(cfg)
+        twice, _ = simulate(small_config(t_final=2.0, output_interval=1.0,
+                                         amplitude=2.0 * cfg.amplitude))
+        for one, two in zip(once[1:], twice[1:]):
+            assert two.nl_l2 / one.nl_l2 == pytest.approx(4.0, abs=0.05)
+            assert two.nl_besov_inf1 / one.nl_besov_inf1 == pytest.approx(4.0, abs=0.05)
 
     def test_much_smaller_than_solution(self):
         cfg = SolverConfig(n_modes=2047, outer_radius=60.0, dt=0.05, t_final=10.0,
@@ -438,16 +449,14 @@ class TestNonlinearPart:
         assert nl < total / 10.0
 
 
-def oracle_row(state, partition):
+def oracle_row(state, linear, partition):
     """The row as the physical-space formulas give it: each field synthesised
     alone, L^p norms by the rectangle rule of the pointwise modulus, and Besov
     norms from the one-block-at-a-time loop."""
     grid = state.a_hat.grid
     a, v = to_physical(state.a_hat), to_physical(state.v_hat)
-    nl_a = to_physical(RadialScalarField(
-        grid, state.a_hat.values - state.a_lin_hat.values, "spectral"))
-    nl_v = to_physical(RadialScalarField(
-        grid, state.v_hat.values - state.v_lin_hat.values, "spectral"))
+    nl_a, nl_v = (to_physical(RadialScalarField(grid, field.values - lin.values, "spectral"))
+                  for field, lin in zip((state.a_hat, state.v_hat), linear))
     modulus = field_from_samples(grid, np.hypot(a.values, v.values))
     nl_modulus = field_from_samples(grid, np.hypot(nl_a.values, nl_v.values))
     spec21, spec_inf1 = BesovSpec(0.0, 2.0, 1.0), BesovSpec(0.0, math.inf, 1.0)
@@ -465,32 +474,34 @@ class TestDiagnosticsRow:
     Parseval, and an identically zero nonlinear part costs nothing."""
 
     def snapshot(self, linear):
+        """A state at t = 3 and its linear flow."""
         grid = make_grid(1023, 40.0)
         rng = np.random.default_rng(3)
         decay = np.exp(-0.05 * grid.rho ** 2)
         a, v, da, dv = (rng.standard_normal(grid.n_modes) * decay for _ in range(4))
         a_hat = RadialScalarField(grid, a, "spectral")
         v_hat = RadialScalarField(grid, v, "spectral")
-        if linear:        # as linear_rows builds it: the pair is its own linear flow
-            return SolverState(3.0, a_hat, v_hat, a_hat, v_hat)
-        return SolverState(3.0, a_hat, v_hat, RadialScalarField(grid, a - 1e-3 * da, "spectral"),
-                           RadialScalarField(grid, v - 1e-3 * dv, "spectral"))
+        state = SolverState(3.0, a_hat, v_hat)
+        if linear:        # as a linear-only run has it: the pair is its own linear flow
+            return state, (a_hat, v_hat)
+        return state, (RadialScalarField(grid, a - 1e-3 * da, "spectral"),
+                       RadialScalarField(grid, v - 1e-3 * dv, "spectral"))
 
     @pytest.mark.parametrize("linear", [True, False])
     def test_transform_count(self, transform_counter, linear):
         partition = DyadicPartition()
-        state = self.snapshot(linear)
+        state, flow = self.snapshot(linear)
         j_min, j_max = partition.resolved_range(state.a_hat.grid)
         n_blocks = j_max - j_min + 1
-        diagnostics_row(state, partition)
+        diagnostics_row(state, flow, partition)
         assert transform_counter[0] == (2 + 2 * n_blocks if linear else 2 + 4 * n_blocks)
 
     @pytest.mark.parametrize("linear", [True, False])
     def test_matches_physical_space_formulas(self, linear):
         partition = DyadicPartition()
-        state = self.snapshot(linear)
-        row = diagnostics_row(state, partition).as_tuple()
-        for got, want in zip(row, oracle_row(state, partition)):
+        state, flow = self.snapshot(linear)
+        row = diagnostics_row(state, flow, partition).as_tuple()
+        for got, want in zip(row, oracle_row(state, flow, partition)):
             assert got == pytest.approx(want, rel=1e-12)
         if linear:
             assert row[5] == 0.0 and row[6] == 0.0
@@ -498,8 +509,10 @@ class TestDiagnosticsRow:
     def test_stepped_state_matches(self):
         cfg = small_config(t_final=2.0, output_interval=1.0)
         rows, state = simulate(cfg)
+        start = initial_state(cfg)
+        flow = apply_semigroup(start.a_hat, start.v_hat, state.t)
         partition = DyadicPartition()
-        for got, want in zip(rows[-1].as_tuple(), oracle_row(state, partition)):
+        for got, want in zip(rows[-1].as_tuple(), oracle_row(state, flow, partition)):
             assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -63,13 +63,13 @@ def divergence_of_profile(vec, dealias_fraction=None):
     grid = vec.grid
     if not np.all(np.isfinite(vec.samples)):
         raise NumericDomainError("profile contains non-finite samples")
-    coeffs = _sine_sum(grid, vec.samples, grid.dr)      # of the odd extension of G
+    coeffs = _sine_sum(vec.samples, grid.dr)      # of the odd extension of G
     g = vec.samples
     if dealias_fraction is not None:
         coeffs = coeffs * dealias_mask(grid, dealias_fraction)
-        g = _sine_sum(grid, coeffs, grid.drho)
+        g = _sine_sum(coeffs, grid.drho)
     coeffs = coeffs * derivative_filter(grid)
-    g_prime = _cosine_sum(grid, grid.rho * coeffs, grid.drho)
+    g_prime = _cosine_sum(grid.rho * coeffs, grid.drho)
     return field_from_samples(grid, g_prime + 2.0 * g / grid.r)
 
 
