@@ -27,3 +27,26 @@ def test_every_traced_layer_resolves_to_a_callable(monkeypatch):
                for name, (mod, attr) in tracing.LAYERS.items()
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert tracing.LAYERS and not missing, missing
+
+
+def test_linear_rows_traces_through_simulate(monkeypatch):
+    """The traced linear-decay run nests decay.linear_rows > solver.simulate >
+    solver.diagnostics_row, which the per-row transform count relies on."""
+    import radns.cli  # noqa: F401  (loads every radns module the tracer rebinds)
+    from radns import decay
+    from radns.solver import SolverConfig
+
+    tracing = load_tracing(monkeypatch)
+    modules = [m for n, m in sys.modules.items() if n == "radns" or n.startswith("radns.")]
+    for mod_name, attr in tracing.LAYERS.values():   # undo the rebinding afterwards
+        fn = getattr(sys.modules[mod_name], attr)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, value)
+    tracer = tracing.Tracer().install()
+    decay.linear_rows(SolverConfig(n_modes=64, outer_radius=60.0, t_final=4.0))
+    parent = {span[0]: tracer.spans[span[3]][0] for span in tracer.spans if span[3] >= 0}
+    assert parent["solver.simulate"] == "decay.linear_rows"
+    assert parent["solver.diagnostics_row"] == "solver.simulate"
+    assert "solver.step_etd2" not in parent
