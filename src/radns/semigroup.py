@@ -164,6 +164,12 @@ class CutoffPsi:
         axial = _ramp(1.0 - ((np.abs(xi1) - self.axial_center) / self.axial_width) ** 2)
         return shell * axial
 
+    def transverse_radius(self, xi1: float) -> float:
+        """Radius sqrt(r^2 - xi1^2) in the (xi_2, xi_3) plane beyond which
+        Psi(xi1, ., .) is exactly 0, r the shell's outer radius; 0.0 once |xi1| >= r."""
+        outer = self.shell_center + self.shell_width
+        return math.sqrt(max(outer * outer - xi1 * xi1, 0.0))
+
 
 def default_cutoff() -> CutoffPsi:
     return CutoffPsi()
@@ -184,6 +190,12 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int,
     Points must lie on a coordinate axis, so each needs only the marginal of
     the weighted integrand along its axis; the three marginals are summed one
     xi_1 slab at a time.
+
+    Psi is exactly 0 at or past the shell's outer radius, so a slab with
+    X_1 = t^{1/2} xi_1 there is skipped, and the others evaluate only the
+    leading k x k block of (xi_2, xi_3) nodes inside psi.transverse_radius(X_1),
+    plus one node of margin: the sums are the full-box sums without their
+    zero terms.
     """
     points = np.asarray(points, dtype=float)
     if np.any(np.count_nonzero(points, axis=1) > 1):
@@ -192,19 +204,22 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int,
     x1, w1 = _gauss_nodes(0.5 * s, s, n_nodes)
     x2, w2 = _gauss_nodes(0.0, t ** -0.75, n_nodes)
     x3, w3 = x2, w2
+    scaled = t ** 0.75 * x2         # ascending, as np.searchsorted needs
 
-    xi2 = x2[:, None]
-    xi3 = x3[None, :]
-    scaled2, scaled3 = t ** 0.75 * xi2, t ** 0.75 * xi3
     marginals = np.zeros((3, n_nodes), dtype=complex)
     for i, (xi1, wi) in enumerate(zip(x1, w1)):
-        rho = np.sqrt(xi1 ** 2 + xi2 ** 2 + xi3 ** 2)
+        scaled1 = math.sqrt(t) * xi1
+        radius = psi.transverse_radius(scaled1)
+        if radius == 0.0:
+            continue
+        k = min(int(np.searchsorted(scaled, radius)) + 1, n_nodes)
+        rho = np.sqrt(xi1 ** 2 + x2[:k, None] ** 2 + x3[None, :k] ** 2)
         slab = scalar_kernel_values(rho, t, branch)
-        slab *= psi(math.sqrt(t) * xi1, scaled2, scaled3)
-        slab *= wi * w2[:, None] * w3[None, :]
+        slab *= psi(scaled1, scaled[:k, None], scaled[None, :k])
+        slab *= wi * w2[:k, None] * w3[None, :k]
         marginals[0, i] = slab.sum()
-        marginals[1] += slab.sum(axis=1)
-        marginals[2] += slab.sum(axis=0)
+        marginals[1, :k] += slab.sum(axis=1)
+        marginals[2, :k] += slab.sum(axis=0)
 
     vals = np.empty(len(points), dtype=complex)
     for i, point in enumerate(points):
@@ -236,7 +251,7 @@ def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float
     while n < max_nodes:
         n *= 2
         refined = float(np.max(_probe_integral(t, psi, pts, n, branch)))
-        if value == 0.0 or abs(refined - value) <= refine_rtol * abs(refined):
+        if abs(refined - value) <= refine_rtol * abs(refined):
             return refined
         change = abs(refined - value) / abs(refined) if refined != 0.0 else math.inf
         value = refined

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radns.cli import command_dispatch
 from radns.config import RunConfig, parse_config
@@ -301,3 +303,48 @@ fit_tol = 0.01
         assert float(value) > 0
         # every emitted value must round-trip exactly through text
         assert format(float(value), ".17g") == value
+
+
+# mostly inside the frame window [4, 2^18), some below or past it
+_probe_time = st.one_of(st.sampled_from([4.0, 16.0, 64.0, 256.0, 1e5]),
+                        st.floats(1.0, 4e5, allow_nan=False))
+
+_t_list_line = st.builds(
+    lambda ts, sep: "t_list = " + sep.join(repr(t) for t in ts) + "\n",
+    st.lists(_probe_time, min_size=1, max_size=3), st.sampled_from([", ", " ", ","]))
+
+_harmless_line = st.sampled_from(["N = 64\n", "c = 0.02\n", "# note\n", "\n"])
+
+_config_line = st.one_of(
+    _t_list_line, _harmless_line,
+    st.sampled_from(["t_list = nan\n", "t_list = inf, 16\n", "t_list = -inf\n",
+                     "t_list =\n", "t_list = 16, x\n", "bogus = 1\n", "N = 3\n",
+                     "fit_t_lo = 300\n", "no equals sign\n", "= 16\n"]),
+    st.text(max_size=30).map(lambda text: text + "\n"))
+
+# half the configs hold one t_list and nothing invalid, so that the probe runs
+_config_text = st.one_of(
+    st.builds(lambda line, rest: "".join([line] + rest),
+              _t_list_line, st.lists(_harmless_line, max_size=2)),
+    st.lists(_config_line, max_size=5).map("".join))
+
+
+class TestKernelProbeConfigFuzz:
+    """Any config text gives kernel-probe an exit code in {0, 1, 2, 3}, no
+    traceback, and no kernel_probe.json on a configuration error or abort.
+    Only kernel-probe is fuzzed: at most three probe times bound its work,
+    while a fuzzed N could make simulate or grid-check allocate gigabytes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(text=_config_text)
+    def test_exit_code_and_output(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "out")
+            code = command_dispatch(["kernel-probe", "--config", cfg,
+                                     "--out", out, "--quiet"])
+            assert code in (0, 1, 2, 3)
+            if code in (2, 3):
+                assert not os.path.exists(os.path.join(out, "kernel_probe.json"))

@@ -4,11 +4,14 @@ The reference-scale rate verifications live in the acceptance suite; here the
 drivers run on small grids and short horizons with loose windows.
 """
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import radns.semigroup
 from radns.besov import DyadicPartition, j0_for_time
 from radns.decay import (
     DecaySeries,
@@ -261,6 +264,27 @@ class TestKernelProbeDriver:
             run_kernel_lower_probe((16.0, 1e8))
         with pytest.raises(NumericDomainError, match="frame blocks"):
             block_frame_sup(1e8, j0_for_time(1e8))
+
+    def test_shipped_outputs_pinned(self, monkeypatch):
+        # the kernel-probe reference run: every probe and frame sup as in the
+        # benchmark's reference JSON, reached through the same refinements
+        path = pathlib.Path(__file__).parents[1] / "perfbench" / "reference" / "kernel_probe.json"
+        want = json.loads(path.read_text())["entries"][0]["per_time"]
+        probe_integral = radns.semigroup._probe_integral
+        n_nodes = []
+
+        def recording(t, psi, points, n, branch):
+            n_nodes.append((t, n))
+            return probe_integral(t, psi, points, n, branch)
+
+        monkeypatch.setattr(radns.semigroup, "_probe_integral", recording)
+        got = run_kernel_lower_probe((16.0, 64.0, 256.0)).entries[0].extra["per_time"]
+        assert [row["t"] for row in got] == [row["t"] for row in want]
+        for mine, ref in zip(got, want):
+            assert mine["probe_sup"] == pytest.approx(ref["probe_sup"], rel=1e-12, abs=0.0)
+            assert mine["frame_sup"] == pytest.approx(ref["frame_sup"], rel=1e-12, abs=0.0)
+        assert [[n for s, n in n_nodes if s == t] for t in (16.0, 64.0, 256.0)] == [
+            [32, 64, 128, 256], [32, 64, 128], [32, 64, 128, 256]]
 
     @pytest.mark.parametrize("t", [4.0, 16.0, 64.0, 256.0])
     def test_frame_sup_direct_sum_bounds(self, t):

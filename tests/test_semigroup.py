@@ -463,6 +463,15 @@ class TestKernelProbe:
 
         assert kernel_probe(16.0, ZeroPsi(), [(0.0, 0.0, 0.0)]) == 0.0
 
+    def test_all_zero_coarse_pass_does_not_end_refinement(self):
+        # at n = 32 no node reaches this narrow axial bump, so the first sup is
+        # exactly 0; n = 64 / 128 / 256 read 4.0e-6 / 3.3e-6 / 3.6e-6, so a
+        # zero coarse pass must not end the refinement
+        psi = CutoffPsi(axial_width=0.01)
+        assert _probe_integral(16.0, psi, probe_point_grid(16.0), 32, "plus").max() == 0.0
+        with pytest.raises(SolverAbort, match="max_nodes = 256"):
+            kernel_probe(16.0, psi, probe_point_grid(16.0))
+
     def test_unconverged_refinement_raises(self):
         # 4 -> 8 nodes changes the sup far more than 1e-12: no silent return
         with pytest.raises(SolverAbort, match=r"max_nodes = 8: last relative change") as err:
@@ -491,15 +500,47 @@ class TestKernelProbe:
         assert pts[:, 0].max() == pytest.approx(4.0 * 16.0)
 
 
+#: the default shell (outer radius 0.875), a narrow one (0.8) and a wide one
+#: (1.05) that reaches past every slab, so that no slab is skipped
+PROBE_CUTOFFS = {"default": default_cutoff(),
+                 "narrow-shell": CutoffPsi(shell_width=0.05),
+                 "wide-shell": CutoffPsi(shell_width=0.3)}
+ORACLE_CASES = [pytest.param(t, n, name, id=f"{t}-{n}" + ("" if name == "default" else f"-{name}"))
+                for name in PROBE_CUTOFFS for n in (32, 64) for t in (16.0, 64.0, 256.0)]
+
+
 class TestProbeIntegral:
-    @pytest.mark.parametrize("n_nodes", [32, 64])
-    @pytest.mark.parametrize("t", [16.0, 64.0, 256.0])
-    def test_matches_full_tensor_oracle(self, t, n_nodes):
-        psi = default_cutoff()
+    @pytest.mark.parametrize("t, n_nodes, cutoff", ORACLE_CASES)
+    def test_matches_full_tensor_oracle(self, t, n_nodes, cutoff):
+        psi = PROBE_CUTOFFS[cutoff]
         pts = np.vstack(([0.0, 0.0, 0.0], probe_point_grid(t)))
         got = _probe_integral(t, psi, pts, n_nodes, "plus")
         want = full_tensor_probe_integral(t, psi, pts, n_nodes, "plus")
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("t", [16.0, 256.0])
+    def test_skipped_nodes_outside_support(self, t):
+        # record the block of nodes each evaluated slab passes to Psi, then
+        # evaluate Psi on the whole n^3 box: it must be exactly 0 elsewhere
+        n = 32
+        blocks = []
+
+        class RecordingPsi(CutoffPsi):
+            def __call__(self, xi1, xi2, xi3):
+                blocks.append((float(xi1), np.size(xi2), np.size(xi3)))
+                return super().__call__(xi1, xi2, xi3)
+
+        _probe_integral(t, RecordingPsi(), probe_point_grid(t), n, "plus")
+        x, _ = np.polynomial.legendre.leggauss(n)
+        scaled1 = 0.75 + 0.25 * x          # t^{1/2} xi_1 over [1/2, 1]
+        scaled23 = 0.5 * (x + 1.0)         # t^{3/4} xi_{2,3} over [0, 1]
+        evaluated = np.zeros((n, n, n), dtype=bool)
+        for x1, k2, k3 in blocks:
+            evaluated[np.argmin(np.abs(scaled1 - x1)), :k2, :k3] = True
+        full = default_cutoff()(scaled1[:, None, None], scaled23[None, :, None],
+                                scaled23[None, None, :])
+        assert np.count_nonzero(evaluated) < n ** 3 / 2
+        assert np.all(full[~evaluated] == 0.0)
 
     def test_memory_below_one_tensor(self):
         # the marginals are summed slab by slab: no n^3 array is ever built
