@@ -17,16 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BandRangeError, NumericDomainError, UnsupportedParameterError, UsageError
-from .spectral import (
-    RadialGrid,
-    RadialScalarField,
-    apply_multiplier,
-    as_physical,
-    as_spectral,
-    per_grid_cache,
-    spectral_lp_norm,
-)
+from .errors import NumericDomainError, UnsupportedParameterError, UsageError
+from .spectral import RadialGrid, RadialScalarField, as_spectral, per_grid_cache, spectral_lp_norm
 
 
 def _ramp(s: np.ndarray) -> np.ndarray:
@@ -38,35 +30,34 @@ def _ramp(s: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DyadicPartition:
-    """Smooth dyadic partition of unity on frequency space."""
+def theta(rho) -> np.ndarray:
+    """Transition profile: 1 on [0, 1], 0 on [2, inf), smooth in between."""
+    rho = np.asarray(rho, dtype=float)
+    up = _ramp(2.0 - rho)
+    down = _ramp(rho - 1.0)
+    with np.errstate(invalid="ignore"):
+        mid = np.where(up + down > 0.0, up / (up + down), 0.0)
+    return np.where(rho <= 1.0, 1.0, np.where(rho >= 2.0, 0.0, mid))
 
-    def theta(self, rho) -> np.ndarray:
-        """Transition profile: 1 on [0, 1], 0 on [2, inf), smooth in between."""
-        rho = np.asarray(rho, dtype=float)
-        up = _ramp(2.0 - rho)
-        down = _ramp(rho - 1.0)
-        with np.errstate(invalid="ignore"):
-            mid = np.where(up + down > 0.0, up / (up + down), 0.0)
-        return np.where(rho <= 1.0, 1.0, np.where(rho >= 2.0, 0.0, mid))
 
-    def phi_hat(self, j: int, rho) -> np.ndarray:
-        """Block multiplier, supported in [2^{j-1}, 2^{j+1}]."""
-        rho = np.asarray(rho, dtype=float)
-        scale = 2.0 ** (-j)
-        return self.theta(scale * rho) - self.theta(2.0 * scale * rho)
+def phi_hat(j: int, rho) -> np.ndarray:
+    """Block multiplier, supported in [2^{j-1}, 2^{j+1}]."""
+    rho = np.asarray(rho, dtype=float)
+    scale = 2.0 ** (-j)
+    return theta(scale * rho) - theta(2.0 * scale * rho)
 
-    @per_grid_cache
-    def block_multiplier(self, grid: RadialGrid, j: int) -> np.ndarray:
-        """phi_hat_j sampled at the grid nodes (cached per grid and j)."""
-        return self.phi_hat(j, grid.rho)
 
-    def resolved_range(self, grid: RadialGrid) -> tuple[int, int]:
-        """Smallest/largest block index whose support meets the grid band."""
-        j_min = math.ceil(math.log2(grid.drho) - 1.0)
-        j_max = math.floor(math.log2(grid.rho[-1]) + 1.0)
-        return j_min, j_max
+@per_grid_cache
+def block_multiplier(grid: RadialGrid, j: int) -> np.ndarray:
+    """phi_hat_j sampled at the grid nodes (cached per grid and j)."""
+    return phi_hat(j, grid.rho)
+
+
+def resolved_range(grid: RadialGrid) -> tuple[int, int]:
+    """Smallest/largest block index whose support meets the grid band."""
+    j_min = math.ceil(math.log2(grid.drho) - 1.0)
+    j_max = math.floor(math.log2(grid.rho[-1]) + 1.0)
+    return j_min, j_max
 
 
 @dataclass(frozen=True)
@@ -88,19 +79,6 @@ class BesovSpec:
             raise UnsupportedParameterError("banded norms need a cutoff index j0")
 
 
-def block(field: RadialScalarField, j: int, partition: DyadicPartition | None = None
-          ) -> RadialScalarField:
-    """Frequency-localise a field to the dyadic annulus |rho| ~ 2^j."""
-    part = partition if partition is not None else DyadicPartition()
-    j_min, j_max = part.resolved_range(field.grid)
-    if not j_min <= j <= j_max:
-        raise BandRangeError(
-            f"block {j} outside resolved range [{j_min}, {j_max}] of the grid")
-    mult = part.block_multiplier(field.grid, j)
-    out = apply_multiplier(as_spectral(field), lambda rho: mult)
-    return as_physical(out) if field.space == "physical" else out
-
-
 def _band_indices(spec: BesovSpec, j_min: int, j_max: int) -> range:
     if spec.band == "full":
         return range(j_min, j_max + 1)
@@ -110,7 +88,7 @@ def _band_indices(spec: BesovSpec, j_min: int, j_max: int) -> range:
 
 
 def _pair_block_norms(a: RadialScalarField, v: RadialScalarField | None, p: float,
-                      indices: Iterable[int], part: DyadicPartition) -> dict[int, float]:
+                      indices: Iterable[int]) -> dict[int, float]:
     """L^p norm of the blockwise modulus |(block_j a, block_j v)| for each j.
 
     v = None is the one-field case.  The fields are read in spectral space and
@@ -121,7 +99,7 @@ def _pair_block_norms(a: RadialScalarField, v: RadialScalarField | None, p: floa
     if v is not None and v.grid != a.grid:
         raise UsageError("pair fields live on different grids")
     hat = np.stack([as_spectral(f).values for f in (a, v) if f is not None])
-    return {j: spectral_lp_norm(a.grid, part.block_multiplier(a.grid, j) * hat, p)
+    return {j: spectral_lp_norm(a.grid, block_multiplier(a.grid, j) * hat, p)
             for j in indices}
 
 
@@ -135,22 +113,20 @@ def lq_sum(terms: Iterable[float], q: float) -> float:
     return float(np.sum(terms ** q) ** (1.0 / q))
 
 
-def pair_besov_norm(a: RadialScalarField, v: RadialScalarField | None, spec: BesovSpec,
-                    partition: DyadicPartition | None = None) -> float:
+def pair_besov_norm(a: RadialScalarField, v: RadialScalarField | None, spec: BesovSpec
+                    ) -> float:
     """Besov norm of the pair [a; v]: blockwise Euclidean modulus before L^p.
 
     v = None gives the norm of a alone.
     """
-    part = partition if partition is not None else DyadicPartition()
-    indices = _band_indices(spec, *part.resolved_range(a.grid))
-    norms = _pair_block_norms(a, v, spec.p, indices, part)
+    indices = _band_indices(spec, *resolved_range(a.grid))
+    norms = _pair_block_norms(a, v, spec.p, indices)
     return lq_sum((2.0 ** (spec.s * j) * n for j, n in norms.items()), spec.q)
 
 
-def besov_norm(field: RadialScalarField, spec: BesovSpec,
-               partition: DyadicPartition | None = None) -> float:
+def besov_norm(field: RadialScalarField, spec: BesovSpec) -> float:
     """Homogeneous Besov norm: l^q sum over blocks of 2^{sj} ||block||_p."""
-    return pair_besov_norm(field, None, spec, partition)
+    return pair_besov_norm(field, None, spec)
 
 
 def j0_for_time(t: float) -> int:

@@ -11,10 +11,11 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
-from .besov import BesovSpec, DyadicPartition, besov_norm
+from .besov import BesovSpec, besov_norm
 from .config import RunConfig, load_config
 from .decay import (
     DecaySeries,
@@ -170,7 +171,7 @@ def cmd_besov_norm(args) -> int:
     spec = BesovSpec(config.get("s"), config.get("p"), config.get("q"),
                      band=config.get("band"),
                      j0=config.get("j0") if config.get("band") != "full" else None)
-    value = besov_norm(a0, spec, DyadicPartition())
+    value = besov_norm(a0, spec)
     if not math.isfinite(value):
         raise SolverAbort("non-finite Besov norm", time=0.0)
     payload = {"experiment": "besov-norm", "value": value,
@@ -190,10 +191,17 @@ def cmd_fit(args) -> int:
     if column not in CSV_COLUMNS[1:]:
         raise ConfigurationError(f"unknown column {column!r}")
     try:
-        # a one-row file parses to a 0-d record; keep it a (short) series
-        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+        with warnings.catch_warnings():   # an empty file warns, then raises IndexError
+            warnings.simplefilter("ignore", UserWarning)
+            # a one-row file parses to a 0-d record; keep it a (short) series
+            data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
     except OSError as exc:
         raise ConfigurationError(f"cannot read csv {path}: {exc}") from exc
+    except IndexError as exc:
+        raise ConfigurationError(f"csv {path} is empty") from exc
+    except ValueError as exc:           # a ragged row
+        raise ConfigurationError(f"cannot parse csv {path}: {' '.join(str(exc).split())}"
+                                 ) from exc
     if not {"t", column} <= set(data.dtype.names or ()):
         raise ConfigurationError(f"csv {path} needs `t` and `{column}` columns")
     series = DecaySeries.from_samples(data["t"], data[column])

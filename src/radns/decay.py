@@ -19,17 +19,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import DyadicPartition, _pair_block_norms, j0_for_time, lq_sum
+from .besov import _pair_block_norms, j0_for_time, lq_sum, resolved_range
 from .errors import FitError, NumericDomainError, SolverAbort, UnsupportedParameterError
-from .semigroup import default_cutoff, kernel_probe, probe_point_grid, scalar_kernel_values
+from .semigroup import CutoffPsi, kernel_probe, probe_point_grid, scalar_kernel_values
 from .solver import CSV_COLUMNS, DiagnosticsRow, SolverConfig, simulate
 from .spectral import RadialScalarField, make_grid
 
 
 @dataclass
 class DecaySeries:
-    """Strictly increasing time stamps with positive values; nonpositive
-    samples are dropped at construction and counted."""
+    """Strictly increasing finite time stamps with positive finite values;
+    nonpositive samples are dropped at construction and counted."""
 
     t: np.ndarray
     values: np.ndarray
@@ -41,6 +41,9 @@ class DecaySeries:
         values = np.asarray(values, dtype=float)
         if t.shape != values.shape:
             raise FitError("time stamps and values differ in length")
+        bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(values)))
+        if bad.size:
+            raise FitError(f"non-finite time stamp or value at sample {bad[:3].tolist()}")
         if np.any(np.diff(t) <= 0):
             raise FitError("time stamps must be strictly increasing")
         keep = values > 0
@@ -295,7 +298,7 @@ def _frame_blocks(t: float, j0: int) -> range:
     """Blocks j0 - 2 .. j0 + 2 of the frame at time t.  A window the frame
     grid does not resolve in full would read a smaller sup, or 0 when it is
     empty, so it raises NumericDomainError instead."""
-    j_min, j_max = DyadicPartition().resolved_range(make_grid(*_FRAME_GRID))
+    j_min, j_max = resolved_range(make_grid(*_FRAME_GRID))
     if j0 - 2 < j_min or j0 + 2 > j_max:
         raise NumericDomainError(
             f"frame blocks {j0 - 2} .. {j0 + 2} at t = {t:g} leave the range "
@@ -311,7 +314,7 @@ def block_frame_sup(t: float, j0: int) -> float:
     kernel = scalar_kernel_values(grid.rho, t)
     norms = _pair_block_norms(RadialScalarField(grid, kernel.real, "spectral"),
                               RadialScalarField(grid, kernel.imag, "spectral"), math.inf,
-                              blocks, DyadicPartition())
+                              blocks)
     return lq_sum(norms.values(), math.inf)
 
 
@@ -331,7 +334,7 @@ def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> Exp
     scaled = []
     details = []
     for t in t_list:
-        value = kernel_probe(t, default_cutoff(), probe_point_grid(t))
+        value = kernel_probe(t, CutoffPsi(), probe_point_grid(t))
         j0 = j0_for_time(t)
         frame = block_frame_sup(t, j0)
         scaled.append(t * t * value)

@@ -19,10 +19,6 @@ class NumericDomainError(RadnsError, ValueError):
     (non-positive frequency, negative time, non-finite multiplier values)."""
 
 
-class BandRangeError(RadnsError, ValueError):
-    """A dyadic block index falls outside the range the grid can represent."""
-
-
 class UnsupportedParameterError(RadnsError, ValueError):
     """A parameter combination the implementation deliberately does not cover."""
 

@@ -18,9 +18,9 @@ coalescence point.  Every such function is applied the same way: its four
 per-mode entries (mode_function_entries) multiply the pair in one entry
 product (mode_product).
 
-This module also evaluates the scalar kernels e^{t lambda(D)} and the
+This module also evaluates the scalar kernel e^{t lambda_+(D)} and the
 anisotropically rescaled oscillatory-integral probe that exhibits the
-t^{-2} sup-norm floor of the low-frequency kernel.
+t^{-2} sup-norm floor of that kernel at low frequency.
 """
 
 from __future__ import annotations
@@ -38,16 +38,6 @@ from .spectral import RadialScalarField
 #: below this value of |t*delta| the divided differences switch to their
 #: power series in (t delta)^2, which is exact to double precision there.
 _SERIES_THRESHOLD = 1.0e-3
-
-
-@dataclass(frozen=True)
-class ModeMatrix:
-    """Entries of e^{t M_rho} acting on (a_hat, v_hat) at one frequency."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
 
 
 def mode_function_entries(j: int, rho: np.ndarray, t: float
@@ -84,12 +74,6 @@ def mode_matrices(rho: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np
     return mode_function_entries(0, rho, float(t))
 
 
-def mode_exponential(rho: float, t: float) -> ModeMatrix:
-    """e^{t M_rho} for a single frequency."""
-    m11, m12, m21, m22 = mode_matrices(np.array([float(rho)]), t)
-    return ModeMatrix(float(m11[0]), float(m12[0]), float(m21[0]), float(m22[0]))
-
-
 def apply_semigroup(a_hat: RadialScalarField, v_hat: RadialScalarField, t: float
                     ) -> tuple[RadialScalarField, RadialScalarField]:
     """Propagate a spectral (a, v) pair exactly by time t."""
@@ -103,39 +87,16 @@ def apply_semigroup(a_hat: RadialScalarField, v_hat: RadialScalarField, t: float
             RadialScalarField(v_hat.grid, v_new, "spectral"))
 
 
-def hi_freq_identity_check(rho: float, t: float, branch: str = "plus") -> tuple[float, float]:
-    """Evaluate the two closed forms of the high-frequency decay exponent.
-
-    lhs = -t (rho^2/2)(1 +/- s),  rhs = -2t / (1 -/+ s),  s = sqrt(1 - 4/rho^2).
-    """
-    if rho <= 2.0:
-        raise NumericDomainError(f"identity holds for rho > 2, got {rho}")
-    if t < 0:
-        raise NumericDomainError(f"time must be non-negative, got {t}")
-    sign = _branch_sign(branch)
-    s = math.sqrt(1.0 - 4.0 / (rho * rho))
-    lhs = -t * (rho * rho / 2.0) * (1.0 + sign * s)
-    rhs = -2.0 * t / (1.0 - sign * s)
-    return lhs, rhs
-
-
-def _branch_sign(branch: str) -> float:
-    if branch not in ("plus", "minus"):
-        raise UsageError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    return 1.0 if branch == "plus" else -1.0
-
-
 # -- scalar semigroup kernels --------------------------------------------------
 
-def scalar_kernel_values(rho: np.ndarray, t: float, branch: str = "plus") -> np.ndarray:
-    """e^{t lambda_branch(rho)} as complex values (vectorised).
+def scalar_kernel_values(rho: np.ndarray, t: float) -> np.ndarray:
+    """e^{t lambda_+(rho)} as complex values (vectorised).
 
-    lambda = -(rho^2/2)(1 +/- sqrt(1 - 4/rho^2)); the complex square root is
+    lambda_+ = -(rho^2/2)(1 + sqrt(1 - 4/rho^2)); the complex square root is
     imaginary below rho = 2 and real above, so one expression covers both.
     """
-    sign = _branch_sign(branch)
     rho = np.asarray(rho, dtype=float)
-    return np.exp(-t * (rho * rho / 2.0) * (1.0 + sign * np.sqrt((1.0 - 4.0 / rho ** 2) + 0j)))
+    return np.exp(-t * (rho * rho / 2.0) * (1.0 + np.sqrt((1.0 - 4.0 / rho ** 2) + 0j)))
 
 
 # -- anisotropic lower-bound probe ---------------------------------------------
@@ -171,17 +132,12 @@ class CutoffPsi:
         return math.sqrt(max(outer * outer - xi1 * xi1, 0.0))
 
 
-def default_cutoff() -> CutoffPsi:
-    return CutoffPsi()
-
-
 def _gauss_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int,
-                    branch: str) -> np.ndarray:
+def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int) -> np.ndarray:
     """|integral e^{i x.xi} e^{t lambda(|xi|)} Psi(t^{1/2} xi_t) dxi| per probe point.
 
     The integrand is even in each coordinate, so the integral over the full
@@ -214,7 +170,7 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int,
             continue
         k = min(int(np.searchsorted(scaled, radius)) + 1, n_nodes)
         rho = np.sqrt(xi1 ** 2 + x2[:k, None] ** 2 + x3[None, :k] ** 2)
-        slab = scalar_kernel_values(rho, t, branch)
+        slab = scalar_kernel_values(rho, t)
         slab *= psi(scaled1, scaled[:k, None], scaled[None, :k])
         slab *= wi * w2[:k, None] * w3[None, :k]
         marginals[0, i] = slab.sum()
@@ -229,8 +185,7 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int,
 
 
 def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float]],
-                 n_nodes: int = 32, branch: str = "plus",
-                 refine_rtol: float = 1.0e-6, max_nodes: int = 256) -> float:
+                 n_nodes: int = 32, refine_rtol: float = 1.0e-6, max_nodes: int = 256) -> float:
     """Sup over probe points of the anisotropically cut kernel modulus.
 
     Gauss-Legendre tensor quadrature over the compact support box; the node
@@ -246,11 +201,11 @@ def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float
     if pts.shape[1] != 3:
         raise UsageError("probe points must be 3D")
     n = max(int(n_nodes), 4)
-    value = float(np.max(_probe_integral(t, psi, pts, n, branch)))
+    value = float(np.max(_probe_integral(t, psi, pts, n)))
     change = math.inf
     while n < max_nodes:
         n *= 2
-        refined = float(np.max(_probe_integral(t, psi, pts, n, branch)))
+        refined = float(np.max(_probe_integral(t, psi, pts, n)))
         if abs(refined - value) <= refine_rtol * abs(refined):
             return refined
         change = abs(refined - value) / abs(refined) if refined != 0.0 else math.inf

@@ -16,8 +16,7 @@ sin(r rho) gives rho^2 h_hat = S - rho C, with S = sqrt(2/pi) int G sin(r rho)
 dr and C = sqrt(2/pi) int r G cos(r rho) dr: the boundary term r G sin(r rho)
 vanishes at r = 0 and at r = R, where sin(R rho_k) = sin(k pi) = 0.  A forcing
 evaluation is three two-transform syntheses ((a, a'), (w, w'), q'), one DST
-for f and a DST plus a DCT for h: 9 transforms (the vector-profile calculus it
-replaced took 17), and an ETD2 step makes 19 (35 before).
+for f and a DST plus a DCT for h: 9 transforms, and an ETD2 step makes 19.
 
 Integration is second-order exponential time differencing over the exact
 per-mode propagator: the linear flow commits no time-discretisation error, so
@@ -33,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .besov import BesovSpec, DyadicPartition, pair_besov_norm
+from .besov import BesovSpec, pair_besov_norm
 from .errors import ConfigurationError, SolverAbort
 from .semigroup import apply_semigroup, mode_function_entries, mode_matrices, mode_product
 from .spectral import (
@@ -198,9 +197,6 @@ def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
     """Spectral forcing pair (f_hat, h_hat) at the current state, by the
     radial identities of the module docstring on the dealiased fields."""
     grid = state.a_hat.grid
-    if config.linear_only:
-        return zero_field(grid, "spectral"), zero_field(grid, "spectral")
-
     mask = dealias_mask(grid, config.dealias_fraction)
     a_hat = RadialScalarField(grid, state.a_hat.values * mask, "spectral")
     v_hat = RadialScalarField(grid, state.v_hat.values * mask, "spectral")
@@ -271,8 +267,7 @@ def step_etd2(state: SolverState, law: PressureLaw, config: SolverConfig,
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise SolverAbort("non-finite spectral value after step",
                               time=new.t, mode_index=bad)
-    if not config.linear_only:
-        _check_density(to_physical(new.a_hat).values, config.density_guard, new.t)
+    _check_density(to_physical(new.a_hat).values, config.density_guard, new.t)
     return new
 
 
@@ -283,13 +278,11 @@ def initial_state(config: SolverConfig) -> SolverState:
 
 
 def diagnostics_row(state: SolverState,
-                    linear: tuple[RadialScalarField, RadialScalarField],
-                    partition: DyadicPartition | None = None) -> DiagnosticsRow:
+                    linear: tuple[RadialScalarField, RadialScalarField]) -> DiagnosticsRow:
     """The row's norms from the spectral pair and the linear flow `linear`
     at state.t; the nonlinear part is state - linear.  L^2 norms by exact
     discrete Parseval, a and v synthesised together once for the sup norms,
     and the Besov norms read straight from the spectral fields."""
-    part = partition if partition is not None else DyadicPartition()
     grid = state.a_hat.grid
     av_hat = np.stack((state.a_hat.values, state.v_hat.values))
     av = RadialScalarField(grid, np.hypot(*physical_values(grid, av_hat)), "physical")
@@ -300,10 +293,10 @@ def diagnostics_row(state: SolverState,
         t=state.t,
         l2_av=spectral_lp_norm(grid, av_hat, 2.0),
         linf_av=lp_norm(av, np.inf),
-        besov0_21=pair_besov_norm(state.a_hat, state.v_hat, BesovSpec(0.0, 2.0, 1.0), part),
-        besov0_inf1=pair_besov_norm(state.a_hat, state.v_hat, spec_inf1, part),
+        besov0_21=pair_besov_norm(state.a_hat, state.v_hat, BesovSpec(0.0, 2.0, 1.0)),
+        besov0_inf1=pair_besov_norm(state.a_hat, state.v_hat, spec_inf1),
         nl_l2=spectral_lp_norm(grid, (nl_a.values, nl_v.values), 2.0),
-        nl_besov_inf1=pair_besov_norm(nl_a, nl_v, spec_inf1, part),
+        nl_besov_inf1=pair_besov_norm(nl_a, nl_v, spec_inf1),
         weighted_sup=weighted_sup_norm(av),
     )
 
@@ -327,7 +320,6 @@ def simulate(config: SolverConfig) -> tuple[list[DiagnosticsRow], SolverState]:
     Deterministic: fixed evaluation order, no randomness anywhere.
     """
     config.validate()
-    partition = DyadicPartition()
     state = initial_state(config)
     a0, v0 = state.a_hat, state.v_hat
     kept = dealias_mask(a0.grid, config.dealias_fraction) > 0
@@ -348,5 +340,5 @@ def simulate(config: SolverConfig) -> tuple[list[DiagnosticsRow], SolverState]:
         # The forcing is dealiased, so above the edge the state is the linear flow.
         linear = [RadialScalarField(a0.grid, np.where(kept, lin.values, f.values), "spectral")
                   for lin, f in zip(linear, (state.a_hat, state.v_hat))]
-        rows.append(diagnostics_row(state, linear, partition))
+        rows.append(diagnostics_row(state, linear))
     return rows, state

@@ -95,12 +95,6 @@ def field_from_samples(grid: RadialGrid, values, space: Space = "physical") -> R
     return RadialScalarField(grid, vals, space)
 
 
-def field_from_profile_function(grid: RadialGrid, fn: Callable[[np.ndarray], np.ndarray],
-                                space: Space = "physical") -> RadialScalarField:
-    nodes = grid.r if space == "physical" else grid.rho
-    return field_from_samples(grid, fn(nodes), space)
-
-
 def zero_field(grid: RadialGrid, space: Space = "physical") -> RadialScalarField:
     return RadialScalarField(grid, np.zeros(grid.n_modes), space)
 
@@ -166,10 +160,6 @@ def to_physical(field: RadialScalarField) -> RadialScalarField:
     """Inverse weighted DST-I: fhat(rho_k) -> f(r_m).  Exact involution."""
     _require_space(field, "spectral", "to_physical")
     return RadialScalarField(field.grid, physical_values(field.grid, field.values), "physical")
-
-
-def as_physical(field: RadialScalarField) -> RadialScalarField:
-    return field if field.space == "physical" else to_physical(field)
 
 
 def as_spectral(field: RadialScalarField) -> RadialScalarField:

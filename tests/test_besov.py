@@ -7,21 +7,19 @@ import pytest
 
 from radns.besov import (
     BesovSpec,
-    DyadicPartition,
     _pair_block_norms,
     besov_norm,
-    block,
+    block_multiplier,
     j0_for_time,
     pair_besov_norm,
+    phi_hat,
+    resolved_range,
+    theta,
 )
-from radns.errors import (
-    BandRangeError,
-    NumericDomainError,
-    UsageError,
-)
+from radns.errors import NumericDomainError, UsageError
 from radns.spectral import (
     apply_multiplier,
-    field_from_profile_function,
+    as_spectral,
     field_from_samples,
     lp_norm,
     make_grid,
@@ -29,20 +27,22 @@ from radns.spectral import (
     to_spectral,
     zero_field,
 )
+from test_spectral import field_from_profile_function
 
 
-@pytest.fixture(scope="module")
-def partition():
-    return DyadicPartition()
+def block(field, j):
+    """Spectral field localised to the dyadic annulus |rho| ~ 2^j."""
+    mult = block_multiplier(field.grid, j)
+    return apply_multiplier(as_spectral(field), lambda rho: mult)
 
 
-def low_cutoff(field, j, partition):
+def low_cutoff(field, j):
     """Smooth low-pass theta(2^{-j} rho) of a spectral field, retaining
     frequencies below ~2^{j+1}."""
-    return apply_multiplier(field, lambda rho: partition.theta(rho * 2.0 ** (-j)))
+    return apply_multiplier(field, lambda rho: theta(rho * 2.0 ** (-j)))
 
 
-def oracle_block_norms(a, v, p, indices, partition):
+def oracle_block_norms(a, v, p, indices):
     """One block at a time, one field at a time, in physical space: each block
     synthesised alone, then the pointwise modulus and the rectangle-rule L^p
     norm.  v = None is the one-field case."""
@@ -50,19 +50,19 @@ def oracle_block_norms(a, v, p, indices, partition):
               for f in (a, v) if f is not None]
     norms = {}
     for j in indices:
-        mult = partition.block_multiplier(a.grid, j)
+        mult = block_multiplier(a.grid, j)
         blocks = [to_physical(apply_multiplier(f, lambda rho: mult)).values for f in fields]
         modulus = np.hypot(*blocks) if len(blocks) == 2 else blocks[0]
         norms[j] = lp_norm(field_from_samples(a.grid, modulus), p)
     return norms
 
 
-def oracle_pair_besov_norm(a, v, spec, partition):
+def oracle_pair_besov_norm(a, v, spec):
     """l^q sum of 2^{sj} times the oracle block norms over the spec's band."""
-    j_min, j_max = partition.resolved_range(a.grid)
+    j_min, j_max = resolved_range(a.grid)
     lo = max(spec.j0, j_min) if spec.band == "high" else j_min
     hi = min(spec.j0, j_max) if spec.band == "low" else j_max
-    norms = oracle_block_norms(a, v, spec.p, range(lo, hi + 1), partition)
+    norms = oracle_block_norms(a, v, spec.p, range(lo, hi + 1))
     terms = [2.0 ** (spec.s * j) * n for j, n in norms.items()]
     if not terms:
         return 0.0
@@ -79,110 +79,113 @@ def band_limited_field(grid, rng, lo_mode=20, hi_mode=400):
 
 
 class TestPartition:
-    def test_theta_profile(self, partition):
+    def test_theta_profile(self):
         rho = np.linspace(0.0, 3.0, 301)
-        theta = partition.theta(rho)
-        assert np.all(theta[rho <= 1.0] == 1.0)
-        assert np.all(theta[rho >= 2.0] == 0.0)
-        assert np.all((theta >= 0.0) & (theta <= 1.0))
-        assert np.all(np.diff(theta) <= 1e-12)
+        profile = theta(rho)
+        assert np.all(profile[rho <= 1.0] == 1.0)
+        assert np.all(profile[rho >= 2.0] == 0.0)
+        assert np.all((profile >= 0.0) & (profile <= 1.0))
+        assert np.all(np.diff(profile) <= 1e-12)
 
-    def test_block_support(self, partition):
+    def test_block_support(self):
         rho = np.linspace(0.001, 10.0, 4000)
         for j in (-2, 0, 1):
-            phi = partition.phi_hat(j, rho)
+            phi = phi_hat(j, rho)
             outside = (rho < 2.0 ** (j - 1)) | (rho > 2.0 ** (j + 1))
             assert np.all(phi[outside] == 0.0)
             assert phi.max() > 0.5
 
-    def test_scaling_exact(self, partition):
+    def test_scaling_exact(self):
         rho = np.linspace(0.01, 50.0, 1000)
-        assert np.array_equal(partition.phi_hat(3, rho),
-                              partition.phi_hat(0, rho / 8.0))
+        assert np.array_equal(phi_hat(3, rho),
+                              phi_hat(0, rho / 8.0))
 
-    def test_telescoping(self, partition):
+    def test_telescoping(self):
         rho = np.linspace(0.05, 30.0, 2000)
-        total = sum(partition.phi_hat(j, rho) for j in range(-5, 7))
+        total = sum(phi_hat(j, rho) for j in range(-5, 7))
         exact = (rho >= 2.0 ** -4) & (rho <= 2.0 ** 6)
         assert np.max(np.abs(total[exact] - 1.0)) < 1e-14
 
-    def test_resolved_range(self, partition):
+    def test_resolved_range(self):
         grid = make_grid(16384, 500.0)
-        j_min, j_max = partition.resolved_range(grid)
+        j_min, j_max = resolved_range(grid)
         assert 2.0 ** (j_min + 1) >= grid.drho
         assert 2.0 ** j_max >= grid.rho[-1] / 2.0
         # the resolved blocks sum exactly to 1 on [2^(j_min+1), 2^j_max]
         lo, hi = 2.0 ** (j_min + 1), 2.0 ** j_max
         assert lo < 1.0 < hi
         inside = (grid.rho >= lo) & (grid.rho <= hi)
-        total = sum(partition.block_multiplier(grid, j) for j in range(j_min, j_max + 1))
+        total = sum(block_multiplier(grid, j) for j in range(j_min, j_max + 1))
         assert np.max(np.abs(total[inside] - 1.0)) < 1e-14
 
 
 class TestBlocks:
-    def test_disjoint_supports(self, partition):
+    def test_disjoint_supports(self):
         grid = make_grid(1024, 50.0)
         f = apply_multiplier(
             band_limited_field(grid, np.random.default_rng(0), 1, 1024),
-            lambda rho: partition.phi_hat(2, rho))
+            lambda rho: phi_hat(2, rho))
         for j_other in (-2, -1, 0, 4, 5):
-            far = block(f, j_other, partition)
+            far = block(f, j_other)
             assert np.max(np.abs(far.values)) == 0.0
 
-    def test_partition_of_unity_reconstruction(self, partition):
+    def test_partition_of_unity_reconstruction(self):
         grid = make_grid(1024, 50.0)
         rng = np.random.default_rng(1)
         f = band_limited_field(grid, rng, 30, 700)
-        j_min, j_max = partition.resolved_range(grid)
+        j_min, j_max = resolved_range(grid)
         total = np.zeros(grid.n_modes)
         for j in range(j_min, j_max + 1):
-            total += block(f, j, partition).values
+            total += block(f, j).values
         rel = np.max(np.abs(total - f.values)) / np.max(np.abs(f.values))
         assert rel < 1e-10
 
-    def test_zero_field(self, partition):
+    def test_zero_field(self):
         grid = make_grid(256, 20.0)
-        assert np.all(block(zero_field(grid), 0, partition).values == 0.0)
+        assert np.all(block(zero_field(grid), 0).values == 0.0)
 
-    def test_out_of_range_rejected(self, partition):
-        grid = make_grid(256, 20.0)
-        j_min, j_max = partition.resolved_range(grid)
-        with pytest.raises(BandRangeError):
-            block(zero_field(grid), j_max + 1, partition)
-        with pytest.raises(BandRangeError):
-            block(zero_field(grid), j_min - 1, partition)
+    def test_blocks_outside_resolved_range_vanish(self):
+        # the Besov sums stop at the resolved range because the next block on
+        # either side has no support on the grid
+        for grid in (make_grid(256, 20.0), make_grid(16384, 500.0)):
+            j_min, j_max = resolved_range(grid)
+            assert not np.any(block_multiplier(grid, j_min - 1))
+            assert not np.any(block_multiplier(grid, j_max + 1))
+            assert np.any(block_multiplier(grid, j_max))
 
-    def test_physical_input_round_trips(self, partition):
+    def test_physical_input_reads_as_spectral(self):
         grid = make_grid(512, 30.0)
         f = field_from_profile_function(grid, lambda r: np.exp(-r ** 2))
-        out = block(f, 0, partition)
-        assert out.space == "physical"
+        indices = range(*_inclusive(grid))
+        for p in (2.0, math.inf):
+            assert _pair_block_norms(f, None, p, indices) == \
+                _pair_block_norms(to_spectral(f), None, p, indices)
 
 
 class TestBesovNorm:
-    def test_zero(self, partition):
+    def test_zero(self):
         grid = make_grid(256, 20.0)
         for spec in (BesovSpec(0.0, 2.0, 1.0), BesovSpec(1.5, math.inf, math.inf),
                      BesovSpec(-0.5, 2.0, 2.0, band="low", j0=0)):
-            assert besov_norm(zero_field(grid), spec, partition) == 0.0
+            assert besov_norm(zero_field(grid), spec) == 0.0
 
-    def test_single_annulus_three_block_oracle(self, partition):
+    def test_single_annulus_three_block_oracle(self):
         grid = make_grid(2048, 100.0)
-        f = field_from_samples(grid, partition.phi_hat(0, grid.rho), "spectral")
+        f = field_from_samples(grid, phi_hat(0, grid.rho), "spectral")
         s = 0.7
         for p in (2.0, math.inf):
-            mine = besov_norm(f, BesovSpec(s, p, 1.0), partition)
+            mine = besov_norm(f, BesovSpec(s, p, 1.0))
             oracle = 0.0
             for j in (-1, 0, 1):   # only neighbours of the annulus contribute
-                blocked = apply_multiplier(f, lambda rho: partition.phi_hat(j, rho))
+                blocked = apply_multiplier(f, lambda rho: phi_hat(j, rho))
                 oracle += 2.0 ** (s * j) * lp_norm(to_physical(blocked), p)
             assert mine == pytest.approx(oracle, rel=1e-10)
             far = sum(lp_norm(to_physical(apply_multiplier(
-                f, lambda rho: partition.phi_hat(j, rho))), p)
+                f, lambda rho: phi_hat(j, rho))), p)
                 for j in (-3, 3))
             assert far == 0.0
 
-    def test_dilation_covariance(self, partition):
+    def test_dilation_covariance(self):
         outer = 80.0
         grid = make_grid(8191, outer)
         f = field_from_profile_function(
@@ -190,11 +193,11 @@ class TestBesovNorm:
         half_grid = make_grid(8191, outer / 2.0)
         dilated = field_from_samples(half_grid, f.values.copy())
         for s, p, q in [(0.5, 2.0, 1.0), (0.0, math.inf, 1.0), (1.0, 2.0, 2.0)]:
-            n_f = besov_norm(f, BesovSpec(s, p, q), partition)
-            n_d = besov_norm(dilated, BesovSpec(s, p, q), partition)
+            n_f = besov_norm(f, BesovSpec(s, p, q))
+            n_d = besov_norm(dilated, BesovSpec(s, p, q))
             assert n_d == pytest.approx(2.0 ** (s - 3.0 / p) * n_f, rel=0.01)
 
-    def test_triangle_embedding(self, partition):
+    def test_triangle_embedding(self):
         grid = make_grid(1024, 50.0)
         rng = np.random.default_rng(4)
         for p in (2.0, math.inf):
@@ -202,38 +205,35 @@ class TestBesovNorm:
                 f = band_limited_field(grid, rng, 25, 600)
                 phys = to_physical(f)
                 lhs = lp_norm(phys, p)
-                rhs = besov_norm(f, BesovSpec(0.0, p, 1.0), partition)
+                rhs = besov_norm(f, BesovSpec(0.0, p, 1.0))
                 assert lhs <= rhs + 1e-9
 
-    def test_almost_orthogonality(self, partition):
+    def test_almost_orthogonality(self):
         grid = make_grid(2048, 60.0)
         rng = np.random.default_rng(5)
         for _ in range(5):
             f = field_from_samples(grid, rng.standard_normal(2048))
-            norms = _pair_block_norms(f, None, 2.0, range(*_inclusive(partition, grid)),
-                                      partition)
+            norms = _pair_block_norms(f, None, 2.0, range(*_inclusive(grid)))
             total = sum(v ** 2 for v in norms.values())
             assert total <= 3.0 * lp_norm(f, 2.0) ** 2
 
-    def test_band_additivity(self, partition):
+    def test_band_additivity(self):
         grid = make_grid(1024, 50.0)
         rng = np.random.default_rng(6)
         f = band_limited_field(grid, rng, 10, 800)
         for q in (1.0, 2.0):
             for j0 in (-1, 1, 3):
-                low = besov_norm(f, BesovSpec(0.3, 2.0, q, band="low", j0=j0),
-                                 partition)
-                high = besov_norm(f, BesovSpec(0.3, 2.0, q, band="high", j0=j0 + 1),
-                                  partition)
-                full = besov_norm(f, BesovSpec(0.3, 2.0, q), partition)
+                low = besov_norm(f, BesovSpec(0.3, 2.0, q, band="low", j0=j0))
+                high = besov_norm(f, BesovSpec(0.3, 2.0, q, band="high", j0=j0 + 1))
+                full = besov_norm(f, BesovSpec(0.3, 2.0, q))
                 assert low ** q + high ** q == pytest.approx(full ** q, rel=1e-12)
 
-    def test_pair_norm_reduces_to_scalar(self, partition):
+    def test_pair_norm_reduces_to_scalar(self):
         grid = make_grid(512, 30.0)
         f = field_from_profile_function(grid, lambda r: np.exp(-r ** 2))
         spec = BesovSpec(0.0, 2.0, 1.0)
-        assert pair_besov_norm(f, zero_field(grid), spec, partition) == \
-            pytest.approx(besov_norm(f, spec, partition), rel=1e-14)
+        assert pair_besov_norm(f, zero_field(grid), spec) == \
+            pytest.approx(besov_norm(f, spec), rel=1e-14)
 
 
 def oracle_fields(grid):
@@ -245,9 +245,9 @@ def oracle_fields(grid):
     return a, v, band_limited_field(grid, np.random.default_rng(5), 20, 400)
 
 
-def _inclusive(partition, grid):
+def _inclusive(grid):
     """(j_min, j_max + 1): the resolved block indices as range() bounds."""
-    j_min, j_max = partition.resolved_range(grid)
+    j_min, j_max = resolved_range(grid)
     return j_min, j_max + 1
 
 
@@ -259,92 +259,90 @@ class TestBlockPathOracle:
     SPECS = [("full", None), ("low", 0), ("high", 1)]
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
-    def test_block_norms(self, partition, p):
+    def test_block_norms(self, p):
         grid = make_grid(*self.GRID)
         for f in oracle_fields(grid):
-            oracle = oracle_block_norms(f, None, p, range(*_inclusive(partition, grid)),
-                                        partition)
-            norms = _pair_block_norms(f, None, p, range(*_inclusive(partition, grid)),
-                                      partition)
+            oracle = oracle_block_norms(f, None, p, range(*_inclusive(grid)))
+            norms = _pair_block_norms(f, None, p, range(*_inclusive(grid)))
             assert norms.keys() == oracle.keys()
             for j, n in oracle.items():
                 assert norms[j] == pytest.approx(n, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("band,j0", SPECS)
-    def test_besov_norms(self, partition, p, band, j0):
+    def test_besov_norms(self, p, band, j0):
         grid = make_grid(*self.GRID)
         a, v, banded = oracle_fields(grid)
         zero = zero_field(grid, "spectral")
         for q in (1.0, 2.0, math.inf):
             spec = BesovSpec(0.5, p, q, band=band, j0=j0)
             for f in (a, v, banded):
-                assert besov_norm(f, spec, partition) == pytest.approx(
-                    oracle_pair_besov_norm(f, None, spec, partition), rel=1e-12)
+                assert besov_norm(f, spec) == pytest.approx(
+                    oracle_pair_besov_norm(f, None, spec), rel=1e-12)
             for x, y in ((a, v), (v, banded), (banded, zero), (zero, a)):
-                assert pair_besov_norm(x, y, spec, partition) == pytest.approx(
-                    oracle_pair_besov_norm(x, y, spec, partition), rel=1e-12)
+                assert pair_besov_norm(x, y, spec) == pytest.approx(
+                    oracle_pair_besov_norm(x, y, spec), rel=1e-12)
 
-    def test_zero_blocks_skip_the_transform(self, partition, transform_counter):
+    def test_zero_blocks_skip_the_transform(self, transform_counter):
         grid = make_grid(*self.GRID)
         _, _, banded = oracle_fields(grid)
         zero = zero_field(grid, "spectral")
-        indices = range(*_inclusive(partition, grid))
+        indices = range(*_inclusive(grid))
         empty = [j for j in indices
-                 if not np.any(partition.block_multiplier(grid, j) * banded.values)]
+                 if not np.any(block_multiplier(grid, j) * banded.values)]
         assert len(empty) >= 2
         n_full = len(indices) - len(empty)
         for p in (1.0, 2.0, math.inf):
-            oracle = oracle_block_norms(banded, None, p, indices, partition)
+            oracle = oracle_block_norms(banded, None, p, indices)
             start = transform_counter[0]
-            norms = _pair_block_norms(banded, None, p, indices, partition)
+            norms = _pair_block_norms(banded, None, p, indices)
             # one row per block with content; p = 2 is Parseval, no transform
             assert transform_counter[0] - start == (0 if p == 2.0 else n_full)
             assert all(norms[j] == 0.0 for j in empty)
             for j, n in oracle.items():
                 assert norms[j] == pytest.approx(n, rel=1e-12)
             start = transform_counter[0]
-            pair = pair_besov_norm(banded, zero, BesovSpec(0.0, p, 1.0), partition)
+            pair = pair_besov_norm(banded, zero, BesovSpec(0.0, p, 1.0))
             assert transform_counter[0] - start == (0 if p == 2.0 else 2 * n_full)
             assert pair == pytest.approx(sum(oracle.values()), rel=1e-12)
         start = transform_counter[0]
-        assert pair_besov_norm(zero, zero, BesovSpec(0.0, math.inf, 1.0), partition) == 0.0
+        assert pair_besov_norm(zero, zero, BesovSpec(0.0, math.inf, 1.0)) == 0.0
         assert transform_counter[0] == start
 
-    def test_mismatched_grids_rejected(self, partition):
+    def test_mismatched_grids_rejected(self):
         a = zero_field(make_grid(256, 20.0))
         with pytest.raises(UsageError):
             pair_besov_norm(a, zero_field(make_grid(256, 30.0)),
-                            BesovSpec(0.0, 2.0, 1.0), partition)
+                            BesovSpec(0.0, 2.0, 1.0))
 
 
 class TestLowCutoff:
-    def test_full_band_pass(self, partition):
+    def test_full_band_pass(self):
         grid = make_grid(1024, 50.0)
         rng = np.random.default_rng(7)
         f = band_limited_field(grid, rng, 10, 900)
-        _, j_max = partition.resolved_range(grid)
-        out = low_cutoff(f, j_max, partition)
+        _, j_max = resolved_range(grid)
+        out = low_cutoff(f, j_max)
         rel = np.max(np.abs(out.values - f.values)) / np.max(np.abs(f.values))
         assert rel < 1e-10
 
-    def test_disjoint_support_killed(self, partition):
+    def test_disjoint_support_killed(self):
         grid = make_grid(1024, 50.0)
         j = 2
         coeffs = np.zeros(grid.n_modes)
         coeffs[grid.rho > 2.0 ** (j + 1)] = 1.0
         f = field_from_samples(grid, coeffs, "spectral")
-        assert np.max(np.abs(low_cutoff(f, j, partition).values)) == 0.0
+        assert np.max(np.abs(low_cutoff(f, j).values)) == 0.0
 
-    def test_partition_identity(self, partition):
+    def test_partition_identity(self):
         grid = make_grid(1024, 50.0)
         rng = np.random.default_rng(8)
         f = band_limited_field(grid, rng, 10, 800)
         j0 = 1
-        _, j_max = partition.resolved_range(grid)
-        total = low_cutoff(f, j0, partition).values.copy()
+        _, j_max = resolved_range(grid)
+        total = low_cutoff(f, j0).values.copy()
         for j in range(j0 + 1, j_max + 1):
-            total += block(f, j, partition).values
+            total += block(f, j).values
         rel = np.max(np.abs(total - f.values)) / np.max(np.abs(f.values))
         assert rel < 1e-10
 

@@ -217,6 +217,24 @@ fit_tol = 0.01
                                  "--out", str(tmp_path), "--quiet"]) == 2
         assert "holds 1 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "t,l2_av\n1,1\n2,0.5,7\n3,0.3\n4,0.2\n5,0.1\n",
+        "",
+        "t,l2_av\n1,1\n2,abc\n3,0.3\n4,0.2\n5,0.1\n6,0.05\n",
+        "t,l2_av\n1,1\n,0.5\n3,0.3\n4,0.2\n5,0.1\n6,0.05\n",
+        "t,l2_av\n1,1\n2,inf\n3,0.3\n4,0.2\n5,0.1\n6,0.05\n",
+    ], ids=["ragged-row", "empty-file", "non-numeric-cell", "blank-t-cell", "inf-value"])
+    def test_fit_on_malformed_csv_exits_2(self, tmp_path, capsys, text):
+        # these used to end in a traceback, or to exit 0 having read the
+        # cell as NaN (counted as dropped, or a NaN exponent in fit.json)
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        cfg = write_config(tmp_path, f"csv = {csv}\nfit_t_lo = 0.5\nfit_t_hi = 100\n")
+        out = tmp_path / "out"
+        assert command_dispatch(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert not (out / "fit.json").exists()
+        assert "configuration error" in capsys.readouterr().err
+
     def test_fit_on_csv_without_column_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "other.csv"
         csv.write_text("t,x\n1,2\n2,3\n")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import radns.semigroup
-from radns.besov import DyadicPartition, j0_for_time
+from radns.besov import j0_for_time, phi_hat, resolved_range
 from radns.decay import (
     DecaySeries,
     ExperimentReport,
@@ -273,9 +273,9 @@ class TestKernelProbeDriver:
         probe_integral = radns.semigroup._probe_integral
         n_nodes = []
 
-        def recording(t, psi, points, n, branch):
+        def recording(t, psi, points, n):
             n_nodes.append((t, n))
-            return probe_integral(t, psi, points, n, branch)
+            return probe_integral(t, psi, points, n)
 
         monkeypatch.setattr(radns.semigroup, "_probe_integral", recording)
         got = run_kernel_lower_probe((16.0, 64.0, 256.0)).entries[0].extra["per_time"]
@@ -292,13 +292,12 @@ class TestKernelProbeDriver:
         # with m = phi_hat_j e^{t lambda}; summed explicitly (no DST) at r = dr it
         # bounds the node sup from below, and |sin(r rho)/r| <= rho bounds it above
         grid = make_grid(8192, 1500.0)
-        part = DyadicPartition()
         j0 = j0_for_time(t)
-        j_min, j_max = part.resolved_range(grid)
+        j_min, j_max = resolved_range(grid)
         scale = math.sqrt(2.0 / math.pi) * grid.drho
         lower = upper = 0.0
         for j in range(max(j0 - 2, j_min), min(j0 + 2, j_max) + 1):
-            m = part.phi_hat(j, grid.rho) * scalar_kernel_values(grid.rho, t, "plus")
+            m = phi_hat(j, grid.rho) * scalar_kernel_values(grid.rho, t)
             at_dr = scale * np.sum(grid.rho * m * np.sin(grid.dr * grid.rho)) / grid.dr
             lower = max(lower, abs(at_dr))
             upper = max(upper, scale * np.sum(grid.rho ** 2 * np.abs(m)))

@@ -29,24 +29,43 @@ def test_every_traced_layer_resolves_to_a_callable(monkeypatch):
     assert tracing.LAYERS and not missing, missing
 
 
-def test_linear_rows_traces_through_simulate(monkeypatch):
-    """The traced linear-decay run nests decay.linear_rows > solver.simulate >
-    solver.diagnostics_row, which the per-row transform count relies on."""
+def install_tracer(monkeypatch):
+    """The tracing module and a tracer installed over every radns module,
+    with the rebinding undone at the end of the test."""
     import radns.cli  # noqa: F401  (loads every radns module the tracer rebinds)
-    from radns import decay
-    from radns.solver import SolverConfig
 
     tracing = load_tracing(monkeypatch)
     modules = [m for n, m in sys.modules.items() if n == "radns" or n.startswith("radns.")]
-    for mod_name, attr in tracing.LAYERS.values():   # undo the rebinding afterwards
+    for mod_name, attr in tracing.LAYERS.values():
         fn = getattr(sys.modules[mod_name], attr)
         for mod in modules:
             for key, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, key, value)
-    tracer = tracing.Tracer().install()
+    return tracing, tracing.Tracer().install()
+
+
+def test_linear_rows_traces_through_simulate(monkeypatch):
+    """The traced linear-decay run nests decay.linear_rows > solver.simulate >
+    solver.diagnostics_row, which the per-row transform count relies on."""
+    from radns import decay
+    from radns.solver import SolverConfig
+
+    _, tracer = install_tracer(monkeypatch)
     decay.linear_rows(SolverConfig(n_modes=64, outer_radius=60.0, t_final=4.0))
     parent = {span[0]: tracer.spans[span[3]][0] for span in tracer.spans if span[3] >= 0}
     assert parent["solver.simulate"] == "decay.linear_rows"
     assert parent["solver.diagnostics_row"] == "solver.simulate"
     assert "solver.step_etd2" not in parent
+
+
+def test_probe_refinements_and_defaults_reach_the_tracer(monkeypatch):
+    """The tracer reads n_nodes as _probe_integral's fourth positional argument
+    and kernel_probe's refine_rtol / max_nodes from its signature defaults."""
+    import radns.semigroup
+    from radns.semigroup import CutoffPsi, probe_point_grid
+
+    tracing, tracer = install_tracer(monkeypatch)
+    radns.semigroup.kernel_probe(16.0, CutoffPsi(), probe_point_grid(16.0))
+    assert [n for _, n, _ in tracer.probe_history] == [32, 64, 128, 256]
+    assert tracing.probe_defaults(radns.semigroup) == (1e-6, 256)

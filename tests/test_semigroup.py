@@ -15,16 +15,13 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from radns.besov import DyadicPartition
+from radns.besov import phi_hat, theta
 from radns.errors import NumericDomainError, SolverAbort, UsageError
 from radns.semigroup import (
     CutoffPsi,
     _probe_integral,
     apply_semigroup,
-    default_cutoff,
-    hi_freq_identity_check,
     kernel_probe,
-    mode_exponential,
     mode_function_entries,
     mode_matrices,
     phi_pair_coefficients,
@@ -57,8 +54,9 @@ def expm_series_oracle(rho: float, t: float, terms: int = 40) -> np.ndarray:
     return X
 
 
-def as_array(mm) -> np.ndarray:
-    return np.array([[mm.m11, mm.m12], [mm.m21, mm.m22]])
+def mode_exponential(rho: float, t: float) -> np.ndarray:
+    """e^{t M_rho} at one frequency as a 2x2 array."""
+    return np.reshape(mode_matrices(np.array([rho]), t), (2, 2))
 
 
 def eigenvalues(rho: float) -> tuple[complex, complex]:
@@ -80,11 +78,32 @@ def spectral_abscissa(rho: float) -> float:
 
 
 def assert_kernels_match(rho: float, t: float = 0.75) -> None:
-    """scalar_kernel_values(rho, t, branch) == exp(t lambda_branch)."""
+    """scalar_kernel_values(rho, t) == exp(t lambda_plus), and by the trace
+    lambda_plus + lambda_minus = -rho^2, exp(-t rho^2) over it == exp(t lambda_minus)."""
     lam_plus, lam_minus = eigenvalues(rho)
-    for branch, lam in (("plus", lam_plus), ("minus", lam_minus)):
-        value = scalar_kernel_values(np.array([rho]), t, branch)[0]
-        assert value == pytest.approx(np.exp(t * lam), rel=1e-13, abs=0.0)
+    plus = scalar_kernel_values(np.array([rho]), t)[0]
+    assert plus == pytest.approx(np.exp(t * lam_plus), rel=1e-13, abs=0.0)
+    minus = math.exp(-t * rho * rho) / plus
+    assert minus == pytest.approx(np.exp(t * lam_minus), rel=1e-13, abs=0.0)
+
+
+def hi_freq_identity_check(rho: float, t: float, branch: str = "plus") -> tuple[float, float]:
+    """The two closed forms of the high-frequency decay exponent t lambda_branch:
+
+    lhs = -t (rho^2/2)(1 +/- s),  rhs = -2t / (1 -/+ s),  s = sqrt(1 - 4/rho^2).
+    """
+    if rho <= 2.0:
+        raise NumericDomainError(f"identity holds for rho > 2, got {rho}")
+    sign = 1.0 if branch == "plus" else -1.0
+    s = math.sqrt(1.0 - 4.0 / (rho * rho))
+    return -t * (rho * rho / 2.0) * (1.0 + sign * s), -2.0 * t / (1.0 - sign * s)
+
+
+def kernel_exponent(rho: float, t: float, branch: str = "plus") -> float:
+    """t lambda_branch(rho) for rho > 2 from the program's kernel: the log of
+    e^{t lambda_plus}, and -t rho^2 minus that for the minus branch."""
+    plus = math.log(scalar_kernel_values(np.array([rho]), t)[0].real)
+    return plus if branch == "plus" else -t * rho * rho - plus
 
 
 def two_branch_kernel_values(rho, t: float, branch: str) -> np.ndarray:
@@ -108,20 +127,21 @@ def kernel_band_norm(grid, t: float, p: float, band: str, j: int | None = None,
     """L^p norm of the band-limited scalar kernel F^{-1}[m_band e^{t lambda}].
 
     band is 'low' (smooth pass below rho ~ 1), 'high' (complement of the
-    smooth pass below rho ~ 8), or 'block' with a dyadic index j.
+    smooth pass below rho ~ 8), or 'block' with a dyadic index j.  The minus
+    branch comes from the two-branch oracle.
     """
-    part = DyadicPartition()
     if band == "low":
-        mult = part.theta(2.0 * grid.rho)
+        mult = theta(2.0 * grid.rho)
     elif band == "high":
-        mult = 1.0 - part.theta(grid.rho / 4.0)
+        mult = 1.0 - theta(grid.rho / 4.0)
     else:
-        mult = part.phi_hat(j, grid.rho)
-    kernel = scalar_kernel_values(grid.rho, t, branch) * mult
+        mult = phi_hat(j, grid.rho)
+    kernel = (scalar_kernel_values(grid.rho, t) if branch == "plus"
+              else two_branch_kernel_values(grid.rho, t, branch)) * mult
     return spectral_lp_norm(grid, np.stack((kernel.real, kernel.imag)), p)
 
 
-def full_tensor_probe_integral(t: float, psi, points, n_nodes: int, branch: str) -> np.ndarray:
+def full_tensor_probe_integral(t: float, psi, points, n_nodes: int) -> np.ndarray:
     """The probe integral from the whole n^3 weighted integrand, contracted
     with cos(x_1 xi_1) cos(x_2 xi_2) cos(x_3 xi_3) for every point, on or
     off the axes."""
@@ -134,7 +154,7 @@ def full_tensor_probe_integral(t: float, psi, points, n_nodes: int, branch: str)
     xi3 = x2[None, None, :]
     rho = np.sqrt(xi1 ** 2 + xi2 ** 2 + xi3 ** 2)
     cutoff = psi(math.sqrt(t) * xi1, t ** 0.75 * xi2, t ** 0.75 * xi3)
-    weighted = two_branch_kernel_values(rho, t, branch) * cutoff
+    weighted = two_branch_kernel_values(rho, t, "plus") * cutoff
     weighted = weighted * (w1[:, None, None] * w2[None, :, None] * w2[None, None, :])
     flat = weighted.reshape(n_nodes, n_nodes * n_nodes)
     vals = []
@@ -190,32 +210,28 @@ class TestEigenvalues:
 
 class TestModeExponential:
     def test_identity_at_zero(self):
-        mm = mode_exponential(1.7, 0.0)
-        assert as_array(mm) == pytest.approx(np.eye(2), abs=0.0)
+        assert mode_exponential(1.7, 0.0) == pytest.approx(np.eye(2), abs=0.0)
 
     @pytest.mark.parametrize("rho", [0.1, 1.0, 1.9, 2.0, 2.1, 4.0, 16.0])
     @pytest.mark.parametrize("t", [0.1, 1.0])
     def test_against_series_oracle(self, rho, t):
-        err = np.max(np.abs(as_array(mode_exponential(rho, t))
-                            - expm_series_oracle(rho, t)))
+        err = np.max(np.abs(mode_exponential(rho, t) - expm_series_oracle(rho, t)))
         assert err <= 1e-12
 
     def test_jordan_limit_at_coalescence(self):
-        mm = mode_exponential(2.0, 1.0)
         expected = math.exp(-2.0) * (np.eye(2) + (generator(2.0) + 2.0 * np.eye(2)))
-        assert as_array(mm) == pytest.approx(expected, rel=1e-13)
+        assert mode_exponential(2.0, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_determinant_identity(self):
         # det e^{tM} = e^{-t rho^2}; relative where representable, otherwise
         # at the double-precision cancellation scale of the entry products
         for rho in np.geomspace(0.01, 64.0, 25):
             for t in (0.0, 0.5, 3.0, 10.0):
-                mm = mode_exponential(rho, t)
+                (m11, m12), (m21, m22) = mode_exponential(rho, t)
                 target = math.exp(-t * rho * rho) if t * rho * rho < 700 else 0.0
-                entry_scale = max(abs(v) for v in
-                                  (mm.m11, mm.m12, mm.m21, mm.m22))
+                entry_scale = max(abs(v) for v in (m11, m12, m21, m22))
                 tol = max(1e-10 * target, 64 * np.finfo(float).eps * entry_scale ** 2)
-                det = mm.m11 * mm.m22 - mm.m12 * mm.m21
+                det = m11 * m22 - m12 * m21
                 assert abs(det - target) <= tol
 
     def test_negative_time_rejected(self):
@@ -225,10 +241,8 @@ class TestModeExponential:
     def test_stability_envelope(self):
         for rho in np.geomspace(0.02, 64.0, 30):
             for t in (0.1, 1.0, 5.0):
-                mm = mode_exponential(rho, t)
                 bound = 2.0 * math.exp(t * spectral_abscissa(rho)) * (1.0 + t * rho * rho)
-                assert max(abs(v) for v in
-                           (mm.m11, mm.m12, mm.m21, mm.m22)) <= bound
+                assert np.max(np.abs(mode_exponential(rho, t))) <= bound
 
 
 class TestApplySemigroup:
@@ -263,8 +277,7 @@ class TestApplySemigroup:
         a.values[k0] = 2.0
         v.values[k0] = -1.0
         a2, v2 = apply_semigroup(a, v, 0.7)
-        mm = mode_exponential(grid.rho[k0], 0.7)
-        ea, ev = mm.m11 * 2.0 - mm.m12, mm.m21 * 2.0 - mm.m22
+        ea, ev = mode_exponential(grid.rho[k0], 0.7) @ [2.0, -1.0]
         assert a2.values[k0] == pytest.approx(ea, rel=1e-13)
         assert v2.values[k0] == pytest.approx(ev, rel=1e-13)
         mask = np.ones(128, dtype=bool)
@@ -338,6 +351,7 @@ class TestHighFrequencyIdentity:
         lhs, rhs = hi_freq_identity_check(rho, 1.0, branch)
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert math.isfinite(lhs)
+        assert kernel_exponent(rho, 1.0, branch) == pytest.approx(rhs, rel=1e-12)
 
     def test_reference_value(self):
         lhs, rhs = hi_freq_identity_check(4.0, 1.0, "minus")
@@ -346,27 +360,23 @@ class TestHighFrequencyIdentity:
         assert rhs == pytest.approx(-2.0 / (1.0 + math.sqrt(3) / 2.0), rel=1e-14)
 
     def test_near_degenerate(self):
-        lhs, rhs = hi_freq_identity_check(2.0001, 3.7, "plus")
+        lhs, rhs = hi_freq_identity_check(2.0001, 3.7)
         assert lhs == pytest.approx(rhs, rel=1e-9)
+        assert kernel_exponent(2.0001, 3.7) == pytest.approx(rhs, rel=1e-9)
 
     def test_zero_time(self):
-        assert hi_freq_identity_check(5.0, 0.0, "plus") == (0.0, -0.0) or \
-            hi_freq_identity_check(5.0, 0.0, "plus")[0] == 0.0
+        assert hi_freq_identity_check(5.0, 0.0)[0] == 0.0
+        assert scalar_kernel_values(np.array([5.0]), 0.0)[0] == 1.0
 
     def test_domain(self):
         with pytest.raises(NumericDomainError):
             hi_freq_identity_check(2.0, 1.0)
         with pytest.raises(NumericDomainError):
             hi_freq_identity_check(1.0, 1.0)
-
-
-class TestBranchValidation:
-    def test_misspelt_branch_rejected(self):
-        # "plsu" used to be read as "minus" with no error
-        with pytest.raises(UsageError, match="branch must be 'plus' or 'minus'"):
-            scalar_kernel_values([1.0, 3.0], 1.0, "plsu")
-        with pytest.raises(UsageError, match="branch must be 'plus' or 'minus'"):
-            kernel_probe(16.0, default_cutoff(), [(0.0, 0.0, 0.0)], branch="plsu")
+        # there the exponent is complex, and the kernel decays as e^{-t rho^2/2}
+        for rho in (1.0, 2.0):
+            modulus = abs(scalar_kernel_values(np.array([rho]), 3.0)[0])
+            assert modulus == pytest.approx(math.exp(-1.5 * rho * rho), rel=1e-14)
 
 
 class TestScalarKernelValues:
@@ -377,8 +387,12 @@ class TestScalarKernelValues:
         rho = np.concatenate((np.linspace(40.0 / 20000, 40.0, 20000), near_two))
         want = two_branch_kernel_values(rho, t, branch)
         assert np.count_nonzero(want) > 10000
-        np.testing.assert_allclose(scalar_kernel_values(rho, t, branch), want,
-                                   rtol=4.4e-16, atol=0.0)
+        got = scalar_kernel_values(rho, t)
+        if branch == "minus":
+            # below coalescence the minus branch is the plus kernel's conjugate
+            low = rho < 2.0
+            got, want = np.conj(got[low]), want[low]
+        np.testing.assert_allclose(got, want, rtol=4.4e-16, atol=0.0)
 
 
 class TestKernelBandNorms:
@@ -415,7 +429,7 @@ class TestKernelBandNorms:
 
 class TestCutoffPsi:
     def test_support_containment(self):
-        psi = default_cutoff()
+        psi = CutoffPsi()
         rng = np.random.default_rng(2)
         xi = rng.uniform(-1.5, 1.5, size=(20000, 3))
         vals = psi(xi[:, 0], xi[:, 1], xi[:, 2])
@@ -425,7 +439,7 @@ class TestCutoffPsi:
         assert np.all(vals >= 0.0)
 
     def test_even(self):
-        psi = default_cutoff()
+        psi = CutoffPsi()
         rng = np.random.default_rng(3)
         xi = rng.uniform(-1.0, 1.0, size=(200, 3))
         a = psi(xi[:, 0], xi[:, 1], xi[:, 2])
@@ -433,14 +447,14 @@ class TestCutoffPsi:
         assert np.array_equal(a, b)
 
     def test_not_identically_zero(self):
-        psi = default_cutoff()
+        psi = CutoffPsi()
         assert psi(0.7, 0.0, 0.2) > 0.0
 
 
 class TestKernelProbe:
     def test_origin_against_simpson_oracle(self):
         t = 16.0
-        psi = default_cutoff()
+        psi = CutoffPsi()
         mine = kernel_probe(t, psi, [(0.0, 0.0, 0.0)])
         s = t ** -0.5
         x1 = np.linspace(s / 2, s, 129)
@@ -449,7 +463,7 @@ class TestKernelProbe:
         X2 = x23[None, :, None]
         X3 = x23[None, None, :]
         rho = np.sqrt(X1 ** 2 + X2 ** 2 + X3 ** 2)
-        kern = scalar_kernel_values(rho.ravel(), t, "plus").reshape(rho.shape)
+        kern = scalar_kernel_values(rho.ravel(), t).reshape(rho.shape)
         cut = psi(math.sqrt(t) * X1, t ** 0.75 * X2, t ** 0.75 * X3)
         inner = simpson(simpson(kern * cut, x=x23, axis=2), x=x23, axis=1)
         oracle = 8.0 * abs(simpson(inner, x=x1, axis=0))
@@ -468,30 +482,30 @@ class TestKernelProbe:
         # exactly 0; n = 64 / 128 / 256 read 4.0e-6 / 3.3e-6 / 3.6e-6, so a
         # zero coarse pass must not end the refinement
         psi = CutoffPsi(axial_width=0.01)
-        assert _probe_integral(16.0, psi, probe_point_grid(16.0), 32, "plus").max() == 0.0
+        assert _probe_integral(16.0, psi, probe_point_grid(16.0), 32).max() == 0.0
         with pytest.raises(SolverAbort, match="max_nodes = 256"):
             kernel_probe(16.0, psi, probe_point_grid(16.0))
 
     def test_unconverged_refinement_raises(self):
         # 4 -> 8 nodes changes the sup far more than 1e-12: no silent return
         with pytest.raises(SolverAbort, match=r"max_nodes = 8: last relative change") as err:
-            kernel_probe(16.0, default_cutoff(), probe_point_grid(16.0),
+            kernel_probe(16.0, CutoffPsi(), probe_point_grid(16.0),
                          n_nodes=4, max_nodes=8, refine_rtol=1e-12)
         assert err.value.time == 16.0
 
     def test_empty_probe_set_rejected(self):
         with pytest.raises(UsageError):
-            kernel_probe(16.0, default_cutoff(), [])
+            kernel_probe(16.0, CutoffPsi(), [])
 
     def test_small_time_rejected(self):
         with pytest.raises(NumericDomainError):
-            kernel_probe(2.0, default_cutoff(), [(0.0, 0.0, 0.0)])
+            kernel_probe(2.0, CutoffPsi(), [(0.0, 0.0, 0.0)])
 
     def test_off_axis_point_rejected(self):
         with pytest.raises(UsageError, match="coordinate axis"):
-            kernel_probe(16.0, default_cutoff(), [(0.0, 0.0, 0.0), (1.0, 0.0, 2.0)])
+            kernel_probe(16.0, CutoffPsi(), [(0.0, 0.0, 0.0), (1.0, 0.0, 2.0)])
         with pytest.raises(UsageError, match="coordinate axis"):
-            _probe_integral(16.0, default_cutoff(), np.array([[1.0, 2.0, 0.0]]), 8, "plus")
+            _probe_integral(16.0, CutoffPsi(), np.array([[1.0, 2.0, 0.0]]), 8)
 
     def test_probe_grid_shape(self):
         pts = probe_point_grid(16.0)
@@ -502,7 +516,7 @@ class TestKernelProbe:
 
 #: the default shell (outer radius 0.875), a narrow one (0.8) and a wide one
 #: (1.05) that reaches past every slab, so that no slab is skipped
-PROBE_CUTOFFS = {"default": default_cutoff(),
+PROBE_CUTOFFS = {"default": CutoffPsi(),
                  "narrow-shell": CutoffPsi(shell_width=0.05),
                  "wide-shell": CutoffPsi(shell_width=0.3)}
 ORACLE_CASES = [pytest.param(t, n, name, id=f"{t}-{n}" + ("" if name == "default" else f"-{name}"))
@@ -514,8 +528,8 @@ class TestProbeIntegral:
     def test_matches_full_tensor_oracle(self, t, n_nodes, cutoff):
         psi = PROBE_CUTOFFS[cutoff]
         pts = np.vstack(([0.0, 0.0, 0.0], probe_point_grid(t)))
-        got = _probe_integral(t, psi, pts, n_nodes, "plus")
-        want = full_tensor_probe_integral(t, psi, pts, n_nodes, "plus")
+        got = _probe_integral(t, psi, pts, n_nodes)
+        want = full_tensor_probe_integral(t, psi, pts, n_nodes)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("t", [16.0, 256.0])
@@ -530,14 +544,14 @@ class TestProbeIntegral:
                 blocks.append((float(xi1), np.size(xi2), np.size(xi3)))
                 return super().__call__(xi1, xi2, xi3)
 
-        _probe_integral(t, RecordingPsi(), probe_point_grid(t), n, "plus")
+        _probe_integral(t, RecordingPsi(), probe_point_grid(t), n)
         x, _ = np.polynomial.legendre.leggauss(n)
         scaled1 = 0.75 + 0.25 * x          # t^{1/2} xi_1 over [1/2, 1]
         scaled23 = 0.5 * (x + 1.0)         # t^{3/4} xi_{2,3} over [0, 1]
         evaluated = np.zeros((n, n, n), dtype=bool)
         for x1, k2, k3 in blocks:
             evaluated[np.argmin(np.abs(scaled1 - x1)), :k2, :k3] = True
-        full = default_cutoff()(scaled1[:, None, None], scaled23[None, :, None],
+        full = CutoffPsi()(scaled1[:, None, None], scaled23[None, :, None],
                                 scaled23[None, None, :])
         assert np.count_nonzero(evaluated) < n ** 3 / 2
         assert np.all(full[~evaluated] == 0.0)
@@ -547,7 +561,7 @@ class TestProbeIntegral:
         n = 128
         tracemalloc.start()
         try:
-            _probe_integral(16.0, default_cutoff(), probe_point_grid(16.0), n, "plus")
+            _probe_integral(16.0, CutoffPsi(), probe_point_grid(16.0), n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from radns.besov import BesovSpec, DyadicPartition
+from radns.besov import BesovSpec, resolved_range
 from radns.errors import ConfigurationError, SolverAbort
-from radns.semigroup import apply_semigroup, mode_exponential
+from radns.semigroup import apply_semigroup
 from radns.solver import (
     PressureLaw,
     SolverConfig,
@@ -364,9 +364,17 @@ class TestAnalyticState:
         assert np.max(np.abs(h_hat.values - exact)) <= 1e-10 * np.max(exact)
 
 
+def zero_forcing(state, law, config):
+    """A nonlinear_rhs stand-in that switches the forcing off."""
+    grid = state.a_hat.grid
+    return zero_field(grid, "spectral"), zero_field(grid, "spectral")
+
+
 class TestStepEtd2:
-    def test_linear_only_step_equals_propagator(self):
-        cfg = small_config(linear_only=True)
+    def test_linear_only_step_equals_propagator(self, monkeypatch):
+        # with the forcing switched off, a step is the exact linear flow
+        monkeypatch.setattr("radns.solver.nonlinear_rhs", zero_forcing)
+        cfg = small_config()
         state = initial_state(cfg)
         tables = make_etd_tables(state.a_hat.grid, cfg.dt)
         stepped = step_etd2(state, cfg.law(), cfg, tables)
@@ -449,7 +457,7 @@ class TestNonlinearPart:
         assert nl < total / 10.0
 
 
-def oracle_row(state, linear, partition):
+def oracle_row(state, linear):
     """The row as the physical-space formulas give it: each field synthesised
     alone, L^p norms by the rectangle rule of the pointwise modulus, and Besov
     norms from the one-block-at-a-time loop."""
@@ -461,10 +469,10 @@ def oracle_row(state, linear, partition):
     nl_modulus = field_from_samples(grid, np.hypot(nl_a.values, nl_v.values))
     spec21, spec_inf1 = BesovSpec(0.0, 2.0, 1.0), BesovSpec(0.0, math.inf, 1.0)
     return (state.t, lp_norm(modulus, 2.0), lp_norm(modulus, math.inf),
-            oracle_pair_besov_norm(a, v, spec21, partition),
-            oracle_pair_besov_norm(a, v, spec_inf1, partition),
+            oracle_pair_besov_norm(a, v, spec21),
+            oracle_pair_besov_norm(a, v, spec_inf1),
             lp_norm(nl_modulus, 2.0),
-            oracle_pair_besov_norm(nl_a, nl_v, spec_inf1, partition),
+            oracle_pair_besov_norm(nl_a, nl_v, spec_inf1),
             weighted_sup_norm(modulus))
 
 
@@ -489,19 +497,17 @@ class TestDiagnosticsRow:
 
     @pytest.mark.parametrize("linear", [True, False])
     def test_transform_count(self, transform_counter, linear):
-        partition = DyadicPartition()
         state, flow = self.snapshot(linear)
-        j_min, j_max = partition.resolved_range(state.a_hat.grid)
+        j_min, j_max = resolved_range(state.a_hat.grid)
         n_blocks = j_max - j_min + 1
-        diagnostics_row(state, flow, partition)
+        diagnostics_row(state, flow)
         assert transform_counter[0] == (2 + 2 * n_blocks if linear else 2 + 4 * n_blocks)
 
     @pytest.mark.parametrize("linear", [True, False])
     def test_matches_physical_space_formulas(self, linear):
-        partition = DyadicPartition()
         state, flow = self.snapshot(linear)
-        row = diagnostics_row(state, flow, partition).as_tuple()
-        for got, want in zip(row, oracle_row(state, flow, partition)):
+        row = diagnostics_row(state, flow).as_tuple()
+        for got, want in zip(row, oracle_row(state, flow)):
             assert got == pytest.approx(want, rel=1e-12)
         if linear:
             assert row[5] == 0.0 and row[6] == 0.0
@@ -511,8 +517,7 @@ class TestDiagnosticsRow:
         rows, state = simulate(cfg)
         start = initial_state(cfg)
         flow = apply_semigroup(start.a_hat, start.v_hat, state.t)
-        partition = DyadicPartition()
-        for got, want in zip(rows[-1].as_tuple(), oracle_row(state, flow, partition)):
+        for got, want in zip(rows[-1].as_tuple(), oracle_row(state, flow)):
             assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -23,7 +23,6 @@ from radns.spectral import (
     as_spectral,
     dealias_mask,
     derivative_filter,
-    field_from_profile_function,
     field_from_samples,
     lp_norm,
     make_grid,
@@ -34,6 +33,11 @@ from radns.spectral import (
     weighted_sup_norm,
     zero_field,
 )
+
+
+def field_from_profile_function(grid, fn, space="physical"):
+    """Samples of fn at the grid's r nodes (physical) or rho nodes (spectral)."""
+    return field_from_samples(grid, fn(grid.r if space == "physical" else grid.rho), space)
 
 
 # The vector-profile layer the nonlinear RHS once went through (a radial
