@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,7 +71,9 @@ class BesovSpec:
     j0: int | None = None
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
+        if not math.isfinite(self.s):
+            raise UnsupportedParameterError(f"s must be finite, got {self.s}")
+        if not (self.p >= 1 and self.q >= 1):     # also rejects NaN
             raise UnsupportedParameterError("p and q must lie in [1, inf]")
         if self.band not in ("full", "low", "high"):
             raise UnsupportedParameterError(f"unknown band {self.band!r}")
@@ -87,22 +89,6 @@ def _band_indices(spec: BesovSpec, j_min: int, j_max: int) -> range:
     return range(max(spec.j0, j_min), j_max + 1)
 
 
-def _pair_block_norms(a: RadialScalarField, v: RadialScalarField | None, p: float,
-                      indices: Iterable[int]) -> dict[int, float]:
-    """L^p norm of the blockwise modulus |(block_j a, block_j v)| for each j.
-
-    v = None is the one-field case.  The fields are read in spectral space and
-    each block's stacked (a, v) rows go to `spectral_lp_norm` (Parseval for
-    p = 2, else one transform call).  Blocks go one at a time, which keeps the
-    extra memory at a few stacks whatever the number of blocks.
-    """
-    if v is not None and v.grid != a.grid:
-        raise UsageError("pair fields live on different grids")
-    hat = np.stack([as_spectral(f).values for f in (a, v) if f is not None])
-    return {j: spectral_lp_norm(a.grid, block_multiplier(a.grid, j) * hat, p)
-            for j in indices}
-
-
 def lq_sum(terms: Iterable[float], q: float) -> float:
     """l^q sum over blocks (the maximum for q = inf); 0 for no blocks."""
     terms = np.asarray(list(terms), dtype=float)
@@ -113,6 +99,54 @@ def lq_sum(terms: Iterable[float], q: float) -> float:
     return float(np.sum(terms ** q) ** (1.0 / q))
 
 
+#: Screening threshold of `_block_lq_norm`, relative to the l^q sum kept so far.
+_SKIP_FRACTION = 1e-17
+
+
+def _sup_bound_weights(grid: RadialGrid, hat: np.ndarray) -> np.ndarray:
+    """w_k = sqrt(2/pi) drho rho_k^2 |(ahat_k, vhat_k)| (one row of `hat` per
+    field): sum_k |phi_hat_j| w_k bounds the sup of block j's modulus, since
+    |sin(r rho) / r| <= rho."""
+    return math.sqrt(2.0 / math.pi) * grid.drho * grid.rho ** 2 * np.linalg.norm(hat, axis=0)
+
+
+def _block_lq_norm(a: RadialScalarField, v: RadialScalarField | None, s: float, p: float,
+                   q: float, indices: Sequence[int]) -> float:
+    """l^q sum over `indices` of 2^{sj} times the L^p norm of the blockwise
+    modulus |(block_j a, block_j v)|; v = None is the one-field case.
+
+    Blocks go one at a time in j order, each block's stacked (a, v) spectral
+    rows to `spectral_lp_norm` (Parseval for p = 2, else one transform call).
+    For p = inf a block counts as 0, with no transform, while its bound
+    B_j = 2^{sj} sum_k |phi_hat_j| w_k plus the B of the blocks already
+    skipped is at most _SKIP_FRACTION times the l^q sum of the terms kept so
+    far; by the triangle inequality in l^q the result moves by at most that
+    skipped sum, for every q.  All-zero blocks are always skipped.
+    """
+    if v is not None and v.grid != a.grid:
+        raise UsageError("pair fields live on different grids")
+    grid = a.grid
+    try:
+        weights = [2.0 ** (s * j) for j in indices]
+    except OverflowError:
+        raise NumericDomainError(
+            f"the Besov weight 2^(s j) overflows for s = {s:g} on blocks "
+            f"{indices[0]}..{indices[-1]}") from None
+    hat = np.stack([as_spectral(f).values for f in (a, v) if f is not None])
+    bound_weights = _sup_bound_weights(grid, hat) if np.isinf(p) else None
+    terms, skipped = [], 0.0
+    for j, weight in zip(indices, weights):
+        mult = block_multiplier(grid, j)
+        if bound_weights is not None:
+            bound = weight * float(mult @ bound_weights)
+            if skipped + bound <= _SKIP_FRACTION * lq_sum(terms, q):
+                skipped += bound
+                terms.append(0.0)
+                continue
+        terms.append(weight * spectral_lp_norm(grid, mult * hat, p))
+    return lq_sum(terms, q)
+
+
 def pair_besov_norm(a: RadialScalarField, v: RadialScalarField | None, spec: BesovSpec
                     ) -> float:
     """Besov norm of the pair [a; v]: blockwise Euclidean modulus before L^p.
@@ -120,8 +154,7 @@ def pair_besov_norm(a: RadialScalarField, v: RadialScalarField | None, spec: Bes
     v = None gives the norm of a alone.
     """
     indices = _band_indices(spec, *resolved_range(a.grid))
-    norms = _pair_block_norms(a, v, spec.p, indices)
-    return lq_sum((2.0 ** (spec.s * j) * n for j, n in norms.items()), spec.q)
+    return _block_lq_norm(a, v, spec.s, spec.p, spec.q, indices)
 
 
 def besov_norm(field: RadialScalarField, spec: BesovSpec) -> float:

@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 experiment FAIL verdict, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -248,7 +249,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stable_heap() -> None:
+    """Keep freed temporaries in the heap for reuse (glibc only; else nothing).
+
+    By default glibc trims the heap whenever twice its dynamic mmap threshold
+    lies free at the top, so the 64-256 KiB arrays freed on every solver and
+    Besov operation go back to the kernel and fault in again (~290k minor
+    faults per linear-decay run).  Setting either threshold alone would freeze
+    the mmap threshold at 128 KiB and mmap every N = 16384 array, so both are
+    set.  Outputs do not depend on this.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):   # not glibc, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 64 << 20)       # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)      # M_TRIM_THRESHOLD
+
+
 def command_dispatch(argv) -> int:
+    _stable_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -64,7 +64,7 @@ _SCHEMA: dict[str, _Key] = {
     "target": _Key(_parse_float),
     "csv": _Key(str),
     "column": _Key(str),
-    "s": _Key(_parse_float),
+    "s": _Key(_parse_float, math.isfinite, "must be finite"),
     "p": _Key(_parse_float, lambda v: v >= 1, "must be at least 1"),
     "q": _Key(_parse_float, lambda v: v >= 1, "must be at least 1"),
     "band": _Key(str, lambda v: v in ("full", "low", "high"),

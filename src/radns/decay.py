@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import _pair_block_norms, j0_for_time, lq_sum, resolved_range
+from .besov import _block_lq_norm, j0_for_time, resolved_range
 from .errors import FitError, NumericDomainError, SolverAbort, UnsupportedParameterError
 from .semigroup import CutoffPsi, kernel_probe, probe_point_grid, scalar_kernel_values
 from .solver import CSV_COLUMNS, DiagnosticsRow, SolverConfig, simulate
@@ -312,10 +312,9 @@ def block_frame_sup(t: float, j0: int) -> float:
     blocks = _frame_blocks(t, j0)
     grid = make_grid(*_FRAME_GRID)
     kernel = scalar_kernel_values(grid.rho, t)
-    norms = _pair_block_norms(RadialScalarField(grid, kernel.real, "spectral"),
-                              RadialScalarField(grid, kernel.imag, "spectral"), math.inf,
-                              blocks)
-    return lq_sum(norms.values(), math.inf)
+    return _block_lq_norm(RadialScalarField(grid, kernel.real, "spectral"),
+                          RadialScalarField(grid, kernel.imag, "spectral"), 0.0, math.inf,
+                          math.inf, blocks)
 
 
 def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> ExperimentReport:

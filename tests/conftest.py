@@ -2,7 +2,15 @@
 
 import pytest
 
+import radns.cli
 import radns.spectral
+
+
+@pytest.fixture(scope="session", autouse=True)
+def stable_heap():
+    """The CLI's heap policy for the whole session, so that runs made in
+    process (the reference fixtures) allocate as a CLI run does."""
+    radns.cli._stable_heap()
 
 
 @pytest.fixture

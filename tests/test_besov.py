@@ -7,7 +7,8 @@ import pytest
 
 from radns.besov import (
     BesovSpec,
-    _pair_block_norms,
+    _block_lq_norm,
+    _sup_bound_weights,
     besov_norm,
     block_multiplier,
     j0_for_time,
@@ -16,7 +17,9 @@ from radns.besov import (
     resolved_range,
     theta,
 )
-from radns.errors import NumericDomainError, UsageError
+from radns.errors import NumericDomainError, UnsupportedParameterError, UsageError
+from radns.semigroup import apply_semigroup
+from radns.solver import initial_data_gaussian
 from radns.spectral import (
     apply_multiplier,
     as_spectral,
@@ -42,6 +45,12 @@ def low_cutoff(field, j):
     return apply_multiplier(field, lambda rho: theta(rho * 2.0 ** (-j)))
 
 
+def block_norms(a, v, p, indices):
+    """{j: L^p norm of block j} from `_block_lq_norm` one block at a time; a
+    lone block is never screened, since nothing is kept before it."""
+    return {j: _block_lq_norm(a, v, 0.0, p, 1.0, [j]) for j in indices}
+
+
 def oracle_block_norms(a, v, p, indices):
     """One block at a time, one field at a time, in physical space: each block
     synthesised alone, then the pointwise modulus and the rectangle-rule L^p
@@ -57,18 +66,55 @@ def oracle_block_norms(a, v, p, indices):
     return norms
 
 
-def oracle_pair_besov_norm(a, v, spec):
-    """l^q sum of 2^{sj} times the oracle block norms over the spec's band."""
-    j_min, j_max = resolved_range(a.grid)
+def band_indices(grid, spec):
+    """The resolved block indices of the spec's band."""
+    j_min, j_max = resolved_range(grid)
     lo = max(spec.j0, j_min) if spec.band == "high" else j_min
     hi = min(spec.j0, j_max) if spec.band == "low" else j_max
-    norms = oracle_block_norms(a, v, spec.p, range(lo, hi + 1))
-    terms = [2.0 ** (spec.s * j) * n for j, n in norms.items()]
+    return range(lo, hi + 1)
+
+
+def oracle_lq(terms, q):
     if not terms:
         return 0.0
-    if math.isinf(spec.q):
+    if math.isinf(q):
         return max(terms)
-    return sum(t ** spec.q for t in terms) ** (1.0 / spec.q)
+    return sum(t ** q for t in terms) ** (1.0 / q)
+
+
+def oracle_pair_besov_norm(a, v, spec):
+    """l^q sum of 2^{sj} times the oracle block norms over the spec's band."""
+    norms = oracle_block_norms(a, v, spec.p, band_indices(a.grid, spec))
+    return oracle_lq([2.0 ** (spec.s * j) * n for j, n in norms.items()], spec.q)
+
+
+def sup_bound(a, v, j):
+    """sqrt(2/pi) drho sum_k rho_k^2 |phi_hat_j(rho_k)| |(ahat_k, vhat_k)|, which
+    bounds the sup of block j because |sin(r rho) / r| <= rho."""
+    grid = a.grid
+    hat = np.stack([as_spectral(f).values for f in (a, v) if f is not None])
+    return (math.sqrt(2.0 / math.pi) * grid.drho
+            * np.sum(grid.rho ** 2 * np.abs(block_multiplier(grid, j))
+                     * np.sqrt(np.sum(hat ** 2, axis=0))))
+
+
+def screened_kept_blocks(a, v, spec):
+    """The p = inf blocks of the spec's band that screening keeps: walking up
+    in j, block j is skipped while the bounds 2^{sj} sup_bound of the blocks
+    skipped so far plus its own stay at or below 1e-17 times the l^q sum of
+    the oracle terms kept so far.  Checks each bound on the way."""
+    norms = oracle_block_norms(a, v, math.inf, band_indices(a.grid, spec))
+    kept, terms, skipped = [], [], 0.0
+    for j, n in norms.items():
+        weight = 2.0 ** (spec.s * j)
+        bound = weight * sup_bound(a, v, j)
+        assert bound >= weight * n
+        if skipped + bound <= 1e-17 * oracle_lq(terms, spec.q):
+            skipped += bound
+        else:
+            kept.append(j)
+            terms.append(weight * n)
+    return kept
 
 
 def band_limited_field(grid, rng, lo_mode=20, hi_mode=400):
@@ -158,8 +204,8 @@ class TestBlocks:
         f = field_from_profile_function(grid, lambda r: np.exp(-r ** 2))
         indices = range(*_inclusive(grid))
         for p in (2.0, math.inf):
-            assert _pair_block_norms(f, None, p, indices) == \
-                _pair_block_norms(to_spectral(f), None, p, indices)
+            assert block_norms(f, None, p, indices) == \
+                block_norms(to_spectral(f), None, p, indices)
 
 
 class TestBesovNorm:
@@ -213,7 +259,7 @@ class TestBesovNorm:
         rng = np.random.default_rng(5)
         for _ in range(5):
             f = field_from_samples(grid, rng.standard_normal(2048))
-            norms = _pair_block_norms(f, None, 2.0, range(*_inclusive(grid)))
+            norms = block_norms(f, None, 2.0, range(*_inclusive(grid)))
             total = sum(v ** 2 for v in norms.values())
             assert total <= 3.0 * lp_norm(f, 2.0) ** 2
 
@@ -252,7 +298,7 @@ def _inclusive(grid):
 
 
 class TestBlockPathOracle:
-    """_pair_block_norms, besov_norm and pair_besov_norm against the physical-space
+    """_block_lq_norm, besov_norm and pair_besov_norm against the physical-space
     block loop, for p in {1, 2, 3, inf} and full, low and high bands."""
 
     GRID = (1023, 40.0)
@@ -263,7 +309,7 @@ class TestBlockPathOracle:
         grid = make_grid(*self.GRID)
         for f in oracle_fields(grid):
             oracle = oracle_block_norms(f, None, p, range(*_inclusive(grid)))
-            norms = _pair_block_norms(f, None, p, range(*_inclusive(grid)))
+            norms = block_norms(f, None, p, range(*_inclusive(grid)))
             assert norms.keys() == oracle.keys()
             for j, n in oracle.items():
                 assert norms[j] == pytest.approx(n, rel=1e-12)
@@ -295,7 +341,7 @@ class TestBlockPathOracle:
         for p in (1.0, 2.0, math.inf):
             oracle = oracle_block_norms(banded, None, p, indices)
             start = transform_counter[0]
-            norms = _pair_block_norms(banded, None, p, indices)
+            norms = block_norms(banded, None, p, indices)
             # one row per block with content; p = 2 is Parseval, no transform
             assert transform_counter[0] - start == (0 if p == 2.0 else n_full)
             assert all(norms[j] == 0.0 for j in empty)
@@ -314,6 +360,93 @@ class TestBlockPathOracle:
         with pytest.raises(UsageError):
             pair_besov_norm(a, zero_field(make_grid(256, 30.0)),
                             BesovSpec(0.0, 2.0, 1.0))
+
+
+class TestScreening:
+    """The transform-free bound B_j and the p = inf blocks it lets
+    `_block_lq_norm` skip."""
+
+    @pytest.mark.parametrize("shape", [(1023, 40.0), (4096, 150.0)])
+    def test_bound_dominates_block_sup(self, shape):
+        grid = make_grid(*shape)
+        rng = np.random.default_rng(11)
+        indices = range(*_inclusive(grid))
+        for _ in range(4):
+            lo = int(rng.integers(1, grid.n_modes // 2))
+            hi = int(rng.integers(lo + 1, grid.n_modes + 1))
+            a = band_limited_field(grid, rng, lo, hi)
+            v = band_limited_field(grid, rng, lo, hi)
+            hat = np.stack((a.values, v.values))
+            for x, y in ((a, None), (a, v)):
+                sups = oracle_block_norms(x, y, math.inf, indices)
+                weights = _sup_bound_weights(grid, hat[:1] if y is None else hat)
+                for j, sup in sups.items():
+                    code_bound = float(block_multiplier(grid, j) @ weights)
+                    assert code_bound >= sup
+                    assert code_bound == pytest.approx(sup_bound(x, y, j), rel=1e-13)
+
+    @pytest.mark.parametrize("t", [20.0, 60.0])
+    def test_late_time_linear_states_match_oracle(self, t, transform_counter):
+        grid = make_grid(2047, 150.0)
+        a0, v0 = initial_data_gaussian(0.01, 1.0, grid)
+        a, v = apply_semigroup(to_spectral(a0), to_spectral(v0), t)
+        j0 = j0_for_time(t)
+        skips = 0
+        for s, q in ((0.0, 1.0), (0.5, 2.0), (0.0, math.inf)):
+            for band in ("full", "low", "high"):
+                spec = BesovSpec(s, math.inf, q, band=band,
+                                 j0=None if band == "full" else j0)
+                start = transform_counter[0]
+                mine = pair_besov_norm(a, v, spec)
+                transforms = transform_counter[0] - start
+                oracle = oracle_pair_besov_norm(a, v, spec)
+                assert abs(mine - oracle) <= 1e-15 * oracle
+                kept = screened_kept_blocks(a, v, spec)
+                assert transforms == 2 * len(kept)
+                skips += len(band_indices(grid, spec)) - len(kept)
+        assert skips > 0
+
+    def test_skipped_bounds_accumulate(self, transform_counter):
+        # one mode at each rho = 2^j lies in block j alone; block 0 carries
+        # the field, and blocks 1-3 each get a bound of 0.6e-17 of its sup,
+        # so block 1 is skipped and the running skipped sum keeps 2 and 3
+        grid = make_grid(255, 16.0 * math.pi)        # rho_k = k / 16
+        hat = np.zeros(grid.n_modes)
+        hat[16 - 1] = 1.0
+        main = _block_lq_norm(field_from_samples(grid, hat, "spectral"), None,
+                              0.0, math.inf, 1.0, [0])
+        per_mode = math.sqrt(2.0 / math.pi) * grid.drho * grid.rho ** 2
+        for j in (1, 2, 3):
+            k = 16 * 2 ** j
+            hat[k - 1] = 0.6e-17 * main / per_mode[k - 1]
+        f = field_from_samples(grid, hat, "spectral")
+        spec = BesovSpec(0.0, math.inf, 1.0)
+        assert screened_kept_blocks(f, None, spec) == [0, 2, 3]
+        start = transform_counter[0]
+        mine = besov_norm(f, spec)
+        assert transform_counter[0] - start == 3
+        oracle = oracle_pair_besov_norm(f, None, spec)
+        assert abs(mine - oracle) <= 1e-15 * oracle
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(UnsupportedParameterError, match="s must be finite"):
+            BesovSpec(s, 2.0, 1.0)
+
+    @pytest.mark.parametrize("p,q", [(math.nan, 1.0), (2.0, math.nan), (math.nan, math.nan)])
+    def test_nan_p_or_q_rejected(self, p, q):
+        with pytest.raises(UnsupportedParameterError, match="p and q"):
+            BesovSpec(0.0, p, q)
+
+    @pytest.mark.parametrize("s", [2000.0, -2000.0])
+    def test_overflowing_weight_is_typed(self, s):
+        grid = make_grid(1023, 50.0)
+        f = band_limited_field(grid, np.random.default_rng(2))
+        for p in (2.0, math.inf):
+            with pytest.raises(NumericDomainError, match="overflows"):
+                besov_norm(f, BesovSpec(s, p, 1.0))
 
 
 class TestLowCutoff:

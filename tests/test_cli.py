@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import radns.cli
 from radns.cli import command_dispatch
 from radns.config import RunConfig, parse_config
 from radns.solver import SolverConfig
@@ -176,6 +177,16 @@ p_list = 2
         assert code == 0
         payload = json.loads((tmp_path / "besov_norm.json").read_text())
         assert payload["value"] > 0.0
+
+    @pytest.mark.parametrize("s,message", [("inf", "must be finite"),
+                                           ("2000", "overflows"), ("-2000", "overflows")])
+    def test_besov_norm_bad_s_exits_2(self, tmp_path, capsys, s, message):
+        cfg = write_config(tmp_path, f"N = 1023\nR = 50\nc = 0.01\ns = {s}\np = 2\nq = 1\n")
+        code = command_dispatch(["besov-norm", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "besov_norm.json").exists()
 
     def test_fit_command_round_trip(self, tmp_path):
         run_cfg = write_config(tmp_path, SMALL_RUN)
@@ -345,6 +356,39 @@ _config_text = st.one_of(
     st.builds(lambda line, rest: "".join([line] + rest),
               _t_list_line, st.lists(_harmless_line, max_size=2)),
     st.lists(_config_line, max_size=5).map("".join))
+
+
+class TestStableHeap:
+    LINEAR = "N = 1023\nR = 60\nT = 20\nc = 0.01\nfit_t_lo = 5\nfit_t_hi = 20\n"
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        class FakeLibc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(radns.cli.ctypes, "CDLL", lambda name: FakeLibc)
+        radns.cli._stable_heap()
+        assert calls == [(-3, 64 << 20), (-1, 256 << 20)]
+
+    @staticmethod
+    def _no_libc(name):
+        raise OSError("no C library")
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                             ids=["cdll-raises", "no-mallopt"])
+    def test_missing_mallopt_is_a_silent_no_op(self, monkeypatch, tmp_path, cdll):
+        cfg = write_config(tmp_path, self.LINEAR)
+        args = ["linear-decay", "--config", cfg, "--quiet", "--out"]
+        on = command_dispatch(args + [str(tmp_path / "on")])
+        monkeypatch.setattr(radns.cli.ctypes, "CDLL", cdll)
+        assert radns.cli._stable_heap() is None
+        assert command_dispatch(args + [str(tmp_path / "off")]) == on
+        assert (tmp_path / "on" / "linear-decay.csv").read_bytes() == \
+            (tmp_path / "off" / "linear-decay.csv").read_bytes()
 
 
 class TestKernelProbeConfigFuzz:

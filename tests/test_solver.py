@@ -34,7 +34,7 @@ from radns.spectral import (
     weighted_sup_norm,
     zero_field,
 )
-from test_besov import oracle_pair_besov_norm
+from test_besov import oracle_pair_besov_norm, screened_kept_blocks
 from test_spectral import RadialVectorProfile, divergence_of_profile, gradient_profile
 
 
@@ -478,8 +478,9 @@ def oracle_row(state, linear):
 
 class TestDiagnosticsRow:
     """Transforms per row: one two-row synthesis of (a, v), then one two-row
-    transform per block for each p = inf pair norm; every p = 2 norm is
-    Parseval, and an identically zero nonlinear part costs nothing."""
+    transform per block that screening keeps for each p = inf pair norm;
+    every p = 2 norm is Parseval, and an identically zero nonlinear part
+    costs nothing."""
 
     def snapshot(self, linear):
         """A state at t = 3 and its linear flow."""
@@ -498,10 +499,16 @@ class TestDiagnosticsRow:
     @pytest.mark.parametrize("linear", [True, False])
     def test_transform_count(self, transform_counter, linear):
         state, flow = self.snapshot(linear)
-        j_min, j_max = resolved_range(state.a_hat.grid)
-        n_blocks = j_max - j_min + 1
+        grid, spec = state.a_hat.grid, BesovSpec(0.0, math.inf, 1.0)
+        kept = screened_kept_blocks(state.a_hat, state.v_hat, spec)
+        j_min, j_max = resolved_range(grid)
+        assert 0 < len(kept) < j_max - j_min + 1
+        nl_kept = [] if linear else screened_kept_blocks(
+            *(RadialScalarField(grid, f.values - lin.values, "spectral")
+              for f, lin in zip((state.a_hat, state.v_hat), flow)), spec)
+        start = transform_counter[0]
         diagnostics_row(state, flow)
-        assert transform_counter[0] == (2 + 2 * n_blocks if linear else 2 + 4 * n_blocks)
+        assert transform_counter[0] - start == 2 + 2 * len(kept) + 2 * len(nl_kept)
 
     @pytest.mark.parametrize("linear", [True, False])
     def test_matches_physical_space_formulas(self, linear):
