@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericDomainError, UnsupportedParameterError, UsageError
+from .errors import NumericDomainError, UnsupportedParameterError
 from .spectral import RadialGrid, RadialScalarField, as_spectral, per_grid_cache, spectral_lp_norm
 
 
@@ -110,29 +110,27 @@ def _sup_bound_weights(grid: RadialGrid, hat: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 / math.pi) * grid.drho * grid.rho ** 2 * np.linalg.norm(hat, axis=0)
 
 
-def _block_lq_norm(a: RadialScalarField, v: RadialScalarField | None, s: float, p: float,
-                   q: float, indices: Sequence[int]) -> float:
+def _block_lq_norm(field: RadialScalarField, s: float, p: float, q: float,
+                   indices: Sequence[int]) -> float:
     """l^q sum over `indices` of 2^{sj} times the L^p norm of the blockwise
-    modulus |(block_j a, block_j v)|; v = None is the one-field case.
+    modulus of `field`, one field or a stack of fields, one per row.
 
-    Blocks go one at a time in j order, each block's stacked (a, v) spectral
-    rows to `spectral_lp_norm` (Parseval for p = 2, else one transform call).
+    Blocks go one at a time in j order, each block's spectral rows to
+    `spectral_lp_norm` (Parseval for p = 2, else one transform call).
     For p = inf a block counts as 0, with no transform, while its bound
     B_j = 2^{sj} sum_k |phi_hat_j| w_k plus the B of the blocks already
     skipped is at most _SKIP_FRACTION times the l^q sum of the terms kept so
     far; by the triangle inequality in l^q the result moves by at most that
     skipped sum, for every q.  All-zero blocks are always skipped.
     """
-    if v is not None and v.grid != a.grid:
-        raise UsageError("pair fields live on different grids")
-    grid = a.grid
+    grid = field.grid
     try:
         weights = [2.0 ** (s * j) for j in indices]
     except OverflowError:
         raise NumericDomainError(
             f"the Besov weight 2^(s j) overflows for s = {s:g} on blocks "
             f"{indices[0]}..{indices[-1]}") from None
-    hat = np.stack([as_spectral(f).values for f in (a, v) if f is not None])
+    hat = np.atleast_2d(as_spectral(field).values)
     bound_weights = _sup_bound_weights(grid, hat) if np.isinf(p) else None
     terms, skipped = [], 0.0
     for j, weight in zip(indices, weights):
@@ -147,19 +145,11 @@ def _block_lq_norm(a: RadialScalarField, v: RadialScalarField | None, s: float, 
     return lq_sum(terms, q)
 
 
-def pair_besov_norm(a: RadialScalarField, v: RadialScalarField | None, spec: BesovSpec
-                    ) -> float:
-    """Besov norm of the pair [a; v]: blockwise Euclidean modulus before L^p.
-
-    v = None gives the norm of a alone.
-    """
-    indices = _band_indices(spec, *resolved_range(a.grid))
-    return _block_lq_norm(a, v, spec.s, spec.p, spec.q, indices)
-
-
-def besov_norm(field: RadialScalarField, spec: BesovSpec) -> float:
-    """Homogeneous Besov norm: l^q sum over blocks of 2^{sj} ||block||_p."""
-    return pair_besov_norm(field, None, spec)
+def pair_besov_norm(field: RadialScalarField, spec: BesovSpec) -> float:
+    """Besov norm of a field, or of a pair [a; v] stacked as its rows: the
+    blockwise Euclidean modulus before L^p."""
+    indices = _band_indices(spec, *resolved_range(field.grid))
+    return _block_lq_norm(field, spec.s, spec.p, spec.q, indices)
 
 
 def j0_for_time(t: float) -> int:

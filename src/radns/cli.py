@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .besov import BesovSpec, besov_norm
+from .besov import BesovSpec, pair_besov_norm
 from .config import RunConfig, load_config
 from .decay import (
     DecaySeries,
@@ -168,11 +168,11 @@ def cmd_kernel_probe(args) -> int:
 def cmd_besov_norm(args) -> int:
     config = _load(args)
     grid = make_grid(config.get("N"), config.get("R"))
-    a0, _ = initial_data_gaussian(config.get("c"), config.get("w"), grid)
+    a0 = initial_data_gaussian(config.get("c"), config.get("w"), grid)
     spec = BesovSpec(config.get("s"), config.get("p"), config.get("q"),
                      band=config.get("band"),
                      j0=config.get("j0") if config.get("band") != "full" else None)
-    value = besov_norm(a0, spec)
+    value = pair_besov_norm(a0, spec)
     if not math.isfinite(value):
         raise SolverAbort("non-finite Besov norm", time=0.0)
     payload = {"experiment": "besov-norm", "value": value,

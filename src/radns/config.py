@@ -46,8 +46,8 @@ _SCHEMA: dict[str, _Key] = {
     "R": _Key(_parse_float, lambda v: v > 0, "must be positive"),
     "dt": _Key(_parse_float, lambda v: v > 0, "must be positive"),
     "T": _Key(_parse_float, lambda v: v >= 0, "must be non-negative"),
-    "gamma": _Key(_parse_float, lambda v: v > 1, "must exceed 1"),
-    "c": _Key(_parse_float, lambda v: v >= 0, "must be non-negative"),
+    "gamma": _Key(_parse_float, lambda v: 1 < v < math.inf, "must be finite and exceed 1"),
+    "c": _Key(_parse_float, lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
     "w": _Key(_parse_float, lambda v: v > 0, "must be positive"),
     "output_interval": _Key(_parse_float, lambda v: v > 0, "must be positive"),
     "dealias": _Key(_parse_float, lambda v: 0 < v <= 1, "must lie in (0, 1]"),

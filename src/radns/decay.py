@@ -312,9 +312,8 @@ def block_frame_sup(t: float, j0: int) -> float:
     blocks = _frame_blocks(t, j0)
     grid = make_grid(*_FRAME_GRID)
     kernel = scalar_kernel_values(grid.rho, t)
-    return _block_lq_norm(RadialScalarField(grid, kernel.real, "spectral"),
-                          RadialScalarField(grid, kernel.imag, "spectral"), 0.0, math.inf,
-                          math.inf, blocks)
+    parts = RadialScalarField(grid, np.array((kernel.real, kernel.imag)), "spectral")
+    return _block_lq_norm(parts, 0.0, math.inf, math.inf, blocks)
 
 
 def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> ExperimentReport:

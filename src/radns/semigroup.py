@@ -54,10 +54,14 @@ def mode_function_entries(j: int, rho: np.ndarray, t: float
     return c0 + s * half, -s * rho, s * rho, c0 - s * half
 
 
-def mode_product(entries, a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply per-mode entries (m11, m12, m21, m22) to the pair (a, v)."""
+def mode_product(entries, pair: np.ndarray) -> np.ndarray:
+    """Apply per-mode entries (m11, m12, m21, m22) to the stacked pair (a, v)."""
     m11, m12, m21, m22 = entries
-    return m11 * a + m12 * v, m21 * a + m22 * v
+    a, v = pair
+    out = np.empty_like(pair)
+    out[0] = m11 * a + m12 * v
+    out[1] = m21 * a + m22 * v
+    return out
 
 
 def mode_matrices(rho: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -74,17 +78,15 @@ def mode_matrices(rho: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np
     return mode_function_entries(0, rho, float(t))
 
 
-def apply_semigroup(a_hat: RadialScalarField, v_hat: RadialScalarField, t: float
-                    ) -> tuple[RadialScalarField, RadialScalarField]:
-    """Propagate a spectral (a, v) pair exactly by time t."""
-    if a_hat.grid != v_hat.grid:
-        raise UsageError("apply_semigroup needs both fields on the same grid")
-    if a_hat.space != "spectral" or v_hat.space != "spectral":
+def apply_semigroup(pair: RadialScalarField, t: float) -> RadialScalarField:
+    """Propagate a spectral (a, v) pair, one row each, exactly by time t."""
+    if pair.space != "spectral":
         raise UsageError("apply_semigroup acts on spectral-space fields")
-    a_new, v_new = mode_product(mode_matrices(a_hat.grid.rho, t),
-                                a_hat.values, v_hat.values)
-    return (RadialScalarField(a_hat.grid, a_new, "spectral"),
-            RadialScalarField(v_hat.grid, v_new, "spectral"))
+    if pair.values.shape != (2, pair.grid.n_modes):
+        raise UsageError(f"apply_semigroup needs an (a, v) pair of shape "
+                         f"(2, {pair.grid.n_modes}), got {pair.values.shape}")
+    return RadialScalarField(pair.grid, mode_product(mode_matrices(pair.grid.rho, t),
+                                                     pair.values), "spectral")
 
 
 # -- scalar semigroup kernels --------------------------------------------------

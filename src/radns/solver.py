@@ -48,10 +48,8 @@ from .spectral import (
     physical_and_gradient,
     physical_values,
     spectral_lp_norm,
-    to_physical,
     to_spectral,
     weighted_sup_norm,
-    zero_field,
 )
 
 
@@ -62,8 +60,9 @@ class PressureLaw:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if self.gamma <= 1.0:
-            raise ConfigurationError(f"adiabatic exponent must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < math.inf:     # also rejects NaN
+            raise ConfigurationError(
+                f"adiabatic exponent must be finite and exceed 1, got {self.gamma}")
 
     def beta(self, a):
         """beta(a) = P'(1+a)/(1+a) - P'(1) = (1+a)^(gamma-2) - 1; beta(0) = 0."""
@@ -106,10 +105,12 @@ class SolverConfig:
             raise ConfigurationError(
                 f"output interval {self.output_interval} must be a whole multiple "
                 f"of dt = {self.dt}")
-        if self.amplitude < 0:
-            raise ConfigurationError("amplitude must be non-negative")
-        if self.width <= 0:
-            raise ConfigurationError("data width must be positive")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ConfigurationError(f"amplitude must be finite and non-negative, "
+                                     f"got {self.amplitude}")
+        if not 0.0 < self.width < math.inf:
+            raise ConfigurationError(f"data width must be finite and positive, got {self.width}")
+        self.law()                      # re-checks the adiabatic exponent
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ConfigurationError("dealias fraction must lie in (0, 1]")
         if not 0.0 < self.density_guard < 1.0:
@@ -130,11 +131,10 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Spectral pair at time t."""
+    """Spectral pair at time t, rows (a_hat, v_hat)."""
 
     t: float
-    a_hat: RadialScalarField
-    v_hat: RadialScalarField
+    pair: RadialScalarField
 
 
 @dataclass(frozen=True)
@@ -165,14 +165,13 @@ CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
 def initial_data_gaussian(amplitude: float, width: float, grid: RadialGrid
-                          ) -> tuple[RadialScalarField, RadialScalarField]:
-    """a0(r) = c exp(-(r/w)^2), v0 = 0; both physical-space."""
-    if amplitude < 0:
-        raise ConfigurationError("amplitude must be non-negative")
-    if width <= 0:
-        raise ConfigurationError("width must be positive")
-    a0 = field_from_samples(grid, amplitude * np.exp(-((grid.r / width) ** 2)))
-    return a0, zero_field(grid)
+                          ) -> RadialScalarField:
+    """The physical a0(r) = c exp(-(r/w)^2); the initial v0 is 0."""
+    if not 0.0 <= amplitude < math.inf:
+        raise ConfigurationError("amplitude must be finite and non-negative")
+    if not 0.0 < width < math.inf:
+        raise ConfigurationError("width must be finite and positive")
+    return field_from_samples(grid, amplitude * np.exp(-((grid.r / width) ** 2)))
 
 
 def _check_density(a_phys: np.ndarray, guard: float, t: float) -> None:
@@ -193,13 +192,12 @@ def _check_density(a_phys: np.ndarray, guard: float, t: float) -> None:
 
 
 def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
-                  ) -> tuple[RadialScalarField, RadialScalarField]:
-    """Spectral forcing pair (f_hat, h_hat) at the current state, by the
+                  ) -> np.ndarray:
+    """Spectral forcing rows (f_hat, h_hat) at the current state, by the
     radial identities of the module docstring on the dealiased fields."""
-    grid = state.a_hat.grid
+    grid = state.pair.grid
     mask = dealias_mask(grid, config.dealias_fraction)
-    a_hat = RadialScalarField(grid, state.a_hat.values * mask, "spectral")
-    v_hat = RadialScalarField(grid, state.v_hat.values * mask, "spectral")
+    a_hat, v_hat = (RadialScalarField(grid, row, "spectral") for row in state.pair.values * mask)
 
     a, a_r = physical_and_gradient(a_hat)
     _check_density(a, config.density_guard, state.t)
@@ -207,16 +205,16 @@ def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
     u = -physical_and_gradient(apply_multiplier(v_hat, lambda rho: 1.0 / rho))[1]
     u_r = w - 2.0 * u / grid.r                    # div(U x/r) = w
 
+    rows = np.empty((2, grid.n_modes))
     # f = -div(a U x/r) = -(a' U + a w)
-    f_hat = to_spectral(RadialScalarField(grid, -(a_r * u + a * w), "physical"))
+    rows[0] = to_spectral(RadialScalarField(grid, -(a_r * u + a * w), "physical")).values
 
     # h = |D|^{-1} div(G x/r); by parts, rho^2 h_hat = S - rho C
     g = -u * u_r - (a / (1.0 + a)) * w_r - law.beta(a) * a_r
     cosine = _cosine_sum(grid.r * g, grid.dr)
-    h_hat = (_sine_sum(g, grid.dr) - grid.rho * cosine) / grid.rho ** 2
-
-    return (RadialScalarField(grid, f_hat.values * mask, "spectral"),
-            RadialScalarField(grid, h_hat * mask, "spectral"))
+    rows[1] = (_sine_sum(g, grid.dr) - grid.rho * cosine) / grid.rho ** 2
+    rows *= mask
+    return rows
 
 
 @dataclass
@@ -239,64 +237,47 @@ def make_etd_tables(grid: RadialGrid, dt: float) -> EtdTables:
 def step_etd2(state: SolverState, law: PressureLaw, config: SolverConfig,
               tables: EtdTables) -> SolverState:
     """One predictor/corrector exponential step of size tables.dt."""
-    grid = state.a_hat.grid
+    grid = state.pair.grid
     dt = tables.dt
+    t = state.t + dt
 
-    f0, h0 = nonlinear_rhs(state, law, config)
-    ea, ev = mode_product(tables.exp_entries, state.a_hat.values, state.v_hat.values)
-    p1a, p1v = mode_product(tables.phi1, f0.values, h0.values)
-    mid_a = ea + dt * p1a
-    mid_v = ev + dt * p1v
+    f0 = nonlinear_rhs(state, law, config)
+    mid = (mode_product(tables.exp_entries, state.pair.values)
+           + dt * mode_product(tables.phi1, f0))
+    f1 = nonlinear_rhs(SolverState(t, RadialScalarField(grid, mid, "spectral")), law, config)
+    new = mid + dt * mode_product(tables.phi2, f1 - f0)
 
-    mid_state = SolverState(
-        t=state.t + dt,
-        a_hat=RadialScalarField(grid, mid_a, "spectral"),
-        v_hat=RadialScalarField(grid, mid_v, "spectral"))
-    f1, h1 = nonlinear_rhs(mid_state, law, config)
-    p2a, p2v = mode_product(tables.phi2, f1.values - f0.values, h1.values - h0.values)
-    new_a = mid_a + dt * p2a
-    new_v = mid_v + dt * p2v
-
-    new = SolverState(
-        t=state.t + dt,
-        a_hat=RadialScalarField(grid, new_a, "spectral"),
-        v_hat=RadialScalarField(grid, new_v, "spectral"))
-
-    for arr in (new_a, new_v):
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise SolverAbort("non-finite spectral value after step",
-                              time=new.t, mode_index=bad)
-    _check_density(to_physical(new.a_hat).values, config.density_guard, new.t)
-    return new
+    if not np.all(np.isfinite(new)):    # the first bad mode of a, else of v
+        bad = int(np.flatnonzero(~np.isfinite(new))[0]) % grid.n_modes
+        raise SolverAbort("non-finite spectral value after step", time=t, mode_index=bad)
+    _check_density(physical_values(grid, new[0]), config.density_guard, t)
+    return SolverState(t, RadialScalarField(grid, new, "spectral"))
 
 
 def initial_state(config: SolverConfig) -> SolverState:
-    grid = config.grid()
-    a0, v0 = initial_data_gaussian(config.amplitude, config.width, grid)
-    return SolverState(0.0, to_spectral(a0), to_spectral(v0))
+    a0 = to_spectral(initial_data_gaussian(config.amplitude, config.width, config.grid()))
+    pair = np.zeros((2, a0.grid.n_modes))
+    pair[0] = a0.values
+    return SolverState(0.0, RadialScalarField(a0.grid, pair, "spectral"))
 
 
-def diagnostics_row(state: SolverState,
-                    linear: tuple[RadialScalarField, RadialScalarField]) -> DiagnosticsRow:
+def diagnostics_row(state: SolverState, linear: RadialScalarField) -> DiagnosticsRow:
     """The row's norms from the spectral pair and the linear flow `linear`
     at state.t; the nonlinear part is state - linear.  L^2 norms by exact
     discrete Parseval, a and v synthesised together once for the sup norms,
-    and the Besov norms read straight from the spectral fields."""
-    grid = state.a_hat.grid
-    av_hat = np.stack((state.a_hat.values, state.v_hat.values))
-    av = RadialScalarField(grid, np.hypot(*physical_values(grid, av_hat)), "physical")
-    nl_a, nl_v = (RadialScalarField(grid, field.values - lin.values, "spectral")
-                  for field, lin in zip((state.a_hat, state.v_hat), linear))
+    and the Besov norms read straight from the spectral pairs."""
+    grid, hat = state.pair.grid, state.pair.values
+    av = RadialScalarField(grid, np.hypot(*physical_values(grid, hat)), "physical")
+    nl = RadialScalarField(grid, hat - linear.values, "spectral")
     spec_inf1 = BesovSpec(0.0, np.inf, 1.0)
     return DiagnosticsRow(
         t=state.t,
-        l2_av=spectral_lp_norm(grid, av_hat, 2.0),
+        l2_av=spectral_lp_norm(grid, hat, 2.0),
         linf_av=lp_norm(av, np.inf),
-        besov0_21=pair_besov_norm(state.a_hat, state.v_hat, BesovSpec(0.0, 2.0, 1.0)),
-        besov0_inf1=pair_besov_norm(state.a_hat, state.v_hat, spec_inf1),
-        nl_l2=spectral_lp_norm(grid, (nl_a.values, nl_v.values), 2.0),
-        nl_besov_inf1=pair_besov_norm(nl_a, nl_v, spec_inf1),
+        besov0_21=pair_besov_norm(state.pair, BesovSpec(0.0, 2.0, 1.0)),
+        besov0_inf1=pair_besov_norm(state.pair, spec_inf1),
+        nl_l2=spectral_lp_norm(grid, nl.values, 2.0),
+        nl_besov_inf1=pair_besov_norm(nl, spec_inf1),
         weighted_sup=weighted_sup_norm(av),
     )
 
@@ -314,31 +295,27 @@ def output_steps(config: SolverConfig) -> list[int]:
 def simulate(config: SolverConfig) -> tuple[list[DiagnosticsRow], SolverState]:
     """Run the configured simulation, sampling diagnostics at the cadence.
 
-    Each output applies e^{tM} to the initial data once; the row's nonlinear
-    part is the state minus that below the dealias edge and 0 above it.  A
-    linear-only run takes that as its state and makes no time step.
-    Deterministic: fixed evaluation order, no randomness anywhere.
+    Each output applies e^{tM} to the initial data once, and the row's
+    nonlinear part is the state minus that.  A linear-only run takes that as
+    its state and makes no time step.  Deterministic: fixed evaluation
+    order, no randomness anywhere.
     """
     config.validate()
     state = initial_state(config)
-    a0, v0 = state.a_hat, state.v_hat
-    kept = dealias_mask(a0.grid, config.dealias_fraction) > 0
+    pair0 = state.pair
     law, tables, done = config.law(), None, 0
     rows = []
     for step in output_steps(config):
         t = step * config.dt
-        linear = apply_semigroup(a0, v0, t)
+        linear = apply_semigroup(pair0, t)
         if config.linear_only:
-            state = SolverState(t, *linear)
+            state = SolverState(t, linear)
         elif step > done:
             if tables is None:
-                tables = make_etd_tables(a0.grid, config.dt)
+                tables = make_etd_tables(pair0.grid, config.dt)
             for k in range(done + 1, step + 1):
                 state = step_etd2(state, law, config, tables)
                 state.t = k * config.dt   # keep the clock exactly representable
             done = step
-        # The forcing is dealiased, so above the edge the state is the linear flow.
-        linear = [RadialScalarField(a0.grid, np.where(kept, lin.values, f.values), "spectral")
-                  for lin, f in zip(linear, (state.a_hat, state.v_hat))]
         rows.append(diagnostics_row(state, linear))
     return rows, state

@@ -67,7 +67,8 @@ class RadialGrid:
 @dataclass
 class RadialScalarField:
     """A radial scalar in physical (samples at r_m) or spectral (fhat at rho_k)
-    representation."""
+    representation; `values` holds one field (N,) or a stack of fields, one
+    per row, such as the (a, v) pair (2, N)."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -93,10 +94,6 @@ def field_from_samples(grid: RadialGrid, values, space: Space = "physical") -> R
     if vals.shape != (grid.n_modes,):
         raise UsageError(f"expected {grid.n_modes} samples, got shape {vals.shape}")
     return RadialScalarField(grid, vals, space)
-
-
-def zero_field(grid: RadialGrid, space: Space = "physical") -> RadialScalarField:
-    return RadialScalarField(grid, np.zeros(grid.n_modes), space)
 
 
 # -- sine/cosine kernels ------------------------------------------------------

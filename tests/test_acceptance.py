@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from radns.besov import BesovSpec, besov_norm, block_multiplier, resolved_range
+from radns.besov import BesovSpec, block_multiplier, pair_besov_norm, resolved_range
 from radns.cli import command_dispatch
 from radns.decay import (
     run_kernel_lower_probe,
@@ -46,7 +46,6 @@ from radns.spectral import (
     to_physical,
     to_spectral,
     weighted_sup_norm,
-    zero_field,
 )
 from test_semigroup import hi_freq_identity_check
 from test_solver import zero_forcing
@@ -202,7 +201,7 @@ def test_criterion_07_besov_machinery():
             coeffs[40:1200] = rng.standard_normal(1160)
             f = field_from_samples(grid, coeffs, "spectral")
             lhs = lp_norm(to_physical(f), p)
-            rhs = besov_norm(f, BesovSpec(0.0, p, 1.0))
+            rhs = pair_besov_norm(f, BesovSpec(0.0, p, 1.0))
             margin_ok = margin_ok and (lhs <= rhs + 1e-9)
 
     # (c) dilation covariance
@@ -213,8 +212,8 @@ def test_criterion_07_besov_machinery():
     f2 = field_from_samples(g2, f1.values.copy())
     worst_dil = 0.0
     for s, p in ((0.5, 2.0), (0.0, math.inf)):
-        n1 = besov_norm(f1, BesovSpec(s, p, 1.0))
-        n2 = besov_norm(f2, BesovSpec(s, p, 1.0))
+        n1 = pair_besov_norm(f1, BesovSpec(s, p, 1.0))
+        n2 = pair_besov_norm(f2, BesovSpec(s, p, 1.0))
         worst_dil = max(worst_dil, abs(n2 / (2.0 ** (s - 3.0 / p) * n1) - 1.0))
 
     ok = worst_rec <= 1e-10 and margin_ok and worst_dil <= 0.01
@@ -280,11 +279,11 @@ def test_criterion_11_etd2_convergence(monkeypatch):
 
     def advance(dt):
         state = initial_state(config)
-        tables = make_etd_tables(state.a_hat.grid, dt)
+        tables = make_etd_tables(state.pair.grid, dt)
         law = config.law()
         for _ in range(int(round(1.0 / dt))):
             state = step_etd2(state, law, config, tables)
-        return np.concatenate([state.a_hat.values, state.v_hat.values])
+        return state.pair.values
 
     reference = advance(0.025 / 8.0)
     errors = [float(np.max(np.abs(advance(dt) - reference)))
@@ -297,17 +296,15 @@ def test_criterion_11_etd2_convergence(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("radns.solver.nonlinear_rhs", zero_forcing)
         stepped = step_etd2(state, config.law(), config,
-                            make_etd_tables(state.a_hat.grid, 0.1))
-    exact_a, exact_v = apply_semigroup(state.a_hat, state.v_hat, 0.1)
-    gap = max(float(np.max(np.abs(stepped.a_hat.values - exact_a.values))),
-              float(np.max(np.abs(stepped.v_hat.values - exact_v.values))))
+                            make_etd_tables(state.pair.grid, 0.1))
+    exact = apply_semigroup(state.pair, 0.1)
+    gap = float(np.max(np.abs(stepped.pair.values - exact.values)))
     zero_cfg = SolverConfig(n_modes=511, outer_radius=30.0, dt=0.1, t_final=1.0,
                             output_interval=0.5, amplitude=0.0)
     zstate = initial_state(zero_cfg)
     zstep = step_etd2(zstate, zero_cfg.law(), zero_cfg,
-                      make_etd_tables(zstate.a_hat.grid, 0.1))
-    zero_ok = bool(np.all(zstep.a_hat.values == 0.0)
-                   and np.all(zstep.v_hat.values == 0.0))
+                      make_etd_tables(zstate.pair.grid, 0.1))
+    zero_ok = bool(np.all(zstep.pair.values == 0.0))
 
     report("criterion 11 (ETD2 self-convergence)",
            order_ok and gap <= 1e-12 and zero_ok,

@@ -254,6 +254,18 @@ fit_tol = 0.01
                                  "--out", str(tmp_path), "--quiet"]) == 2
         assert "l2_av" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("c = inf", "c must be finite and non-negative"),
+        ("gamma = inf", "gamma must be finite and exceed 1"),
+    ], ids=["c", "gamma"])
+    def test_non_finite_physics_rejected(self, tmp_path, capsys, line, message):
+        # both used to run and exit 3 with a non-finite value blamed on the solver
+        cfg = write_config(tmp_path, f"N = 64\nR = 60\ndt = 0.05\nT = 1\n{line}\n")
+        assert command_dispatch(["simulate", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "diagnostics.csv").exists()
+
     @pytest.mark.parametrize("text, code, message", [
         ("T = 1.03\n", 2, "whole multiple of dt"),
         ("T = 20\noutput_interval = 0.07\n", 2, "whole multiple of dt"),

@@ -28,7 +28,7 @@ from radns.semigroup import (
     probe_point_grid,
     scalar_kernel_values,
 )
-from radns.spectral import field_from_samples, make_grid, spectral_lp_norm, zero_field
+from radns.spectral import RadialScalarField, make_grid, spectral_lp_norm
 
 
 def generator(rho: float) -> np.ndarray:
@@ -245,15 +245,17 @@ class TestModeExponential:
                 assert np.max(np.abs(mode_exponential(rho, t))) <= bound
 
 
+def spectral_pair(grid, a, v):
+    """The spectral (a, v) pair as one two-row field."""
+    return RadialScalarField(grid, np.array((a, v), dtype=float), "spectral")
+
+
 class TestApplySemigroup:
     def test_zero_time_identity(self):
         grid = make_grid(128, 10.0)
         rng = np.random.default_rng(0)
-        a = field_from_samples(grid, rng.standard_normal(128), "spectral")
-        v = field_from_samples(grid, rng.standard_normal(128), "spectral")
-        a2, v2 = apply_semigroup(a, v, 0.0)
-        assert np.array_equal(a2.values, a.values)
-        assert np.array_equal(v2.values, v.values)
+        pair = spectral_pair(grid, rng.standard_normal(128), rng.standard_normal(128))
+        assert np.array_equal(apply_semigroup(pair, 0.0).values, pair.values)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.01, max_value=3.0),
@@ -261,28 +263,24 @@ class TestApplySemigroup:
     def test_semigroup_law(self, s, t):
         grid = make_grid(64, 9.0)
         rng = np.random.default_rng(5)
-        a = field_from_samples(grid, rng.standard_normal(64), "spectral")
-        v = field_from_samples(grid, rng.standard_normal(64), "spectral")
-        a1, v1 = apply_semigroup(*apply_semigroup(a, v, s), t)
-        a2, v2 = apply_semigroup(a, v, s + t)
-        scale = max(np.max(np.abs(a2.values)), np.max(np.abs(v2.values)), 1e-30)
-        assert np.max(np.abs(a1.values - a2.values)) <= 1e-10 * scale
-        assert np.max(np.abs(v1.values - v2.values)) <= 1e-10 * scale
+        pair = spectral_pair(grid, rng.standard_normal(64), rng.standard_normal(64))
+        two_legs = apply_semigroup(apply_semigroup(pair, s), t).values
+        one_leg = apply_semigroup(pair, s + t).values
+        scale = max(np.max(np.abs(one_leg)), 1e-30)
+        assert np.max(np.abs(two_legs - one_leg)) <= 1e-10 * scale
 
     def test_single_mode_oracle(self):
         grid = make_grid(128, 10.0)
         k0 = 17
-        a = zero_field(grid, "spectral")
-        v = zero_field(grid, "spectral")
-        a.values[k0] = 2.0
-        v.values[k0] = -1.0
-        a2, v2 = apply_semigroup(a, v, 0.7)
+        pair = spectral_pair(grid, np.zeros(128), np.zeros(128))
+        pair.values[:, k0] = 2.0, -1.0
+        a2, v2 = apply_semigroup(pair, 0.7).values
         ea, ev = mode_exponential(grid.rho[k0], 0.7) @ [2.0, -1.0]
-        assert a2.values[k0] == pytest.approx(ea, rel=1e-13)
-        assert v2.values[k0] == pytest.approx(ev, rel=1e-13)
+        assert a2[k0] == pytest.approx(ea, rel=1e-13)
+        assert v2[k0] == pytest.approx(ev, rel=1e-13)
         mask = np.ones(128, dtype=bool)
         mask[k0] = False
-        assert np.all(a2.values[mask] == 0.0)
+        assert np.all(a2[mask] == 0.0)
 
     def test_linear_energy_identity(self):
         # each mode obeys d/dt (a^2 + v^2) = -2 rho^2 v^2, so with
@@ -290,35 +288,35 @@ class TestApplySemigroup:
         # E(t) + 2 int_0^t D(s) ds = E(0); the integral by Gauss-Legendre
         grid = make_grid(511, 30.0)
         rho = grid.rho
-        a = field_from_samples(grid, 2 ** -1.5 * np.exp(-rho ** 2 / 4), "spectral")
-        v = field_from_samples(grid, rho * np.exp(-rho ** 2), "spectral")
+        pair = spectral_pair(grid, 2 ** -1.5 * np.exp(-rho ** 2 / 4), rho * np.exp(-rho ** 2))
         weight = 4.0 * math.pi * grid.drho
 
-        def energy(a_hat, v_hat):
-            return weight * np.sum(rho ** 2 * (a_hat.values ** 2 + v_hat.values ** 2))
+        def energy(hat):
+            return weight * np.sum(rho ** 2 * (hat.values[0] ** 2 + hat.values[1] ** 2))
 
         def dissipation(s):
-            return weight * np.sum(rho ** 4 * apply_semigroup(a, v, s)[1].values ** 2)
+            return weight * np.sum(rho ** 4 * apply_semigroup(pair, s).values[1] ** 2)
 
         t = 2.0
         nodes, weights = np.polynomial.legendre.leggauss(64)
         integral = 0.5 * t * sum(wk * dissipation(0.5 * t * (xk + 1.0))
                                  for xk, wk in zip(nodes, weights))
-        e0 = energy(a, v)
-        et = energy(*apply_semigroup(a, v, t))
+        e0 = energy(pair)
+        et = energy(apply_semigroup(pair, t))
         assert et < e0
         assert et + 2.0 * integral == pytest.approx(e0, rel=1e-12)
 
-    def test_grid_mismatch_rejected(self):
-        a = zero_field(make_grid(64, 9.0), "spectral")
-        v = zero_field(make_grid(64, 10.0), "spectral")
-        with pytest.raises(UsageError):
-            apply_semigroup(a, v, 1.0)
+    @pytest.mark.parametrize("shape", [(64,), (1, 64), (3, 64)],
+                             ids=["one-field", "one-row", "three-rows"])
+    def test_not_a_pair_rejected(self, shape):
+        field = RadialScalarField(make_grid(64, 9.0), np.zeros(shape), "spectral")
+        with pytest.raises(UsageError, match="pair of shape"):
+            apply_semigroup(field, 1.0)
 
     def test_physical_space_rejected(self):
         grid = make_grid(64, 9.0)
-        with pytest.raises(UsageError):
-            apply_semigroup(zero_field(grid), zero_field(grid, "spectral"), 1.0)
+        with pytest.raises(UsageError, match="spectral-space"):
+            apply_semigroup(RadialScalarField(grid, np.zeros((2, 64)), "physical"), 1.0)
 
 
 class TestPhiCoefficients:

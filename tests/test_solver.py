@@ -32,10 +32,14 @@ from radns.spectral import (
     to_physical,
     to_spectral,
     weighted_sup_norm,
-    zero_field,
 )
 from test_besov import oracle_pair_besov_norm, screened_kept_blocks
-from test_spectral import RadialVectorProfile, divergence_of_profile, gradient_profile
+from test_spectral import (
+    RadialVectorProfile,
+    divergence_of_profile,
+    gradient_profile,
+    zero_field,
+)
 
 
 def small_config(**overrides):
@@ -79,22 +83,27 @@ class TestPressureLaw:
         with pytest.raises(ConfigurationError):
             PressureLaw(1.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PressureLaw(gamma)
+
 
 class TestInitialData:
     def test_zero_amplitude(self):
         grid = make_grid(256, 20.0)
-        a0, v0 = initial_data_gaussian(0.0, 1.0, grid)
-        assert np.all(a0.values == 0.0) and np.all(v0.values == 0.0)
+        a0 = initial_data_gaussian(0.0, 1.0, grid)
+        assert np.all(a0.values == 0.0)
 
     def test_sup_norm(self):
         grid = make_grid(2048, 60.0)
-        a0, _ = initial_data_gaussian(0.01, 1.0, grid)
+        a0 = initial_data_gaussian(0.01, 1.0, grid)
         assert lp_norm(a0, math.inf) == pytest.approx(
             0.01 * math.exp(-grid.r[0] ** 2), rel=1e-12)
 
     def test_l2_norm_quadrature(self):
         grid = make_grid(4095, 60.0)
-        a0, _ = initial_data_gaussian(0.01, 1.0, grid)
+        a0 = initial_data_gaussian(0.01, 1.0, grid)
         assert lp_norm(a0, 2) == pytest.approx(0.01 * (math.pi / 2) ** 0.75, rel=1e-8)
 
 
@@ -110,10 +119,9 @@ def reference_rhs(state, law, config):
     U from |D|^{-1} v, grad(U^2/2) from a dealiased re-synthesis of U^2/2,
     and both divergences from the dealiased sine expansion of the profile
     (17 transforms).  Oracle for nonlinear_rhs."""
-    grid = state.a_hat.grid
+    grid = state.pair.grid
     mask = dealias_mask(grid, config.dealias_fraction)
-    a_hat = RadialScalarField(grid, state.a_hat.values * mask, "spectral")
-    v_hat = RadialScalarField(grid, state.v_hat.values * mask, "spectral")
+    a_hat, v_hat = (RadialScalarField(grid, row * mask, "spectral") for row in state.pair.values)
 
     a, grad_a = physical_and_gradient(a_hat)
     w_hat = apply_multiplier(v_hat, lambda rho: rho)          # |D| v
@@ -137,8 +145,7 @@ def reference_rhs(state, law, config):
                                   dealias_fraction=config.dealias_fraction)
     h_hat = apply_multiplier(to_spectral(div_g), lambda rho: 1.0 / rho)
 
-    return (RadialScalarField(grid, f_hat.values * mask, "spectral"),
-            RadialScalarField(grid, h_hat.values * mask, "spectral"))
+    return np.array((f_hat.values, h_hat.values)) * mask
 
 
 class TestReconstructVelocity:
@@ -175,10 +182,13 @@ class TestReconstructVelocity:
         assert err < 1e-9  # v = |D|^{-1} div u recovers the input
 
 
-def make_state(grid, a_vals, v_vals):
-    a = RadialScalarField(grid, a_vals, "spectral")
-    v = RadialScalarField(grid, v_vals, "spectral")
-    return SolverState(0.0, a, v)
+def make_state(grid, a_vals, v_vals, t=0.0):
+    return SolverState(t, RadialScalarField(grid, np.array((a_vals, v_vals)), "spectral"))
+
+
+def spectral_rows(grid, rows):
+    """Each row of a spectral stack, such as the forcing pair, as its own field."""
+    return [RadialScalarField(grid, row, "spectral") for row in rows]
 
 
 class TestNonlinearRhs:
@@ -186,8 +196,7 @@ class TestNonlinearRhs:
         cfg = small_config()
         grid = cfg.grid()
         state = make_state(grid, np.zeros(grid.n_modes), np.zeros(grid.n_modes))
-        f_hat, h_hat = nonlinear_rhs(state, cfg.law(), cfg)
-        assert np.all(f_hat.values == 0.0) and np.all(h_hat.values == 0.0)
+        assert np.all(nonlinear_rhs(state, cfg.law(), cfg) == 0.0)
 
     def test_f_term_independent_of_gamma(self):
         cfg = small_config()
@@ -198,8 +207,8 @@ class TestNonlinearRhs:
         state = make_state(grid, a_vals, v_vals)
         f14, h14 = nonlinear_rhs(state, PressureLaw(1.4), cfg)
         f20, h20 = nonlinear_rhs(state, PressureLaw(2.0), cfg)
-        assert np.array_equal(f14.values, f20.values)
-        assert not np.array_equal(h14.values, h20.values)
+        assert np.array_equal(f14, f20)
+        assert not np.array_equal(h14, h20)
 
     def test_beta_term_absent_at_gamma_two(self):
         # with beta = 0 the h-term must equal the one computed with the
@@ -216,7 +225,7 @@ class TestNonlinearRhs:
 
         _, h_gamma2 = nonlinear_rhs(state, PressureLaw(2.0), cfg)
         _, h_dropped = nonlinear_rhs(state, NoPressure(1.4), cfg)
-        assert np.array_equal(h_gamma2.values, h_dropped.values)
+        assert np.array_equal(h_gamma2, h_dropped)
 
     def test_quadratic_amplitude_scaling(self):
         cfg = small_config(n_modes=1023, outer_radius=40.0)
@@ -227,7 +236,7 @@ class TestNonlinearRhs:
         norms = []
         for eps in eps_list:
             state = make_state(grid, eps * base_a, eps * base_v)
-            f_hat, h_hat = nonlinear_rhs(state, cfg.law(), cfg)
+            f_hat, h_hat = spectral_rows(grid, nonlinear_rhs(state, cfg.law(), cfg))
             norms.append(math.hypot(lp_norm(to_physical(f_hat), 2),
                                     lp_norm(to_physical(h_hat), 2)))
         slope = np.polyfit(np.log(eps_list), np.log(norms), 1)[0]
@@ -258,7 +267,7 @@ class TestNonlinearRhs:
         # three two-transform syntheses, one DST for f, a DST and a DCT for h
         cfg = small_config()
         state = initial_state(cfg)
-        tables = make_etd_tables(state.a_hat.grid, cfg.dt)
+        tables = make_etd_tables(state.pair.grid, cfg.dt)
         transform_counter[0] = 0
         nonlinear_rhs(state, cfg.law(), cfg)
         assert transform_counter[0] == 9
@@ -299,8 +308,8 @@ class TestReferenceRhs:
             state = smooth_state(grid, rng)
             for got, want in zip(nonlinear_rhs(state, law, cfg),
                                  reference_rhs(state, law, cfg)):
-                scale = np.max(np.abs(want.values))
-                assert np.max(np.abs(got.values - want.values)) <= tol * scale
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= tol * scale
 
 
 def gaussian_state_calculus(r, amp, gamma):
@@ -340,7 +349,7 @@ class TestAnalyticState:
                            grid.rho * np.exp(-grid.rho ** 2))
         f, g, g1 = gaussian_state_calculus(grid.r, amp, cfg.gamma)
         div_g = g1 + 2.0 * g / grid.r             # div(G x/r), so |D| h
-        f_hat, h_hat = rhs(state, cfg.law(), cfg)
+        f_hat, h_hat = spectral_rows(grid, rhs(state, cfg.law(), cfg))
         assert np.max(np.abs(to_physical(f_hat).values - f)) <= 1e-11 * np.max(np.abs(f))
         rho_h = to_physical(apply_multiplier(h_hat, lambda rho: rho)).values
         assert np.max(np.abs(rho_h - div_g)) <= 1e-11 * np.max(np.abs(div_g))
@@ -360,14 +369,13 @@ class TestAnalyticState:
                            np.zeros(grid.n_modes))
         f_hat, h_hat = nonlinear_rhs(state, FluxLaw(), cfg)
         exact = grid.rho / 2 * 2 ** -1.5 * np.exp(-grid.rho ** 2 / 4)
-        assert np.all(f_hat.values == 0.0)
-        assert np.max(np.abs(h_hat.values - exact)) <= 1e-10 * np.max(exact)
+        assert np.all(f_hat == 0.0)
+        assert np.max(np.abs(h_hat - exact)) <= 1e-10 * np.max(exact)
 
 
 def zero_forcing(state, law, config):
     """A nonlinear_rhs stand-in that switches the forcing off."""
-    grid = state.a_hat.grid
-    return zero_field(grid, "spectral"), zero_field(grid, "spectral")
+    return np.zeros_like(state.pair.values)
 
 
 class TestStepEtd2:
@@ -376,28 +384,42 @@ class TestStepEtd2:
         monkeypatch.setattr("radns.solver.nonlinear_rhs", zero_forcing)
         cfg = small_config()
         state = initial_state(cfg)
-        tables = make_etd_tables(state.a_hat.grid, cfg.dt)
+        tables = make_etd_tables(state.pair.grid, cfg.dt)
         stepped = step_etd2(state, cfg.law(), cfg, tables)
-        a_exact, v_exact = apply_semigroup(state.a_hat, state.v_hat, cfg.dt)
-        assert np.max(np.abs(stepped.a_hat.values - a_exact.values)) <= 1e-12
-        assert np.max(np.abs(stepped.v_hat.values - v_exact.values)) <= 1e-12
+        exact = apply_semigroup(state.pair, cfg.dt)
+        assert np.max(np.abs(stepped.pair.values - exact.values)) <= 1e-12
 
     def test_zero_data_stays_zero(self):
         cfg = small_config(amplitude=0.0)
         state = initial_state(cfg)
-        tables = make_etd_tables(state.a_hat.grid, cfg.dt)
+        tables = make_etd_tables(state.pair.grid, cfg.dt)
         stepped = step_etd2(state, cfg.law(), cfg, tables)
-        assert np.all(stepped.a_hat.values == 0.0)
-        assert np.all(stepped.v_hat.values == 0.0)
+        assert np.all(stepped.pair.values == 0.0)
+
+    def test_non_finite_step_names_its_mode(self, monkeypatch):
+        # forcing poisoned at mode 7 of h and mode 30 of f; the step couples
+        # a and v per mode, and the abort names the first non-finite mode
+        def poisoned(state, law, config):
+            rows = np.zeros_like(state.pair.values)
+            rows[1, 7] = rows[0, 30] = np.inf
+            return rows
+
+        monkeypatch.setattr("radns.solver.nonlinear_rhs", poisoned)
+        cfg = small_config()
+        state = initial_state(cfg)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(SolverAbort, match="non-finite spectral value") as err:
+            step_etd2(state, cfg.law(), cfg, make_etd_tables(state.pair.grid, cfg.dt))
+        assert err.value.mode_index == 7 and err.value.time == cfg.dt
 
     @staticmethod
     def _advance(cfg, dt, t_end):
         state = initial_state(cfg)
-        tables = make_etd_tables(state.a_hat.grid, dt)
+        tables = make_etd_tables(state.pair.grid, dt)
         law = cfg.law()
         for _ in range(int(round(t_end / dt))):
             state = step_etd2(state, law, cfg, tables)
-        return np.concatenate([state.a_hat.values, state.v_hat.values])
+        return state.pair.values
 
     def test_self_convergence_order_two(self):
         cfg = small_config(amplitude=0.01, dt=0.1)
@@ -432,7 +454,7 @@ class TestNonlinearPart:
     def test_zero_data_zero_for_all_time(self):
         cfg = small_config(amplitude=0.0, t_final=1.0)
         rows, state = simulate(cfg)
-        assert np.all(state.a_hat.values == 0.0) and np.all(state.v_hat.values == 0.0)
+        assert np.all(state.pair.values == 0.0)
         for row in rows:
             assert row.nl_l2 == row.nl_besov_inf1 == 0.0
 
@@ -461,10 +483,9 @@ def oracle_row(state, linear):
     """The row as the physical-space formulas give it: each field synthesised
     alone, L^p norms by the rectangle rule of the pointwise modulus, and Besov
     norms from the one-block-at-a-time loop."""
-    grid = state.a_hat.grid
-    a, v = to_physical(state.a_hat), to_physical(state.v_hat)
-    nl_a, nl_v = (to_physical(RadialScalarField(grid, field.values - lin.values, "spectral"))
-                  for field, lin in zip((state.a_hat, state.v_hat), linear))
+    grid = state.pair.grid
+    a, v = map(to_physical, spectral_rows(grid, state.pair.values))
+    nl_a, nl_v = map(to_physical, spectral_rows(grid, state.pair.values - linear.values))
     modulus = field_from_samples(grid, np.hypot(a.values, v.values))
     nl_modulus = field_from_samples(grid, np.hypot(nl_a.values, nl_v.values))
     spec21, spec_inf1 = BesovSpec(0.0, 2.0, 1.0), BesovSpec(0.0, math.inf, 1.0)
@@ -488,24 +509,20 @@ class TestDiagnosticsRow:
         rng = np.random.default_rng(3)
         decay = np.exp(-0.05 * grid.rho ** 2)
         a, v, da, dv = (rng.standard_normal(grid.n_modes) * decay for _ in range(4))
-        a_hat = RadialScalarField(grid, a, "spectral")
-        v_hat = RadialScalarField(grid, v, "spectral")
-        state = SolverState(3.0, a_hat, v_hat)
+        state = make_state(grid, a, v, t=3.0)
         if linear:        # as a linear-only run has it: the pair is its own linear flow
-            return state, (a_hat, v_hat)
-        return state, (RadialScalarField(grid, a - 1e-3 * da, "spectral"),
-                       RadialScalarField(grid, v - 1e-3 * dv, "spectral"))
+            return state, state.pair
+        return state, make_state(grid, a - 1e-3 * da, v - 1e-3 * dv).pair
 
     @pytest.mark.parametrize("linear", [True, False])
     def test_transform_count(self, transform_counter, linear):
         state, flow = self.snapshot(linear)
-        grid, spec = state.a_hat.grid, BesovSpec(0.0, math.inf, 1.0)
-        kept = screened_kept_blocks(state.a_hat, state.v_hat, spec)
+        grid, spec = state.pair.grid, BesovSpec(0.0, math.inf, 1.0)
+        kept = screened_kept_blocks(*spectral_rows(grid, state.pair.values), spec)
         j_min, j_max = resolved_range(grid)
         assert 0 < len(kept) < j_max - j_min + 1
         nl_kept = [] if linear else screened_kept_blocks(
-            *(RadialScalarField(grid, f.values - lin.values, "spectral")
-              for f, lin in zip((state.a_hat, state.v_hat), flow)), spec)
+            *spectral_rows(grid, state.pair.values - flow.values), spec)
         start = transform_counter[0]
         diagnostics_row(state, flow)
         assert transform_counter[0] - start == 2 + 2 * len(kept) + 2 * len(nl_kept)
@@ -523,7 +540,7 @@ class TestDiagnosticsRow:
         cfg = small_config(t_final=2.0, output_interval=1.0)
         rows, state = simulate(cfg)
         start = initial_state(cfg)
-        flow = apply_semigroup(start.a_hat, start.v_hat, state.t)
+        flow = apply_semigroup(start.pair, state.t)
         for got, want in zip(rows[-1].as_tuple(), oracle_row(state, flow)):
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -546,8 +563,7 @@ class TestSimulate:
         cfg = small_config(t_final=1.0)
         rows_a, state_a = simulate(cfg)
         rows_b, state_b = simulate(cfg)
-        assert np.array_equal(state_a.a_hat.values, state_b.a_hat.values)
-        assert np.array_equal(state_a.v_hat.values, state_b.v_hat.values)
+        assert np.array_equal(state_a.pair.values, state_b.pair.values)
         assert [r.as_tuple() for r in rows_a] == [r.as_tuple() for r in rows_b]
 
     def test_decaying_l2_after_transient(self):
@@ -556,6 +572,15 @@ class TestSimulate:
         rows, _ = simulate(cfg)
         tail = [r.l2_av for r in rows if r.t >= 5.0]
         assert all(b < a for a, b in zip(tail, tail[1:]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", math.nan), ("gamma", math.inf), ("amplitude", math.nan),
+        ("amplitude", math.inf), ("width", math.nan),
+    ])
+    def test_non_finite_physics_rejected(self, field, value):
+        # NaN slipped through the <= and < checks, and gamma went unchecked
+        with pytest.raises(ConfigurationError, match="finite"):
+            small_config(**{field: value}).validate()
 
     def test_front_containment_enforced(self):
         with pytest.raises(ConfigurationError):

@@ -31,8 +31,12 @@ from radns.spectral import (
     to_physical,
     to_spectral,
     weighted_sup_norm,
-    zero_field,
 )
+
+
+def zero_field(grid, space="physical"):
+    """The identically zero field."""
+    return field_from_samples(grid, np.zeros(grid.n_modes), space)
 
 
 def field_from_profile_function(grid, fn, space="physical"):
