@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericDomainError, UnsupportedParameterError
-from .spectral import RadialGrid, RadialScalarField, as_spectral, per_grid_cache, spectral_lp_norm
+from .spectral import RadialGrid, per_grid_cache, spectral_lp_norm
 
 
 def _ramp(s: np.ndarray) -> np.ndarray:
@@ -110,10 +110,11 @@ def _sup_bound_weights(grid: RadialGrid, hat: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0 / math.pi) * grid.drho * grid.rho ** 2 * np.linalg.norm(hat, axis=0)
 
 
-def _block_lq_norm(field: RadialScalarField, s: float, p: float, q: float,
+def _block_lq_norm(grid: RadialGrid, hat: np.ndarray, s: float, p: float, q: float,
                    indices: Sequence[int]) -> float:
     """l^q sum over `indices` of 2^{sj} times the L^p norm of the blockwise
-    modulus of `field`, one field or a stack of fields, one per row.
+    modulus of the fields whose spectral values on `grid` are `hat`, one
+    field (N,) or a stack of fields, one per row.
 
     Blocks go one at a time in j order, each block's spectral rows to
     `spectral_lp_norm` (Parseval for p = 2, else one transform call).
@@ -123,14 +124,13 @@ def _block_lq_norm(field: RadialScalarField, s: float, p: float, q: float,
     far; by the triangle inequality in l^q the result moves by at most that
     skipped sum, for every q.  All-zero blocks are always skipped.
     """
-    grid = field.grid
     try:
         weights = [2.0 ** (s * j) for j in indices]
     except OverflowError:
         raise NumericDomainError(
             f"the Besov weight 2^(s j) overflows for s = {s:g} on blocks "
             f"{indices[0]}..{indices[-1]}") from None
-    hat = np.atleast_2d(as_spectral(field).values)
+    hat = np.atleast_2d(hat)
     bound_weights = _sup_bound_weights(grid, hat) if np.isinf(p) else None
     terms, skipped = [], 0.0
     for j, weight in zip(indices, weights):
@@ -145,11 +145,12 @@ def _block_lq_norm(field: RadialScalarField, s: float, p: float, q: float,
     return lq_sum(terms, q)
 
 
-def pair_besov_norm(field: RadialScalarField, spec: BesovSpec) -> float:
-    """Besov norm of a field, or of a pair [a; v] stacked as its rows: the
-    blockwise Euclidean modulus before L^p."""
-    indices = _band_indices(spec, *resolved_range(field.grid))
-    return _block_lq_norm(field, spec.s, spec.p, spec.q, indices)
+def pair_besov_norm(grid: RadialGrid, hat: np.ndarray, spec: BesovSpec) -> float:
+    """Besov norm of the field with spectral values `hat` on `grid`, or of a
+    pair [a; v] stacked as its rows: the blockwise Euclidean modulus before
+    L^p."""
+    indices = _band_indices(spec, *resolved_range(grid))
+    return _block_lq_norm(grid, hat, spec.s, spec.p, spec.q, indices)
 
 
 def j0_for_time(t: float) -> int:

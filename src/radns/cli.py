@@ -29,7 +29,7 @@ from .decay import (
 )
 from .errors import ConfigurationError, FitError, RadnsError, SolverAbort
 from .solver import CSV_COLUMNS, initial_data_gaussian, simulate
-from .spectral import make_grid, field_from_samples, to_physical, to_spectral
+from .spectral import make_grid, physical_values, to_spectral
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -102,13 +102,12 @@ def cmd_grid_check(args) -> int:
     config = _load(args)
     grid = make_grid(config.get("N"), config.get("R"))
     rng = np.random.default_rng(0)
-    field = field_from_samples(grid, rng.standard_normal(grid.n_modes))
-    spec = to_spectral(field)
-    back = to_physical(spec)
-    inv_err = float(np.max(np.abs(back.values - field.values))
-                    / np.max(np.abs(field.values)))
-    phys = grid.dr * np.sum(grid.r ** 2 * field.values ** 2)
-    spect = grid.drho * np.sum(grid.rho ** 2 * spec.values ** 2)
+    samples = rng.standard_normal(grid.n_modes)
+    hat = to_spectral(grid, samples)
+    back = physical_values(grid, hat)
+    inv_err = float(np.max(np.abs(back - samples)) / np.max(np.abs(samples)))
+    phys = grid.dr * np.sum(grid.r ** 2 * samples ** 2)
+    spect = grid.drho * np.sum(grid.rho ** 2 * hat ** 2)
     par_err = abs(phys - spect) / phys
     dual_err = abs(grid.dr * grid.drho - math.pi / (grid.n_modes + 1))
     ok = inv_err <= 1e-12 and par_err <= 1e-10 and dual_err <= 1e-15
@@ -168,11 +167,11 @@ def cmd_kernel_probe(args) -> int:
 def cmd_besov_norm(args) -> int:
     config = _load(args)
     grid = make_grid(config.get("N"), config.get("R"))
-    a0 = initial_data_gaussian(config.get("c"), config.get("w"), grid)
+    a0 = to_spectral(grid, initial_data_gaussian(config.get("c"), config.get("w"), grid))
     spec = BesovSpec(config.get("s"), config.get("p"), config.get("q"),
                      band=config.get("band"),
                      j0=config.get("j0") if config.get("band") != "full" else None)
-    value = pair_besov_norm(a0, spec)
+    value = pair_besov_norm(grid, a0, spec)
     if not math.isfinite(value):
         raise SolverAbort("non-finite Besov norm", time=0.0)
     payload = {"experiment": "besov-norm", "value": value,

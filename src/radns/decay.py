@@ -23,7 +23,7 @@ from .besov import _block_lq_norm, j0_for_time, resolved_range
 from .errors import FitError, NumericDomainError, SolverAbort, UnsupportedParameterError
 from .semigroup import CutoffPsi, kernel_probe, probe_point_grid, scalar_kernel_values
 from .solver import CSV_COLUMNS, DiagnosticsRow, SolverConfig, simulate
-from .spectral import RadialScalarField, make_grid
+from .spectral import make_grid
 
 
 @dataclass
@@ -312,8 +312,8 @@ def block_frame_sup(t: float, j0: int) -> float:
     blocks = _frame_blocks(t, j0)
     grid = make_grid(*_FRAME_GRID)
     kernel = scalar_kernel_values(grid.rho, t)
-    parts = RadialScalarField(grid, np.array((kernel.real, kernel.imag)), "spectral")
-    return _block_lq_norm(parts, 0.0, math.inf, math.inf, blocks)
+    parts = np.array((kernel.real, kernel.imag))
+    return _block_lq_norm(grid, parts, 0.0, math.inf, math.inf, blocks)
 
 
 def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> ExperimentReport:

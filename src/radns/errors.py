@@ -10,13 +10,13 @@ class ConfigurationError(RadnsError, ValueError):
 
 
 class UsageError(RadnsError, TypeError):
-    """An operation was called with objects in the wrong representation
-    (wrong space tag, mismatched grids, empty probe set)."""
+    """An operation was called with arguments of the wrong shape (a spectral
+    pair that is not (2, N); an empty, non-3D or off-axis probe set)."""
 
 
 class NumericDomainError(RadnsError, ValueError):
     """A numeric argument is outside the mathematical domain of the operation
-    (non-positive frequency, negative time, non-finite multiplier values)."""
+    (non-positive frequency, negative time, a Besov weight that overflows)."""
 
 
 class UnsupportedParameterError(RadnsError, ValueError):

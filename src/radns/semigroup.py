@@ -33,7 +33,7 @@ import numpy as np
 
 from .besov import _ramp
 from .errors import NumericDomainError, SolverAbort, UsageError
-from .spectral import RadialScalarField
+from .spectral import RadialGrid
 
 #: below this value of |t*delta| the divided differences switch to their
 #: power series in (t delta)^2, which is exact to double precision there.
@@ -78,15 +78,12 @@ def mode_matrices(rho: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np
     return mode_function_entries(0, rho, float(t))
 
 
-def apply_semigroup(pair: RadialScalarField, t: float) -> RadialScalarField:
-    """Propagate a spectral (a, v) pair, one row each, exactly by time t."""
-    if pair.space != "spectral":
-        raise UsageError("apply_semigroup acts on spectral-space fields")
-    if pair.values.shape != (2, pair.grid.n_modes):
+def apply_semigroup(grid: RadialGrid, pair: np.ndarray, t: float) -> np.ndarray:
+    """Propagate the spectral (a, v) pair on `grid`, one row each, exactly by time t."""
+    if np.shape(pair) != (2, grid.n_modes):
         raise UsageError(f"apply_semigroup needs an (a, v) pair of shape "
-                         f"(2, {pair.grid.n_modes}), got {pair.values.shape}")
-    return RadialScalarField(pair.grid, mode_product(mode_matrices(pair.grid.rho, t),
-                                                     pair.values), "spectral")
+                         f"(2, {grid.n_modes}), got {np.shape(pair)}")
+    return mode_product(mode_matrices(grid.rho, t), pair)
 
 
 # -- scalar semigroup kernels --------------------------------------------------
@@ -146,8 +143,11 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int) 
     symmetric support box is 8x the cosine-weighted integral over the positive
     octant with xi_1 in [t^{-1/2}/2, t^{-1/2}], xi_{2,3} in [0, t^{-3/4}].
     Points must lie on a coordinate axis, so each needs only the marginal of
-    the weighted integrand along its axis; the three marginals are summed one
-    xi_1 slab at a time.
+    the weighted integrand along its axis.  xi_2 and xi_3 share their nodes
+    and weights, and the integrand depends on xi_1 and |xi| only, so it is
+    symmetric under xi_2 <-> xi_3 and one transverse marginal serves both
+    transverse axes; the axial and transverse marginals are summed one xi_1
+    slab at a time.
 
     Psi is exactly 0 at or past the shell's outer radius, so a slab with
     X_1 = t^{1/2} xi_1 there is skipped, and the others evaluate only the
@@ -161,28 +161,27 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int) 
     s = 1.0 / math.sqrt(t)
     x1, w1 = _gauss_nodes(0.5 * s, s, n_nodes)
     x2, w2 = _gauss_nodes(0.0, t ** -0.75, n_nodes)
-    x3, w3 = x2, w2
     scaled = t ** 0.75 * x2         # ascending, as np.searchsorted needs
 
-    marginals = np.zeros((3, n_nodes), dtype=complex)
+    marginals = np.zeros((2, n_nodes), dtype=complex)
     for i, (xi1, wi) in enumerate(zip(x1, w1)):
         scaled1 = math.sqrt(t) * xi1
         radius = psi.transverse_radius(scaled1)
         if radius == 0.0:
             continue
         k = min(int(np.searchsorted(scaled, radius)) + 1, n_nodes)
-        rho = np.sqrt(xi1 ** 2 + x2[:k, None] ** 2 + x3[None, :k] ** 2)
+        rho = np.sqrt(xi1 ** 2 + x2[:k, None] ** 2 + x2[None, :k] ** 2)
         slab = scalar_kernel_values(rho, t)
         slab *= psi(scaled1, scaled[:k, None], scaled[None, :k])
-        slab *= wi * w2[:k, None] * w3[None, :k]
+        slab *= wi * w2[:k, None] * w2[None, :k]
         marginals[0, i] = slab.sum()
         marginals[1, :k] += slab.sum(axis=1)
-        marginals[2, :k] += slab.sum(axis=0)
 
     vals = np.empty(len(points), dtype=complex)
     for i, point in enumerate(points):
         axis = int(np.argmax(np.abs(point)))
-        vals[i] = np.cos(point[axis] * (x1, x2, x3)[axis]) @ marginals[axis]
+        side = min(axis, 1)             # 0 axial, 1 transverse
+        vals[i] = np.cos(point[axis] * (x1, x2)[side]) @ marginals[side]
     return 8.0 * np.abs(vals)
 
 

@@ -37,12 +37,9 @@ from .errors import ConfigurationError, SolverAbort
 from .semigroup import apply_semigroup, mode_function_entries, mode_matrices, mode_product
 from .spectral import (
     RadialGrid,
-    RadialScalarField,
     _cosine_sum,
     _sine_sum,
-    apply_multiplier,
     dealias_mask,
-    field_from_samples,
     lp_norm,
     make_grid,
     physical_and_gradient,
@@ -131,10 +128,11 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Spectral pair at time t, rows (a_hat, v_hat)."""
+    """Spectral pair at time t on `grid`, rows (a_hat, v_hat) of shape (2, N)."""
 
     t: float
-    pair: RadialScalarField
+    grid: RadialGrid
+    pair: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -164,14 +162,13 @@ class DiagnosticsRow:
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRow))
 
 
-def initial_data_gaussian(amplitude: float, width: float, grid: RadialGrid
-                          ) -> RadialScalarField:
-    """The physical a0(r) = c exp(-(r/w)^2); the initial v0 is 0."""
+def initial_data_gaussian(amplitude: float, width: float, grid: RadialGrid) -> np.ndarray:
+    """The samples of a0(r) = c exp(-(r/w)^2) at r_m; the initial v0 is 0."""
     if not 0.0 <= amplitude < math.inf:
         raise ConfigurationError("amplitude must be finite and non-negative")
     if not 0.0 < width < math.inf:
         raise ConfigurationError("width must be finite and positive")
-    return field_from_samples(grid, amplitude * np.exp(-((grid.r / width) ** 2)))
+    return amplitude * np.exp(-((grid.r / width) ** 2))
 
 
 def _check_density(a_phys: np.ndarray, guard: float, t: float) -> None:
@@ -195,19 +192,19 @@ def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
                   ) -> np.ndarray:
     """Spectral forcing rows (f_hat, h_hat) at the current state, by the
     radial identities of the module docstring on the dealiased fields."""
-    grid = state.pair.grid
+    grid = state.grid
     mask = dealias_mask(grid, config.dealias_fraction)
-    a_hat, v_hat = (RadialScalarField(grid, row, "spectral") for row in state.pair.values * mask)
+    a_hat, v_hat = state.pair * mask
 
-    a, a_r = physical_and_gradient(a_hat)
+    a, a_r = physical_and_gradient(grid, a_hat)
     _check_density(a, config.density_guard, state.t)
-    w, w_r = physical_and_gradient(apply_multiplier(v_hat, lambda rho: rho))  # w = |D| v
-    u = -physical_and_gradient(apply_multiplier(v_hat, lambda rho: 1.0 / rho))[1]
+    w, w_r = physical_and_gradient(grid, grid.rho * v_hat)     # w = |D| v
+    u = -physical_and_gradient(grid, (1.0 / grid.rho) * v_hat)[1]
     u_r = w - 2.0 * u / grid.r                    # div(U x/r) = w
 
     rows = np.empty((2, grid.n_modes))
     # f = -div(a U x/r) = -(a' U + a w)
-    rows[0] = to_spectral(RadialScalarField(grid, -(a_r * u + a * w), "physical")).values
+    rows[0] = to_spectral(grid, -(a_r * u + a * w))
 
     # h = |D|^{-1} div(G x/r); by parts, rho^2 h_hat = S - rho C
     g = -u * u_r - (a / (1.0 + a)) * w_r - law.beta(a) * a_r
@@ -237,48 +234,48 @@ def make_etd_tables(grid: RadialGrid, dt: float) -> EtdTables:
 def step_etd2(state: SolverState, law: PressureLaw, config: SolverConfig,
               tables: EtdTables) -> SolverState:
     """One predictor/corrector exponential step of size tables.dt."""
-    grid = state.pair.grid
+    grid = state.grid
     dt = tables.dt
     t = state.t + dt
 
     f0 = nonlinear_rhs(state, law, config)
-    mid = (mode_product(tables.exp_entries, state.pair.values)
+    mid = (mode_product(tables.exp_entries, state.pair)
            + dt * mode_product(tables.phi1, f0))
-    f1 = nonlinear_rhs(SolverState(t, RadialScalarField(grid, mid, "spectral")), law, config)
+    f1 = nonlinear_rhs(SolverState(t, grid, mid), law, config)
     new = mid + dt * mode_product(tables.phi2, f1 - f0)
 
     if not np.all(np.isfinite(new)):    # the first bad mode of a, else of v
         bad = int(np.flatnonzero(~np.isfinite(new))[0]) % grid.n_modes
         raise SolverAbort("non-finite spectral value after step", time=t, mode_index=bad)
     _check_density(physical_values(grid, new[0]), config.density_guard, t)
-    return SolverState(t, RadialScalarField(grid, new, "spectral"))
+    return SolverState(t, grid, new)
 
 
 def initial_state(config: SolverConfig) -> SolverState:
-    a0 = to_spectral(initial_data_gaussian(config.amplitude, config.width, config.grid()))
-    pair = np.zeros((2, a0.grid.n_modes))
-    pair[0] = a0.values
-    return SolverState(0.0, RadialScalarField(a0.grid, pair, "spectral"))
+    grid = config.grid()
+    pair = np.zeros((2, grid.n_modes))
+    pair[0] = to_spectral(grid, initial_data_gaussian(config.amplitude, config.width, grid))
+    return SolverState(0.0, grid, pair)
 
 
-def diagnostics_row(state: SolverState, linear: RadialScalarField) -> DiagnosticsRow:
+def diagnostics_row(state: SolverState, linear: np.ndarray) -> DiagnosticsRow:
     """The row's norms from the spectral pair and the linear flow `linear`
     at state.t; the nonlinear part is state - linear.  L^2 norms by exact
     discrete Parseval, a and v synthesised together once for the sup norms,
     and the Besov norms read straight from the spectral pairs."""
-    grid, hat = state.pair.grid, state.pair.values
-    av = RadialScalarField(grid, np.hypot(*physical_values(grid, hat)), "physical")
-    nl = RadialScalarField(grid, hat - linear.values, "spectral")
+    grid, hat = state.grid, state.pair
+    av = np.hypot(*physical_values(grid, hat))
+    nl = hat - linear
     spec_inf1 = BesovSpec(0.0, np.inf, 1.0)
     return DiagnosticsRow(
         t=state.t,
         l2_av=spectral_lp_norm(grid, hat, 2.0),
-        linf_av=lp_norm(av, np.inf),
-        besov0_21=pair_besov_norm(state.pair, BesovSpec(0.0, 2.0, 1.0)),
-        besov0_inf1=pair_besov_norm(state.pair, spec_inf1),
-        nl_l2=spectral_lp_norm(grid, nl.values, 2.0),
-        nl_besov_inf1=pair_besov_norm(nl, spec_inf1),
-        weighted_sup=weighted_sup_norm(av),
+        linf_av=lp_norm(grid, av, np.inf),
+        besov0_21=pair_besov_norm(grid, hat, BesovSpec(0.0, 2.0, 1.0)),
+        besov0_inf1=pair_besov_norm(grid, hat, spec_inf1),
+        nl_l2=spectral_lp_norm(grid, nl, 2.0),
+        nl_besov_inf1=pair_besov_norm(grid, nl, spec_inf1),
+        weighted_sup=weighted_sup_norm(grid, av),
     )
 
 
@@ -302,17 +299,17 @@ def simulate(config: SolverConfig) -> tuple[list[DiagnosticsRow], SolverState]:
     """
     config.validate()
     state = initial_state(config)
-    pair0 = state.pair
+    grid, pair0 = state.grid, state.pair
     law, tables, done = config.law(), None, 0
     rows = []
     for step in output_steps(config):
         t = step * config.dt
-        linear = apply_semigroup(pair0, t)
+        linear = apply_semigroup(grid, pair0, t)
         if config.linear_only:
-            state = SolverState(t, linear)
+            state = SolverState(t, grid, linear)
         elif step > done:
             if tables is None:
-                tables = make_etd_tables(pair0.grid, config.dt)
+                tables = make_etd_tables(grid, config.dt)
             for k in range(done + 1, step + 1):
                 state = step_etd2(state, law, config, tables)
                 state.t = k * config.dt   # keep the clock exactly representable

@@ -21,14 +21,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
 
 import numpy as np
 from scipy.fft import dst, dct
 
-from .errors import ConfigurationError, NumericDomainError, UsageError
-
-Space = Literal["physical", "spectral"]
+from .errors import ConfigurationError
 
 #: Exponent and strength of the C^inf spectral filter used when differentiating.
 #: sigma(x) = exp(-36 x^36) is ~1 below two thirds of the band and drops to
@@ -64,17 +61,6 @@ class RadialGrid:
         return hash((self.n_modes, self.outer_radius))
 
 
-@dataclass
-class RadialScalarField:
-    """A radial scalar in physical (samples at r_m) or spectral (fhat at rho_k)
-    representation; `values` holds one field (N,) or a stack of fields, one
-    per row, such as the (a, v) pair (2, N)."""
-
-    grid: RadialGrid
-    values: np.ndarray
-    space: Space
-
-
 def make_grid(n_modes: int, outer_radius: float) -> RadialGrid:
     """Build the paired radial/spectral grid with DST-I duality."""
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 8:
@@ -87,13 +73,6 @@ def make_grid(n_modes: int, outer_radius: float) -> RadialGrid:
     drho = np.pi / radius
     idx = np.arange(1, n + 1, dtype=float)
     return RadialGrid(n, radius, dr, drho, idx * dr, idx * drho)
-
-
-def field_from_samples(grid: RadialGrid, values, space: Space = "physical") -> RadialScalarField:
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (grid.n_modes,):
-        raise UsageError(f"expected {grid.n_modes} samples, got shape {vals.shape}")
-    return RadialScalarField(grid, vals, space)
 
 
 # -- sine/cosine kernels ------------------------------------------------------
@@ -134,59 +113,27 @@ def derivative_filter(grid: RadialGrid) -> np.ndarray:
 
 # -- transforms ---------------------------------------------------------------
 
-def _require_space(field: RadialScalarField, space: Space, op: str) -> None:
-    if field.space != space:
-        raise UsageError(f"{op} requires a {space}-space field, got {field.space}")
-
-
-def to_spectral(field: RadialScalarField) -> RadialScalarField:
+def to_spectral(grid: RadialGrid, samples: np.ndarray) -> np.ndarray:
     """Weighted DST-I: physical samples f(r_m) -> transform values fhat(rho_k)."""
-    _require_space(field, "physical", "to_spectral")
-    grid = field.grid
-    ghat = _sine_sum(grid.r * field.values, grid.dr)
-    return RadialScalarField(grid, ghat / grid.rho, "spectral")
+    return _sine_sum(grid.r * samples, grid.dr) / grid.rho
 
 
 def physical_values(grid: RadialGrid, hat: np.ndarray) -> np.ndarray:
-    """f(r_m) from fhat(rho_k) for one field, or for a stack of fields (one
-    row each) in a single transform call."""
+    """Inverse weighted DST-I fhat(rho_k) -> f(r_m), an exact involution, for
+    one field or for a stack of fields (one row each) in one transform call."""
     return _sine_sum(grid.rho * hat, grid.drho) / grid.r
-
-
-def to_physical(field: RadialScalarField) -> RadialScalarField:
-    """Inverse weighted DST-I: fhat(rho_k) -> f(r_m).  Exact involution."""
-    _require_space(field, "spectral", "to_physical")
-    return RadialScalarField(field.grid, physical_values(field.grid, field.values), "physical")
-
-
-def as_spectral(field: RadialScalarField) -> RadialScalarField:
-    return field if field.space == "spectral" else to_spectral(field)
-
-
-def apply_multiplier(field: RadialScalarField, multiplier: Callable[[np.ndarray], np.ndarray]
-                     ) -> RadialScalarField:
-    """Pointwise Fourier multiplier fhat(rho_k) -> m(rho_k) fhat(rho_k)."""
-    _require_space(field, "spectral", "apply_multiplier")
-    m_vals = np.asarray(multiplier(field.grid.rho), dtype=float)
-    m_vals = np.broadcast_to(m_vals, field.values.shape)
-    if not np.all(np.isfinite(m_vals)):
-        bad = field.grid.rho[~np.isfinite(m_vals)][:3]
-        raise NumericDomainError(f"multiplier non-finite at rho = {bad}")
-    return RadialScalarField(field.grid, m_vals * field.values, "spectral")
 
 
 # -- radial differential operators -------------------------------------------
 
-def physical_and_gradient(field: RadialScalarField) -> tuple[np.ndarray, np.ndarray]:
-    """w(r_m) and the radial derivative w'(r_m) of a spectral field w from
-    one synthesis.
+def physical_and_gradient(grid: RadialGrid, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w(r_m) and the radial derivative w'(r_m) of the field w with spectral
+    values `hat`, from one synthesis.
 
     Works through the sine coefficients of g(r) = r w(r): the derivative is
     the matching cosine sum, and w' = g'/r - g/r^2.
     """
-    _require_space(field, "spectral", "physical_and_gradient")
-    grid = field.grid
-    ghat = grid.rho * field.values
+    ghat = grid.rho * hat
     g = _sine_sum(ghat, grid.drho)
     ghat = ghat * derivative_filter(grid)
     g_prime = _cosine_sum(grid.rho * ghat, grid.drho)
@@ -206,18 +153,17 @@ def dealias_mask(grid: RadialGrid, fraction: float) -> np.ndarray:
 
 # -- norms --------------------------------------------------------------------
 
-def lp_norm(field: RadialScalarField, p: float) -> float:
-    """L^p norm of the 3D radial function: (4 pi int |f|^p r^2 dr)^(1/p).
+def lp_norm(grid: RadialGrid, values: np.ndarray, p: float) -> float:
+    """L^p norm of the 3D radial function with samples `values` at r_m:
+    (4 pi int |f|^p r^2 dr)^(1/p).
 
     Rectangle rule on the uniform grid; for p = inf the node maximum.
     """
-    _require_space(field, "physical", "lp_norm")
     if p < 1:
         raise ConfigurationError(f"p must lie in [1, inf], got {p}")
-    vals = np.abs(field.values)
+    vals = np.abs(values)
     if np.isinf(p):
         return float(vals.max(initial=0.0))
-    grid = field.grid
     return float((4.0 * np.pi * grid.dr * np.sum(vals ** p * grid.r ** 2)) ** (1.0 / p))
 
 
@@ -234,10 +180,10 @@ def spectral_lp_norm(grid: RadialGrid, hat: np.ndarray, p: float) -> float:
         return math.sqrt(4.0 * np.pi * grid.drho * np.sum(grid.rho ** 2 * hat ** 2))
     modulus = (np.hypot.reduce(physical_values(grid, hat), axis=0) if hat.any()
                else np.zeros(grid.n_modes))
-    return lp_norm(RadialScalarField(grid, modulus, "physical"), p)
+    return lp_norm(grid, modulus, p)
 
 
-def weighted_sup_norm(field: RadialScalarField) -> float:
-    """sup_r r |f(r)|, the radial form of || |x| f ||_inf."""
-    _require_space(field, "physical", "weighted_sup_norm")
-    return float(np.max(field.grid.r * np.abs(field.values), initial=0.0))
+def weighted_sup_norm(grid: RadialGrid, values: np.ndarray) -> float:
+    """sup_r r |f(r)| of the samples `values` at r_m, the radial form of
+    || |x| f ||_inf."""
+    return float(np.max(grid.r * np.abs(values), initial=0.0))

@@ -40,16 +40,14 @@ from radns.solver import (
     step_etd2,
 )
 from radns.spectral import (
-    field_from_samples,
     lp_norm,
     make_grid,
-    to_physical,
+    physical_values,
     to_spectral,
     weighted_sup_norm,
 )
 from test_semigroup import hi_freq_identity_check
 from test_solver import zero_forcing
-from test_spectral import field_from_profile_function
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -112,14 +110,12 @@ def test_criterion_02_involution_and_parseval():
     for n in (256, 4096):
         grid = make_grid(n, 40.0)
         rng = np.random.default_rng(n)
-        f = field_from_samples(grid, rng.standard_normal(n))
-        fhat = to_spectral(f)
-        back = to_physical(fhat)
-        worst_inv = max(worst_inv,
-                        float(np.max(np.abs(back.values - f.values))
-                              / np.max(np.abs(f.values))))
-        phys = grid.dr * np.sum(grid.r ** 2 * f.values ** 2)
-        spect = grid.drho * np.sum(grid.rho ** 2 * fhat.values ** 2)
+        f = rng.standard_normal(n)
+        fhat = to_spectral(grid, f)
+        back = physical_values(grid, fhat)
+        worst_inv = max(worst_inv, float(np.max(np.abs(back - f)) / np.max(np.abs(f))))
+        phys = grid.dr * np.sum(grid.r ** 2 * f ** 2)
+        spect = grid.drho * np.sum(grid.rho ** 2 * fhat ** 2)
         worst_par = max(worst_par, abs(phys - spect) / phys)
     report("criterion 2 (involution + Parseval)",
            worst_inv <= 1e-12 and worst_par <= 1e-10,
@@ -199,21 +195,20 @@ def test_criterion_07_besov_machinery():
         for _ in range(20):
             coeffs = np.zeros(grid.n_modes)
             coeffs[40:1200] = rng.standard_normal(1160)
-            f = field_from_samples(grid, coeffs, "spectral")
-            lhs = lp_norm(to_physical(f), p)
-            rhs = pair_besov_norm(f, BesovSpec(0.0, p, 1.0))
+            lhs = lp_norm(grid, physical_values(grid, coeffs), p)
+            rhs = pair_besov_norm(grid, coeffs, BesovSpec(0.0, p, 1.0))
             margin_ok = margin_ok and (lhs <= rhs + 1e-9)
 
     # (c) dilation covariance
     outer = 80.0
     g1 = make_grid(8191, outer)
-    f1 = field_from_profile_function(g1, lambda r: np.exp(-r ** 2) * np.cos(2.5 * r))
+    samples = np.exp(-g1.r ** 2) * np.cos(2.5 * g1.r)
     g2 = make_grid(8191, outer / 2.0)
-    f2 = field_from_samples(g2, f1.values.copy())
+    f1, f2 = to_spectral(g1, samples), to_spectral(g2, samples)
     worst_dil = 0.0
     for s, p in ((0.5, 2.0), (0.0, math.inf)):
-        n1 = pair_besov_norm(f1, BesovSpec(s, p, 1.0))
-        n2 = pair_besov_norm(f2, BesovSpec(s, p, 1.0))
+        n1 = pair_besov_norm(g1, f1, BesovSpec(s, p, 1.0))
+        n2 = pair_besov_norm(g2, f2, BesovSpec(s, p, 1.0))
         worst_dil = max(worst_dil, abs(n2 / (2.0 ** (s - 3.0 / p) * n1) - 1.0))
 
     ok = worst_rec <= 1e-10 and margin_ok and worst_dil <= 0.01
@@ -229,8 +224,7 @@ def test_criterion_08_weighted_fourier_inequality():
     for _ in range(20):
         coeffs = np.zeros(grid.n_modes)
         coeffs[10:300] = rng.standard_normal(290) * np.exp(-np.linspace(0, 6, 290))
-        fhat = field_from_samples(grid, coeffs, "spectral")
-        lhs = weighted_sup_norm(to_physical(fhat))
+        lhs = weighted_sup_norm(grid, physical_values(grid, coeffs))
         rhs = 4.0 * math.pi * grid.drho * np.sum(np.abs(coeffs) * grid.rho)
         min_margin = min(min_margin, rhs - lhs)
     report("criterion 8 (weighted Fourier bound)", min_margin >= 0.0,
@@ -279,11 +273,11 @@ def test_criterion_11_etd2_convergence(monkeypatch):
 
     def advance(dt):
         state = initial_state(config)
-        tables = make_etd_tables(state.pair.grid, dt)
+        tables = make_etd_tables(state.grid, dt)
         law = config.law()
         for _ in range(int(round(1.0 / dt))):
             state = step_etd2(state, law, config, tables)
-        return state.pair.values
+        return state.pair
 
     reference = advance(0.025 / 8.0)
     errors = [float(np.max(np.abs(advance(dt) - reference)))
@@ -296,15 +290,15 @@ def test_criterion_11_etd2_convergence(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("radns.solver.nonlinear_rhs", zero_forcing)
         stepped = step_etd2(state, config.law(), config,
-                            make_etd_tables(state.pair.grid, 0.1))
-    exact = apply_semigroup(state.pair, 0.1)
-    gap = float(np.max(np.abs(stepped.pair.values - exact.values)))
+                            make_etd_tables(state.grid, 0.1))
+    exact = apply_semigroup(state.grid, state.pair, 0.1)
+    gap = float(np.max(np.abs(stepped.pair - exact)))
     zero_cfg = SolverConfig(n_modes=511, outer_radius=30.0, dt=0.1, t_final=1.0,
                             output_interval=0.5, amplitude=0.0)
     zstate = initial_state(zero_cfg)
     zstep = step_etd2(zstate, zero_cfg.law(), zero_cfg,
-                      make_etd_tables(zstate.pair.grid, 0.1))
-    zero_ok = bool(np.all(zstep.pair.values == 0.0))
+                      make_etd_tables(zstate.grid, 0.1))
+    zero_ok = bool(np.all(zstep.pair == 0.0))
 
     report("criterion 11 (ETD2 self-convergence)",
            order_ok and gap <= 1e-12 and zero_ok,

@@ -170,13 +170,25 @@ p_list = 2
         assert abs(entry["fitted_exponent"] - entry["target_exponent"]) < 0.1
         assert (tmp_path / "linear-decay.csv").exists()
 
-    def test_besov_norm_command(self, tmp_path):
-        cfg = write_config(tmp_path, "N = 1023\nR = 50\nc = 0.01\ns = 0\np = 2\nq = 1\n")
-        code = command_dispatch(["besov-norm", "--config", cfg,
-                                 "--out", str(tmp_path), "--quiet"])
+    def pinned_besov_norm(self, tmp_path, capsys, text, value):
+        # the printed value is pinned to the last digit: the command converts
+        # the sampled Gaussian to spectral values before the norm
+        cfg = write_config(tmp_path, text)
+        code = command_dispatch(["besov-norm", "--config", cfg, "--out", str(tmp_path)])
         assert code == 0
+        assert capsys.readouterr().out == f"besov norm = {value}\n"
         payload = json.loads((tmp_path / "besov_norm.json").read_text())
-        assert payload["value"] > 0.0
+        assert payload["value"] == float(value)
+
+    def test_besov_norm_command(self, tmp_path, capsys):
+        self.pinned_besov_norm(tmp_path, capsys,
+                               "N = 1023\nR = 50\nc = 0.01\ns = 0\np = 2\nq = 1\n",
+                               "0.024521849823673825")
+
+    def test_besov_norm_command_high_band_sup(self, tmp_path, capsys):
+        self.pinned_besov_norm(tmp_path, capsys,
+                               "N = 4096\nR = 200\nc = 0.3\nw = 2\ns = 0.5\np = inf\n"
+                               "q = 1\nband = high\nj0 = -1\n", "0.29954596721801224")
 
     @pytest.mark.parametrize("s,message", [("inf", "must be finite"),
                                            ("2000", "overflows"), ("-2000", "overflows")])

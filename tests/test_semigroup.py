@@ -28,7 +28,7 @@ from radns.semigroup import (
     probe_point_grid,
     scalar_kernel_values,
 )
-from radns.spectral import RadialScalarField, make_grid, spectral_lp_norm
+from radns.spectral import make_grid, spectral_lp_norm
 
 
 def generator(rho: float) -> np.ndarray:
@@ -245,17 +245,17 @@ class TestModeExponential:
                 assert np.max(np.abs(mode_exponential(rho, t))) <= bound
 
 
-def spectral_pair(grid, a, v):
-    """The spectral (a, v) pair as one two-row field."""
-    return RadialScalarField(grid, np.array((a, v), dtype=float), "spectral")
+def spectral_pair(a, v):
+    """The spectral (a, v) pair as one two-row array."""
+    return np.array((a, v), dtype=float)
 
 
 class TestApplySemigroup:
     def test_zero_time_identity(self):
         grid = make_grid(128, 10.0)
         rng = np.random.default_rng(0)
-        pair = spectral_pair(grid, rng.standard_normal(128), rng.standard_normal(128))
-        assert np.array_equal(apply_semigroup(pair, 0.0).values, pair.values)
+        pair = spectral_pair(rng.standard_normal(128), rng.standard_normal(128))
+        assert np.array_equal(apply_semigroup(grid, pair, 0.0), pair)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=0.01, max_value=3.0),
@@ -263,18 +263,18 @@ class TestApplySemigroup:
     def test_semigroup_law(self, s, t):
         grid = make_grid(64, 9.0)
         rng = np.random.default_rng(5)
-        pair = spectral_pair(grid, rng.standard_normal(64), rng.standard_normal(64))
-        two_legs = apply_semigroup(apply_semigroup(pair, s), t).values
-        one_leg = apply_semigroup(pair, s + t).values
+        pair = spectral_pair(rng.standard_normal(64), rng.standard_normal(64))
+        two_legs = apply_semigroup(grid, apply_semigroup(grid, pair, s), t)
+        one_leg = apply_semigroup(grid, pair, s + t)
         scale = max(np.max(np.abs(one_leg)), 1e-30)
         assert np.max(np.abs(two_legs - one_leg)) <= 1e-10 * scale
 
     def test_single_mode_oracle(self):
         grid = make_grid(128, 10.0)
         k0 = 17
-        pair = spectral_pair(grid, np.zeros(128), np.zeros(128))
-        pair.values[:, k0] = 2.0, -1.0
-        a2, v2 = apply_semigroup(pair, 0.7).values
+        pair = spectral_pair(np.zeros(128), np.zeros(128))
+        pair[:, k0] = 2.0, -1.0
+        a2, v2 = apply_semigroup(grid, pair, 0.7)
         ea, ev = mode_exponential(grid.rho[k0], 0.7) @ [2.0, -1.0]
         assert a2[k0] == pytest.approx(ea, rel=1e-13)
         assert v2[k0] == pytest.approx(ev, rel=1e-13)
@@ -288,35 +288,34 @@ class TestApplySemigroup:
         # E(t) + 2 int_0^t D(s) ds = E(0); the integral by Gauss-Legendre
         grid = make_grid(511, 30.0)
         rho = grid.rho
-        pair = spectral_pair(grid, 2 ** -1.5 * np.exp(-rho ** 2 / 4), rho * np.exp(-rho ** 2))
+        pair = spectral_pair(2 ** -1.5 * np.exp(-rho ** 2 / 4), rho * np.exp(-rho ** 2))
         weight = 4.0 * math.pi * grid.drho
 
         def energy(hat):
-            return weight * np.sum(rho ** 2 * (hat.values[0] ** 2 + hat.values[1] ** 2))
+            return weight * np.sum(rho ** 2 * (hat[0] ** 2 + hat[1] ** 2))
 
         def dissipation(s):
-            return weight * np.sum(rho ** 4 * apply_semigroup(pair, s).values[1] ** 2)
+            return weight * np.sum(rho ** 4 * apply_semigroup(grid, pair, s)[1] ** 2)
 
         t = 2.0
         nodes, weights = np.polynomial.legendre.leggauss(64)
         integral = 0.5 * t * sum(wk * dissipation(0.5 * t * (xk + 1.0))
                                  for xk, wk in zip(nodes, weights))
         e0 = energy(pair)
-        et = energy(apply_semigroup(pair, t))
+        et = energy(apply_semigroup(grid, pair, t))
         assert et < e0
         assert et + 2.0 * integral == pytest.approx(e0, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(64,), (1, 64), (3, 64)],
                              ids=["one-field", "one-row", "three-rows"])
     def test_not_a_pair_rejected(self, shape):
-        field = RadialScalarField(make_grid(64, 9.0), np.zeros(shape), "spectral")
         with pytest.raises(UsageError, match="pair of shape"):
-            apply_semigroup(field, 1.0)
+            apply_semigroup(make_grid(64, 9.0), np.zeros(shape), 1.0)
 
-    def test_physical_space_rejected(self):
-        grid = make_grid(64, 9.0)
-        with pytest.raises(UsageError, match="spectral-space"):
-            apply_semigroup(RadialScalarField(grid, np.zeros((2, 64)), "physical"), 1.0)
+    def test_pair_on_another_grid_rejected(self):
+        # a pair sampled on N = 64 modes cannot be propagated on a 65-mode grid
+        with pytest.raises(UsageError, match=r"\(2, 65\)"):
+            apply_semigroup(make_grid(65, 9.0), np.zeros((2, 64)), 1.0)
 
 
 class TestPhiCoefficients:

@@ -9,6 +9,7 @@ from radns.besov import BesovSpec, resolved_range
 from radns.errors import ConfigurationError, SolverAbort
 from radns.semigroup import apply_semigroup
 from radns.solver import (
+    CSV_COLUMNS,
     PressureLaw,
     SolverConfig,
     SolverState,
@@ -21,25 +22,16 @@ from radns.solver import (
     step_etd2,
 )
 from radns.spectral import (
-    RadialScalarField,
-    apply_multiplier,
     dealias_mask,
-    field_from_samples,
     lp_norm,
     make_grid,
     physical_and_gradient,
     physical_values,
-    to_physical,
     to_spectral,
     weighted_sup_norm,
 )
 from test_besov import oracle_pair_besov_norm, screened_kept_blocks
-from test_spectral import (
-    RadialVectorProfile,
-    divergence_of_profile,
-    gradient_profile,
-    zero_field,
-)
+from test_spectral import RadialVectorProfile, divergence_of_profile, gradient_profile
 
 
 def small_config(**overrides):
@@ -93,25 +85,24 @@ class TestInitialData:
     def test_zero_amplitude(self):
         grid = make_grid(256, 20.0)
         a0 = initial_data_gaussian(0.0, 1.0, grid)
-        assert np.all(a0.values == 0.0)
+        assert np.all(a0 == 0.0)
 
     def test_sup_norm(self):
         grid = make_grid(2048, 60.0)
         a0 = initial_data_gaussian(0.01, 1.0, grid)
-        assert lp_norm(a0, math.inf) == pytest.approx(
+        assert lp_norm(grid, a0, math.inf) == pytest.approx(
             0.01 * math.exp(-grid.r[0] ** 2), rel=1e-12)
 
     def test_l2_norm_quadrature(self):
         grid = make_grid(4095, 60.0)
         a0 = initial_data_gaussian(0.01, 1.0, grid)
-        assert lp_norm(a0, 2) == pytest.approx(0.01 * (math.pi / 2) ** 0.75, rel=1e-8)
+        assert lp_norm(grid, a0, 2) == pytest.approx(0.01 * (math.pi / 2) ** 0.75, rel=1e-8)
 
 
-def reconstruct_velocity(v_hat):
+def reconstruct_velocity(grid, v_hat):
     """Profile U of u = -|D|^{-1} grad v (the only velocity a radial v allows)."""
-    q_hat = apply_multiplier(v_hat, lambda rho: 1.0 / rho)
-    grad = gradient_profile(q_hat)
-    return RadialVectorProfile(v_hat.grid, -grad.samples)
+    grad = gradient_profile(grid, (1.0 / grid.rho) * v_hat)
+    return RadialVectorProfile(grid, -grad.samples)
 
 
 def reference_rhs(state, law, config):
@@ -119,23 +110,21 @@ def reference_rhs(state, law, config):
     U from |D|^{-1} v, grad(U^2/2) from a dealiased re-synthesis of U^2/2,
     and both divergences from the dealiased sine expansion of the profile
     (17 transforms).  Oracle for nonlinear_rhs."""
-    grid = state.pair.grid
+    grid = state.grid
     mask = dealias_mask(grid, config.dealias_fraction)
-    a_hat, v_hat = (RadialScalarField(grid, row * mask, "spectral") for row in state.pair.values)
+    a_hat, v_hat = state.pair * mask
 
-    a, grad_a = physical_and_gradient(a_hat)
-    w_hat = apply_multiplier(v_hat, lambda rho: rho)          # |D| v
-    _, grad_w = physical_and_gradient(w_hat)
-    velocity = reconstruct_velocity(v_hat)
+    a, grad_a = physical_and_gradient(grid, a_hat)
+    _, grad_w = physical_and_gradient(grid, grid.rho * v_hat)     # w = |D| v
+    velocity = reconstruct_velocity(grid, v_hat)
 
-    half_speed = to_spectral(field_from_samples(grid, 0.5 * velocity.samples ** 2))
-    half_speed = RadialScalarField(grid, half_speed.values * mask, "spectral")
-    grad_half_speed = gradient_profile(half_speed)
+    half_speed = to_spectral(grid, 0.5 * velocity.samples ** 2) * mask
+    grad_half_speed = gradient_profile(grid, half_speed)
 
     # f = -div(a u)
     transport = RadialVectorProfile(grid, a * velocity.samples)
     f_phys = divergence_of_profile(transport, dealias_fraction=config.dealias_fraction)
-    f_hat = to_spectral(RadialScalarField(grid, -f_phys.values, "physical"))
+    f_hat = to_spectral(grid, -f_phys)
 
     # h = |D|^{-1} div(G x/r) with the combined forcing profile G
     forcing = (-grad_half_speed.samples
@@ -143,24 +132,24 @@ def reference_rhs(state, law, config):
                - law.beta(a) * grad_a)
     div_g = divergence_of_profile(RadialVectorProfile(grid, forcing),
                                   dealias_fraction=config.dealias_fraction)
-    h_hat = apply_multiplier(to_spectral(div_g), lambda rho: 1.0 / rho)
+    h_hat = (1.0 / grid.rho) * to_spectral(grid, div_g)
 
-    return np.array((f_hat.values, h_hat.values)) * mask
+    return np.array((f_hat, h_hat)) * mask
 
 
 class TestReconstructVelocity:
     def test_zero(self):
         grid = make_grid(256, 20.0)
-        vel = reconstruct_velocity(zero_field(grid, "spectral"))
+        vel = reconstruct_velocity(grid, np.zeros(grid.n_modes))
         assert np.all(vel.samples == 0.0)
 
     def test_single_mode(self):
         grid = make_grid(1024, 20.0)
         k0 = 5
         rho0 = grid.rho[k0]
-        v_hat = zero_field(grid, "spectral")
-        v_hat.values[k0] = 1.0
-        vel = reconstruct_velocity(v_hat)
+        v_hat = np.zeros(grid.n_modes)
+        v_hat[k0] = 1.0
+        vel = reconstruct_velocity(grid, v_hat)
         # the spectral delta maps to v(r) = amp rho0 sin(rho0 r)/r, so
         # q = |D|^{-1} v has amplitude amp and U = -q'
         amp = math.sqrt(2 / math.pi) * grid.drho
@@ -173,22 +162,16 @@ class TestReconstructVelocity:
         # v-fields arising from velocities vanish linearly at rho = 0, which
         # keeps |D|^{-1}v localised; use such a field here
         grid = make_grid(2047, 40.0)
-        v_hat = field_from_samples(grid, grid.rho * np.exp(-grid.rho ** 2 / 2),
-                                   "spectral")
-        vel = reconstruct_velocity(v_hat)
+        v_hat = grid.rho * np.exp(-grid.rho ** 2 / 2)
+        vel = reconstruct_velocity(grid, v_hat)
         div = divergence_of_profile(vel)
-        back = apply_multiplier(to_spectral(div), lambda rho: 1.0 / rho)
-        err = np.max(np.abs(back.values - v_hat.values))
+        back = (1.0 / grid.rho) * to_spectral(grid, div)
+        err = np.max(np.abs(back - v_hat))
         assert err < 1e-9  # v = |D|^{-1} div u recovers the input
 
 
 def make_state(grid, a_vals, v_vals, t=0.0):
-    return SolverState(t, RadialScalarField(grid, np.array((a_vals, v_vals)), "spectral"))
-
-
-def spectral_rows(grid, rows):
-    """Each row of a spectral stack, such as the forcing pair, as its own field."""
-    return [RadialScalarField(grid, row, "spectral") for row in rows]
+    return SolverState(t, grid, np.array((a_vals, v_vals)))
 
 
 class TestNonlinearRhs:
@@ -236,17 +219,17 @@ class TestNonlinearRhs:
         norms = []
         for eps in eps_list:
             state = make_state(grid, eps * base_a, eps * base_v)
-            f_hat, h_hat = spectral_rows(grid, nonlinear_rhs(state, cfg.law(), cfg))
-            norms.append(math.hypot(lp_norm(to_physical(f_hat), 2),
-                                    lp_norm(to_physical(h_hat), 2)))
+            f_hat, h_hat = nonlinear_rhs(state, cfg.law(), cfg)
+            norms.append(math.hypot(lp_norm(grid, physical_values(grid, f_hat), 2),
+                                    lp_norm(grid, physical_values(grid, h_hat), 2)))
         slope = np.polyfit(np.log(eps_list), np.log(norms), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.05)
 
     def test_density_floor_abort(self):
         cfg = small_config()
         grid = cfg.grid()
-        a_phys = field_from_samples(grid, -0.7 * np.exp(-grid.r ** 2))
-        state = make_state(grid, to_spectral(a_phys).values, np.zeros(grid.n_modes))
+        a_phys = -0.7 * np.exp(-grid.r ** 2)
+        state = make_state(grid, to_spectral(grid, a_phys), np.zeros(grid.n_modes))
         with pytest.raises(SolverAbort) as err:
             nonlinear_rhs(state, cfg.law(), cfg)
         assert err.value.time == 0.0
@@ -256,18 +239,18 @@ class TestNonlinearRhs:
         # 1 + a >= 1 clears the floor; it is |a| >= 1 that fires, at the peak
         cfg = small_config()
         grid = cfg.grid()
-        a_phys = field_from_samples(grid, 1.2 * np.exp(-grid.r ** 2))
-        state = make_state(grid, to_spectral(a_phys).values, np.zeros(grid.n_modes))
+        a_phys = 1.2 * np.exp(-grid.r ** 2)
+        state = make_state(grid, to_spectral(grid, a_phys), np.zeros(grid.n_modes))
         with pytest.raises(SolverAbort) as err:
             nonlinear_rhs(state, cfg.law(), cfg)
         assert "max|a|" in str(err.value) and "floor" not in str(err.value)
-        assert err.value.mode_index == int(np.argmax(a_phys.values)) == 0
+        assert err.value.mode_index == int(np.argmax(a_phys)) == 0
 
     def test_transform_count(self, transform_counter):
         # three two-transform syntheses, one DST for f, a DST and a DCT for h
         cfg = small_config()
         state = initial_state(cfg)
-        tables = make_etd_tables(state.pair.grid, cfg.dt)
+        tables = make_etd_tables(state.grid, cfg.dt)
         transform_counter[0] = 0
         nonlinear_rhs(state, cfg.law(), cfg)
         assert transform_counter[0] == 9
@@ -349,9 +332,9 @@ class TestAnalyticState:
                            grid.rho * np.exp(-grid.rho ** 2))
         f, g, g1 = gaussian_state_calculus(grid.r, amp, cfg.gamma)
         div_g = g1 + 2.0 * g / grid.r             # div(G x/r), so |D| h
-        f_hat, h_hat = spectral_rows(grid, rhs(state, cfg.law(), cfg))
-        assert np.max(np.abs(to_physical(f_hat).values - f)) <= 1e-11 * np.max(np.abs(f))
-        rho_h = to_physical(apply_multiplier(h_hat, lambda rho: rho)).values
+        f_hat, h_hat = rhs(state, cfg.law(), cfg)
+        assert np.max(np.abs(physical_values(grid, f_hat) - f)) <= 1e-11 * np.max(np.abs(f))
+        rho_h = physical_values(grid, grid.rho * h_hat)
         assert np.max(np.abs(rho_h - div_g)) <= 1e-11 * np.max(np.abs(div_g))
 
     def test_h_path_gaussian_flux(self):
@@ -375,7 +358,7 @@ class TestAnalyticState:
 
 def zero_forcing(state, law, config):
     """A nonlinear_rhs stand-in that switches the forcing off."""
-    return np.zeros_like(state.pair.values)
+    return np.zeros_like(state.pair)
 
 
 class TestStepEtd2:
@@ -384,23 +367,23 @@ class TestStepEtd2:
         monkeypatch.setattr("radns.solver.nonlinear_rhs", zero_forcing)
         cfg = small_config()
         state = initial_state(cfg)
-        tables = make_etd_tables(state.pair.grid, cfg.dt)
+        tables = make_etd_tables(state.grid, cfg.dt)
         stepped = step_etd2(state, cfg.law(), cfg, tables)
-        exact = apply_semigroup(state.pair, cfg.dt)
-        assert np.max(np.abs(stepped.pair.values - exact.values)) <= 1e-12
+        exact = apply_semigroup(state.grid, state.pair, cfg.dt)
+        assert np.max(np.abs(stepped.pair - exact)) <= 1e-12
 
     def test_zero_data_stays_zero(self):
         cfg = small_config(amplitude=0.0)
         state = initial_state(cfg)
-        tables = make_etd_tables(state.pair.grid, cfg.dt)
+        tables = make_etd_tables(state.grid, cfg.dt)
         stepped = step_etd2(state, cfg.law(), cfg, tables)
-        assert np.all(stepped.pair.values == 0.0)
+        assert np.all(stepped.pair == 0.0)
 
     def test_non_finite_step_names_its_mode(self, monkeypatch):
         # forcing poisoned at mode 7 of h and mode 30 of f; the step couples
         # a and v per mode, and the abort names the first non-finite mode
         def poisoned(state, law, config):
-            rows = np.zeros_like(state.pair.values)
+            rows = np.zeros_like(state.pair)
             rows[1, 7] = rows[0, 30] = np.inf
             return rows
 
@@ -409,17 +392,17 @@ class TestStepEtd2:
         state = initial_state(cfg)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(SolverAbort, match="non-finite spectral value") as err:
-            step_etd2(state, cfg.law(), cfg, make_etd_tables(state.pair.grid, cfg.dt))
+            step_etd2(state, cfg.law(), cfg, make_etd_tables(state.grid, cfg.dt))
         assert err.value.mode_index == 7 and err.value.time == cfg.dt
 
     @staticmethod
     def _advance(cfg, dt, t_end):
         state = initial_state(cfg)
-        tables = make_etd_tables(state.pair.grid, dt)
+        tables = make_etd_tables(state.grid, dt)
         law = cfg.law()
         for _ in range(int(round(t_end / dt))):
             state = step_etd2(state, law, cfg, tables)
-        return state.pair.values
+        return state.pair
 
     def test_self_convergence_order_two(self):
         cfg = small_config(amplitude=0.01, dt=0.1)
@@ -454,7 +437,7 @@ class TestNonlinearPart:
     def test_zero_data_zero_for_all_time(self):
         cfg = small_config(amplitude=0.0, t_final=1.0)
         rows, state = simulate(cfg)
-        assert np.all(state.pair.values == 0.0)
+        assert np.all(state.pair == 0.0)
         for row in rows:
             assert row.nl_l2 == row.nl_besov_inf1 == 0.0
 
@@ -483,18 +466,16 @@ def oracle_row(state, linear):
     """The row as the physical-space formulas give it: each field synthesised
     alone, L^p norms by the rectangle rule of the pointwise modulus, and Besov
     norms from the one-block-at-a-time loop."""
-    grid = state.pair.grid
-    a, v = map(to_physical, spectral_rows(grid, state.pair.values))
-    nl_a, nl_v = map(to_physical, spectral_rows(grid, state.pair.values - linear.values))
-    modulus = field_from_samples(grid, np.hypot(a.values, v.values))
-    nl_modulus = field_from_samples(grid, np.hypot(nl_a.values, nl_v.values))
+    grid, pair, nl_pair = state.grid, state.pair, state.pair - linear
+    modulus = np.hypot(*(physical_values(grid, row) for row in pair))
+    nl_modulus = np.hypot(*(physical_values(grid, row) for row in nl_pair))
     spec21, spec_inf1 = BesovSpec(0.0, 2.0, 1.0), BesovSpec(0.0, math.inf, 1.0)
-    return (state.t, lp_norm(modulus, 2.0), lp_norm(modulus, math.inf),
-            oracle_pair_besov_norm(a, v, spec21),
-            oracle_pair_besov_norm(a, v, spec_inf1),
-            lp_norm(nl_modulus, 2.0),
-            oracle_pair_besov_norm(nl_a, nl_v, spec_inf1),
-            weighted_sup_norm(modulus))
+    return (state.t, lp_norm(grid, modulus, 2.0), lp_norm(grid, modulus, math.inf),
+            oracle_pair_besov_norm(grid, *pair, spec21),
+            oracle_pair_besov_norm(grid, *pair, spec_inf1),
+            lp_norm(grid, nl_modulus, 2.0),
+            oracle_pair_besov_norm(grid, *nl_pair, spec_inf1),
+            weighted_sup_norm(grid, modulus))
 
 
 class TestDiagnosticsRow:
@@ -517,12 +498,12 @@ class TestDiagnosticsRow:
     @pytest.mark.parametrize("linear", [True, False])
     def test_transform_count(self, transform_counter, linear):
         state, flow = self.snapshot(linear)
-        grid, spec = state.pair.grid, BesovSpec(0.0, math.inf, 1.0)
-        kept = screened_kept_blocks(*spectral_rows(grid, state.pair.values), spec)
+        grid, spec = state.grid, BesovSpec(0.0, math.inf, 1.0)
+        kept = screened_kept_blocks(grid, *state.pair, spec)
         j_min, j_max = resolved_range(grid)
         assert 0 < len(kept) < j_max - j_min + 1
         nl_kept = [] if linear else screened_kept_blocks(
-            *spectral_rows(grid, state.pair.values - flow.values), spec)
+            grid, *(state.pair - flow), spec)
         start = transform_counter[0]
         diagnostics_row(state, flow)
         assert transform_counter[0] - start == 2 + 2 * len(kept) + 2 * len(nl_kept)
@@ -540,7 +521,7 @@ class TestDiagnosticsRow:
         cfg = small_config(t_final=2.0, output_interval=1.0)
         rows, state = simulate(cfg)
         start = initial_state(cfg)
-        flow = apply_semigroup(start.pair, state.t)
+        flow = apply_semigroup(start.grid, start.pair, state.t)
         for got, want in zip(rows[-1].as_tuple(), oracle_row(state, flow)):
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -563,7 +544,7 @@ class TestSimulate:
         cfg = small_config(t_final=1.0)
         rows_a, state_a = simulate(cfg)
         rows_b, state_b = simulate(cfg)
-        assert np.array_equal(state_a.pair.values, state_b.pair.values)
+        assert np.array_equal(state_a.pair, state_b.pair)
         assert [r.as_tuple() for r in rows_a] == [r.as_tuple() for r in rows_b]
 
     def test_decaying_l2_after_transient(self):
@@ -591,3 +572,38 @@ class TestSimulate:
         with pytest.raises(SolverAbort) as err:
             simulate(cfg)
         assert err.value.time > 0.0
+
+
+class TestResolution:
+    """The same run on N = 511, 1023 and 2047 modes with R fixed.
+
+    drho = pi/R does not depend on N, so the grids share their lowest modes
+    and a doubling only extends the band, where the data has no content.
+    Norms read from the spectral values (Parseval) therefore agree to
+    rounding, while the sup-type norms are node maxima on r_m = m R/(N+1),
+    whose sampling error is O(dr^2): their N-to-2N difference must shrink
+    about 4x per doubling (the largest relative difference over the output
+    times).  A forcing term evaluated O(dr) off its node would break both."""
+
+    SPECTRAL = ("l2_av", "besov0_21", "nl_l2")
+    SAMPLED = ("linf_av", "besov0_inf1", "weighted_sup", "nl_besov_inf1")
+
+    def test_diagnostics_converge_with_n(self):
+        runs = []
+        for n_modes in (511, 1023, 2047):
+            rows, _ = simulate(SolverConfig(n_modes=n_modes, outer_radius=30.0, dt=0.05,
+                                            t_final=2.0, output_interval=0.5))
+            runs.append(np.array([row.as_tuple() for row in rows]))
+        coarse, mid, fine = runs
+        assert np.array_equal(fine[:, 0], [0.0, 0.5, 1.0, 1.5, 2.0])
+        for name in self.SPECTRAL:
+            i = CSV_COLUMNS.index(name)
+            for run in (coarse, mid):
+                assert np.all(np.abs(run[:, i] - fine[:, i]) <= 1e-13 * fine[:, i]), name
+        for name in self.SAMPLED:
+            i = CSV_COLUMNS.index(name)
+            scale = fine[1:, i]             # the nonlinear part is 0 at t = 0
+            first = np.max(np.abs(coarse[1:, i] - mid[1:, i]) / scale)
+            second = np.max(np.abs(mid[1:, i] - fine[1:, i]) / scale)
+            assert 0.0 < first < 1e-2, name
+            assert first >= 3.5 * second, name
