@@ -21,6 +21,7 @@ from .config import RunConfig, load_config
 from .decay import (
     DecaySeries,
     fit_decay_exponent,
+    linear_rows,
     run_kernel_lower_probe,
     run_linear_decay,
     run_lower_bound,
@@ -123,9 +124,9 @@ def cmd_grid_check(args) -> int:
 
 def cmd_linear_decay(args) -> int:
     config = _load(args)
-    solver = config.solver_config()
+    rows = linear_rows(config.solver_config())
     window = (config.get("fit_t_lo"), config.get("fit_t_hi"))
-    report = run_linear_decay(solver, config.get("p_list"), window=window)
+    report = run_linear_decay(rows, config.get("p_list"), window)
     return _report_exit(args, report, "linear_decay.json")
 
 
@@ -140,21 +141,23 @@ def cmd_simulate(args) -> int:
 
 def cmd_nonlinear_decay(args) -> int:
     config = _load(args)
-    solver = config.solver_config()
+    rows, _ = simulate(config.solver_config())
     window = (config.get("fit_t_lo"), config.get("fit_t_hi"))
-    report = run_nonlinear_decay(solver, config.get("p_list"), window=window)
+    report = run_nonlinear_decay(rows, config.get("p_list"), window)
     return _report_exit(args, report, "nonlinear_decay.json")
 
 
 def cmd_lower_bound(args) -> int:
-    config = _load(args)
-    report = run_lower_bound(config.solver_config())
+    solver = _load(args).solver_config()
+    rows, _ = simulate(solver)
+    report = run_lower_bound(rows, solver.linear_only)
     return _report_exit(args, report, "lower_bound.json")
 
 
 def cmd_weighted_decay(args) -> int:
     config = _load(args)
-    report = run_weighted_decay(config.solver_config())
+    rows, _ = simulate(config.solver_config())
+    report = run_weighted_decay(rows)
     return _report_exit(args, report, "weighted_decay.json")
 
 

@@ -169,10 +169,25 @@ def series_from_rows(rows: Sequence[DiagnosticsRow], column: str) -> DecaySeries
     return DecaySeries.from_samples(data[:, 0], data[:, idx])
 
 
-def _fit_entry(label: str, series: DecaySeries, window: tuple[float, float],
-               target: float, tol: float, r2_min: float) -> ExperimentEntry:
+#: (tolerance on |slope - target|, r^2 floor) of a fit, by series kind and p
+_FIT_BOUNDS = {("linear", 2.0): (0.05, 0.995), ("linear", math.inf): (0.10, 0.995),
+               ("total", 2.0): (0.10, 0.995), ("total", math.inf): (0.10, 0.995),
+               ("nonlinear", 2.0): (0.15, 0.98), ("nonlinear", math.inf): (0.20, 0.98)}
+
+
+def _clip(window: tuple[float, float], rows: Sequence[DiagnosticsRow]) -> tuple[float, float]:
+    """The window cut at the last output time, which may pass T by a rounding."""
+    return (window[0], min(window[1], rows[-1].t))
+
+
+def _fit_entry(label: str, rows: Sequence[DiagnosticsRow], column: str,
+               window: tuple[float, float], p: float, kind: str) -> ExperimentEntry:
+    target = theoretical_exponent(p, "nonlinear" if kind == "nonlinear" else "full")
+    series = series_from_rows(rows, column)
+    window = _clip(window, rows)
     if len(series.t) == 0:
         return ExperimentEntry(label, target, None, None, window, "EMPTY")
+    tol, r2_min = _FIT_BOUNDS[kind, p]
     fit = fit_decay_exponent(series, window)
     ok = abs(fit.slope - target) <= tol and fit.r_squared >= r2_min
     return ExperimentEntry(label, target, fit.slope, fit.r_squared, window,
@@ -190,66 +205,39 @@ def linear_rows(config: SolverConfig) -> list[DiagnosticsRow]:
     return simulate(replace(config, linear_only=True))[0]
 
 
-_DEFAULT_EXPONENT_TOL = {2.0: 0.05, math.inf: 0.10}
-
-
-def run_linear_decay(config: SolverConfig, p_list: Sequence[float] = (2.0, math.inf),
-                     window: tuple[float, float] = (10.0, 200.0),
-                     tolerances: dict | None = None,
-                     r2_min: float = 0.995) -> ExperimentReport:
+def run_linear_decay(rows: list[DiagnosticsRow], p_list: Sequence[float],
+                     window: tuple[float, float]) -> ExperimentReport:
     """Fit L^p decay exponents of the linear flow against sigma(p)."""
     _require_csv_p(p_list)
-    rows = linear_rows(config)
-    tol = dict(_DEFAULT_EXPONENT_TOL)
-    if tolerances:
-        tol.update(tolerances)
-    window = (window[0], min(window[1], config.t_final))
     entries = []
-    for p in p_list:
-        series = series_from_rows(rows, _COLUMN_FOR_P[float(p)])
-        entries.append(_fit_entry(f"L^{p} linear", series, window,
-                                  theoretical_exponent(p, "full"),
-                                  tol[float(p)], r2_min))
+    for p in map(float, p_list):
+        entries.append(_fit_entry(f"L^{p} linear", rows, _COLUMN_FOR_P[p], window, p,
+                                  "linear"))
     return ExperimentReport("linear-decay", entries, rows)
 
 
-def run_nonlinear_decay(config: SolverConfig,
-                        p_list: Sequence[float] = (2.0, math.inf),
-                        window: tuple[float, float] = (10.0, 200.0),
-                        r2_min_total: float = 0.995,
-                        r2_min_nl: float = 0.98,
-                        rows: list[DiagnosticsRow] | None = None
-                        ) -> ExperimentReport:
-    """Full simulation; fit the total norms and the Duhamel-remainder norms.
+def run_nonlinear_decay(rows: list[DiagnosticsRow], p_list: Sequence[float],
+                        window: tuple[float, float]) -> ExperimentReport:
+    """Fit the total norms and the Duhamel-remainder norms of a full run.
 
     The p = inf remainder is measured through the summed-block sup norm, the
     route on which the p != 2 estimate actually rests.
     """
     _require_csv_p(p_list)
-    if rows is None:
-        rows, _ = simulate(config)
-    window = (window[0], min(window[1], config.t_final))
     entries = []
-    total_tol = {2.0: 0.10, math.inf: 0.10}
-    nl_tol = {2.0: 0.15, math.inf: 0.20}
-    for p in p_list:
-        p = float(p)
-        total = series_from_rows(rows, _COLUMN_FOR_P[p])
-        entries.append(_fit_entry(f"L^{p} total", total, window,
-                                  theoretical_exponent(p, "full"),
-                                  total_tol[p], r2_min_total))
+    for p in map(float, p_list):
+        entries.append(_fit_entry(f"L^{p} total", rows, _COLUMN_FOR_P[p], window, p, "total"))
         nl_col = "nl_l2" if p == 2.0 else "nl_besov_inf1"
-        nl = series_from_rows(rows, nl_col)
         label = "nonlinear part L^2" if p == 2.0 else "nonlinear part B0_inf1"
-        entries.append(_fit_entry(label, nl, window,
-                                  theoretical_exponent(p, "nonlinear"),
-                                  nl_tol[p], r2_min_nl))
+        entries.append(_fit_entry(label, rows, nl_col, window, p, "nonlinear"))
     return ExperimentReport("nonlinear-decay", entries, rows)
 
 
-def _ratio_entry(label: str, series: DecaySeries, window: tuple[float, float],
-                 scale, max_ratio: float, against_first: bool) -> ExperimentEntry:
-    trimmed = series.window(*window)
+def _ratio_entry(label: str, rows: Sequence[DiagnosticsRow], column: str,
+                 window: tuple[float, float], scale, max_ratio: float,
+                 against_first: bool) -> ExperimentEntry:
+    window = _clip(window, rows)
+    trimmed = series_from_rows(rows, column).window(*window)
     if len(trimmed.t) == 0:
         return ExperimentEntry(label, None, None, None, window, "EMPTY")
     scaled = trimmed.values * scale(trimmed.t)
@@ -264,29 +252,20 @@ def _ratio_entry(label: str, series: DecaySeries, window: tuple[float, float],
                                   "max_ratio": max_ratio})
 
 
-def run_lower_bound(config: SolverConfig, window: tuple[float, float] = (20.0, 200.0),
-                    rows: list[DiagnosticsRow] | None = None) -> ExperimentReport:
+def run_lower_bound(rows: list[DiagnosticsRow], linear: bool) -> ExperimentReport:
     """t^2 ||(a, v)(t)||_inf must stay in a bounded band: the sup-norm floor."""
-    if rows is None:
-        rows = simulate(config)[0]
-    window = (window[0], min(window[1], config.t_final))
-    series = series_from_rows(rows, "linf_av")
-    mode = "linear" if config.linear_only else "nonlinear"
-    entry = _ratio_entry(f"t^2 sup-norm floor ({mode})", series, window,
+    mode = "linear" if linear else "nonlinear"
+    entry = _ratio_entry(f"t^2 sup-norm floor ({mode})", rows, "linf_av", (20.0, 200.0),
                          lambda t: t ** 2, 3.0, against_first=False)
     return ExperimentReport("lower-bound", [entry], rows)
 
 
-def run_weighted_decay(config: SolverConfig, window: tuple[float, float] = (1.0, 200.0),
-                       rows: list[DiagnosticsRow] | None = None) -> ExperimentReport:
+def run_weighted_decay(rows: list[DiagnosticsRow]) -> ExperimentReport:
     """(t+1)^{3/4} sup_r r|(a, v)| must stay within a factor 5 of its start."""
-    if rows is None:
-        rows = simulate(config)[0]
-    window = (window[0], min(window[1], config.t_final))
-    series = series_from_rows(rows, "weighted_sup")
-    entry = _ratio_entry("weighted sup decay", series, window,
-                         lambda t: (t + 1.0) ** 0.75, 5.0, against_first=True)
-    entry.target_exponent = 0.75
+    target = theoretical_exponent(math.inf, "weighted_sup")
+    entry = _ratio_entry("weighted sup decay", rows, "weighted_sup", (1.0, 200.0),
+                         lambda t: (t + 1.0) ** target, 5.0, against_first=True)
+    entry.target_exponent = target
     return ExperimentReport("weighted-decay", [entry], rows)
 
 

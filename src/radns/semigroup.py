@@ -186,11 +186,11 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int) 
 
 
 def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float]],
-                 n_nodes: int = 32, refine_rtol: float = 1.0e-6, max_nodes: int = 256) -> float:
+                 refine_rtol: float = 1.0e-6, max_nodes: int = 256) -> float:
     """Sup over probe points of the anisotropically cut kernel modulus.
 
     Gauss-Legendre tensor quadrature over the compact support box; the node
-    count doubles until the sup changes by less than refine_rtol relative.
+    count doubles from 32 until the sup changes by less than refine_rtol relative.
     Raises SolverAbort if that has not happened by max_nodes, and UsageError
     for a point off the coordinate axes.
     """
@@ -201,7 +201,7 @@ def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float
         raise UsageError("probe point set is empty")
     if pts.shape[1] != 3:
         raise UsageError("probe points must be 3D")
-    n = max(int(n_nodes), 4)
+    n = 32
     value = float(np.max(_probe_integral(t, psi, pts, n)))
     change = math.inf
     while n < max_nodes:

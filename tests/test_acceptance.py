@@ -16,6 +16,7 @@ import pytest
 from radns.besov import BesovSpec, block_multiplier, pair_besov_norm, resolved_range
 from radns.cli import command_dispatch
 from radns.decay import (
+    linear_rows,
     run_kernel_lower_probe,
     run_linear_decay,
     run_lower_bound,
@@ -61,7 +62,7 @@ def linear_reference():
     config = SolverConfig(n_modes=16384, outer_radius=500.0, dt=0.05,
                           t_final=200.0, output_interval=1.0,
                           amplitude=0.01, width=1.0, linear_only=True)
-    return config, run_linear_decay(config, (2.0, math.inf), window=(10.0, 200.0))
+    return config, run_linear_decay(linear_rows(config), (2.0, math.inf), (10.0, 200.0))
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +140,8 @@ def test_criterion_03_linear_decay_rates(linear_reference):
 def test_criterion_04_sharpness_lower_bound(linear_reference, nonlinear_reference):
     lin_cfg, lin_rep = linear_reference
     nl_cfg, nl_rows = nonlinear_reference
-    lin = run_lower_bound(lin_cfg, window=(20.0, 200.0), rows=lin_rep.rows)
-    nl = run_lower_bound(nl_cfg, window=(20.0, 200.0), rows=nl_rows)
+    lin = run_lower_bound(lin_rep.rows, lin_cfg.linear_only)
+    nl = run_lower_bound(nl_rows, nl_cfg.linear_only)
     le, ne = lin.entries[0].extra, nl.entries[0].extra
     ok = lin.passed and nl.passed
     report("criterion 4 (t^-2 sharpness floor)", ok,
@@ -151,8 +152,7 @@ def test_criterion_04_sharpness_lower_bound(linear_reference, nonlinear_referenc
 @pytest.mark.slow
 def test_criterion_05_nonlinear_part_gain(nonlinear_reference):
     config, rows = nonlinear_reference
-    rep = run_nonlinear_decay(config, (2.0, math.inf), window=(150.0, 460.0),
-                              rows=rows)
+    rep = run_nonlinear_decay(rows, (2.0, math.inf), (150.0, 460.0))
     by_label = {e.label: e for e in rep.entries}
     nl2 = by_label["nonlinear part L^2"]
     nlb = by_label["nonlinear part B0_inf1"]
@@ -166,7 +166,7 @@ def test_criterion_05_nonlinear_part_gain(nonlinear_reference):
 @pytest.mark.slow
 def test_criterion_06_weighted_decay(nonlinear_reference):
     config, rows = nonlinear_reference
-    rep = run_weighted_decay(config, window=(1.0, 200.0), rows=rows)
+    rep = run_weighted_decay(rows)
     extra = rep.entries[0].extra
     report("criterion 6 (weighted sup decay)", rep.passed,
            f"(t+1)^(3/4)-scaled ratio {extra['ratio']:.3f} <= 5 over [1, 200]")

@@ -484,10 +484,10 @@ class TestKernelProbe:
             kernel_probe(16.0, psi, probe_point_grid(16.0))
 
     def test_unconverged_refinement_raises(self):
-        # 4 -> 8 nodes changes the sup far more than 1e-12: no silent return
-        with pytest.raises(SolverAbort, match=r"max_nodes = 8: last relative change") as err:
+        # 32 -> 64 nodes changes the sup far more than 1e-12: no silent return
+        with pytest.raises(SolverAbort, match=r"max_nodes = 64: last relative change") as err:
             kernel_probe(16.0, CutoffPsi(), probe_point_grid(16.0),
-                         n_nodes=4, max_nodes=8, refine_rtol=1e-12)
+                         max_nodes=64, refine_rtol=1e-12)
         assert err.value.time == 16.0
 
     def test_empty_probe_set_rejected(self):

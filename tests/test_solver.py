@@ -453,6 +453,21 @@ class TestNonlinearPart:
             assert two.nl_l2 / one.nl_l2 == pytest.approx(4.0, abs=0.05)
             assert two.nl_besov_inf1 / one.nl_besov_inf1 == pytest.approx(4.0, abs=0.05)
 
+        # to T = 10 the cubic term moves the ratio by O(c): the largest
+        # |4 - nl(c)/nl(c/2)| is 0.0433 / 0.0219 / 0.0110 / 0.0055 at c = 0.02 /
+        # 0.01 / 0.005 / 0.0025, halving with c. Linear-flow error leaking into
+        # the remainder is O(c) against its O(c^2), so it grows as c falls: the
+        # ETD propagator's m11 off by 1e-7 relative, or the linear-flow time
+        # off by 1e-6, stops the halving
+        runs = {c: simulate(small_config(t_final=10.0, output_interval=2.0, amplitude=c))[0]
+                for c in (0.02, 0.01, 0.005, 0.0025, 0.00125)}
+        for column in ("nl_l2", "nl_besov_inf1"):
+            gaps = [max(abs(4.0 - getattr(two, column) / getattr(one, column))
+                        for one, two in zip(runs[c / 2.0][1:], runs[c][1:]))
+                    for c in (0.02, 0.01, 0.005, 0.0025)]
+            assert gaps[0] <= 0.05, (column, gaps)
+            assert all(big >= 1.8 * small for big, small in zip(gaps, gaps[1:])), (column, gaps)
+
     def test_much_smaller_than_solution(self):
         cfg = SolverConfig(n_modes=2047, outer_radius=60.0, dt=0.05, t_final=10.0,
                            output_interval=10.0, amplitude=0.01)
