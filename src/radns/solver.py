@@ -15,8 +15,9 @@ div(G x/r), G the combined forcing profile, integrating by parts against
 sin(r rho) gives rho^2 h_hat = S - rho C, with S = sqrt(2/pi) int G sin(r rho)
 dr and C = sqrt(2/pi) int r G cos(r rho) dr: the boundary term r G sin(r rho)
 vanishes at r = 0 and at r = R, where sin(R rho_k) = sin(k pi) = 0.  A forcing
-evaluation is three two-transform syntheses ((a, a'), (w, w'), q'), one DST
-for f and a DST plus a DCT for h: 9 transforms, and an ETD2 step makes 19.
+evaluation is three syntheses ((a, a'), (w, w'), q'), one DST for f and the
+(S, C) pair for h; each sine/cosine pair is one real FFT, so it makes 5
+transforms, and an ETD2 step makes 11.
 
 Integration is second-order exponential time differencing over the exact
 per-mode propagator: the linear flow commits no time-discretisation error, so
@@ -37,8 +38,7 @@ from .errors import ConfigurationError, SolverAbort
 from .semigroup import apply_semigroup, mode_function_entries, mode_matrices, mode_product
 from .spectral import (
     RadialGrid,
-    _cosine_sum,
-    _sine_sum,
+    _sine_cosine_sums,
     dealias_mask,
     lp_norm,
     make_grid,
@@ -208,8 +208,8 @@ def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
 
     # h = |D|^{-1} div(G x/r); by parts, rho^2 h_hat = S - rho C
     g = -u * u_r - (a / (1.0 + a)) * w_r - law.beta(a) * a_r
-    cosine = _cosine_sum(grid.r * g, grid.dr)
-    rows[1] = (_sine_sum(g, grid.dr) - grid.rho * cosine) / grid.rho ** 2
+    sine, cosine = _sine_cosine_sums(g, grid.r * g, grid.dr)
+    rows[1] = (sine - grid.rho * cosine) / grid.rho ** 2
     rows *= mask
     return rows
 

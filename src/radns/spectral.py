@@ -23,17 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst, dct
+from scipy.fft import dst, rfft
+from scipy.fft import dct  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
 
 from .errors import ConfigurationError
-
-#: Exponent and strength of the C^inf spectral filter used when differentiating.
-#: sigma(x) = exp(-36 x^36) is ~1 below two thirds of the band and drops to
-#: machine epsilon at the band edge; it suppresses the derivative ringing of
-#: profiles whose odd extension jumps at r = R while leaving well-resolved
-#: fields untouched to machine precision.
-_FILTER_STRENGTH = 36.0
-_FILTER_ORDER = 36
 
 
 @dataclass(frozen=True)
@@ -76,17 +69,33 @@ def make_grid(n_modes: int, outer_radius: float) -> RadialGrid:
 
 
 # -- sine/cosine kernels ------------------------------------------------------
+#
+# A sine sum alone is a DST-I of length N.  A sine sum of x paired with a
+# cosine sum of y is one real FFT of length 2(N+1) (Martucci, IEEE Trans.
+# Signal Process. 42, 1994): put the odd extension of x plus the even
+# extension of y in z, z_j = y_j + x_j and z_{2(N+1)-j} = y_j - x_j for
+# j = 1..N, z_0 = z_{N+1} = 0; then bin m of its transform is
+# 2 sum_k y_k cos(pi m k/(N+1)) - 2i sum_k x_k sin(pi m k/(N+1)).  The
+# forcing's four pairs and one DST make 5 transforms, and an ETD2 step 11.
 
 def _sine_sum(coeffs: np.ndarray, step: float) -> np.ndarray:
     """sqrt(2/pi) * step * sum_k coeffs_k sin(node_m * dual_node_k)."""
     return np.sqrt(2.0 / np.pi) * step * 0.5 * dst(coeffs, type=1)
 
 
-def _cosine_sum(coeffs: np.ndarray, step: float) -> np.ndarray:
-    """sqrt(2/pi) * step * sum_k coeffs_k cos(node_m * dual_node_k), via a
-    DCT-I padded with zero end coefficients."""
-    padded = np.concatenate(([0.0], coeffs, [0.0]))
-    return np.sqrt(2.0 / np.pi) * step * 0.5 * dct(padded, type=1)[1:-1]
+def _sine_cosine_sums(sine_coeffs: np.ndarray, cosine_coeffs: np.ndarray,
+                      step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sine sum of `sine_coeffs` and the cosine sum of `cosine_coeffs`,
+    sqrt(2/pi) * step * sum_k coeffs_k {sin, cos}(node_m * dual_node_k),
+    from one real FFT of their symmetric extension."""
+    n = len(sine_coeffs)
+    z = np.zeros(2 * (n + 1))
+    np.add(cosine_coeffs, sine_coeffs, out=z[1:n + 1])
+    np.subtract(cosine_coeffs, sine_coeffs, out=z[:n + 1:-1])
+    bins = rfft(z, overwrite_x=True)[1:n + 1]
+    bins *= np.sqrt(2.0 / np.pi) * step * 0.5
+    bins.imag *= -1.0       # scaled in place: no further N-length arrays
+    return bins.imag, bins.real
 
 
 def per_grid_cache(fn):
@@ -102,13 +111,6 @@ def per_grid_cache(fn):
         table.flags.writeable = False
         return table
     return cached
-
-
-@per_grid_cache
-def derivative_filter(grid: RadialGrid) -> np.ndarray:
-    """C^inf taper applied to sine coefficients before differentiation."""
-    x = np.arange(1, grid.n_modes + 1, dtype=float) / (grid.n_modes + 1)
-    return np.exp(-_FILTER_STRENGTH * x ** _FILTER_ORDER)
 
 
 # -- transforms ---------------------------------------------------------------
@@ -131,12 +133,10 @@ def physical_and_gradient(grid: RadialGrid, hat: np.ndarray) -> tuple[np.ndarray
     values `hat`, from one synthesis.
 
     Works through the sine coefficients of g(r) = r w(r): the derivative is
-    the matching cosine sum, and w' = g'/r - g/r^2.
+    the matching cosine sum, both from one FFT, and w' = g'/r - g/r^2.
     """
     ghat = grid.rho * hat
-    g = _sine_sum(ghat, grid.drho)
-    ghat = ghat * derivative_filter(grid)
-    g_prime = _cosine_sum(grid.rho * ghat, grid.drho)
+    g, g_prime = _sine_cosine_sums(ghat, grid.rho * ghat, grid.drho)
     return g / grid.r, g_prime / grid.r - g / grid.r ** 2
 
 

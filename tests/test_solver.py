@@ -247,17 +247,18 @@ class TestNonlinearRhs:
         assert err.value.mode_index == int(np.argmax(a_phys)) == 0
 
     def test_transform_count(self, transform_counter):
-        # three two-transform syntheses, one DST for f, a DST and a DCT for h
+        # one FFT for each of the three (w, w') syntheses and for h's (S, C)
+        # pair, and one DST for f
         cfg = small_config()
         state = initial_state(cfg)
         tables = make_etd_tables(state.grid, cfg.dt)
         transform_counter[0] = 0
         nonlinear_rhs(state, cfg.law(), cfg)
-        assert transform_counter[0] == 9
+        assert transform_counter[0] == 5
         transform_counter[0] = 0
         # two RHS calls and the synthesis behind the end-of-step density check
         step_etd2(state, cfg.law(), cfg, tables)
-        assert transform_counter[0] == 19
+        assert transform_counter[0] == 11
 
 
 def smooth_state(grid, rng, amplitude=0.01):

@@ -17,10 +17,9 @@ from scipy.optimize import minimize_scalar
 from radns.errors import ConfigurationError, NumericDomainError
 from radns.spectral import (
     RadialGrid,
-    _cosine_sum,
+    _sine_cosine_sums,
     _sine_sum,
     dealias_mask,
-    derivative_filter,
     lp_norm,
     make_grid,
     physical_and_gradient,
@@ -49,23 +48,31 @@ def gradient_profile(grid, hat):
     return RadialVectorProfile(grid, physical_and_gradient(grid, hat)[1])
 
 
+def band_edge_taper(grid):
+    """sigma(k/(N+1)) with sigma(x) = exp(-36 x^36): ~1 below two thirds of the
+    band and machine epsilon at its edge.  It damps the derivative ringing of
+    a profile whose odd extension jumps at r = R, such as G(r) = r."""
+    x = np.arange(1, grid.n_modes + 1, dtype=float) / (grid.n_modes + 1)
+    return np.exp(-36.0 * x ** 36)
+
+
 def divergence_of_profile(vec, dealias_fraction=None):
     """Samples of div(G(r) x/r) = G'(r) + 2 G(r)/r at the grid nodes.
 
-    G' comes from differentiating the sine expansion of G itself; when a
-    dealias fraction is given the top modes of that expansion are zeroed and
-    the 2G/r term uses the truncated profile for consistency.
+    G' comes from differentiating the band-edge tapered sine expansion of G
+    itself; when a dealias fraction is given the top modes of that expansion
+    are zeroed and the 2G/r term uses the truncated profile for consistency.
     """
     grid = vec.grid
     if not np.all(np.isfinite(vec.samples)):
         raise NumericDomainError("profile contains non-finite samples")
     coeffs = _sine_sum(vec.samples, grid.dr)      # of the odd extension of G
-    g = vec.samples
     if dealias_fraction is not None:
         coeffs = coeffs * dealias_mask(grid, dealias_fraction)
-        g = _sine_sum(coeffs, grid.drho)
-    coeffs = coeffs * derivative_filter(grid)
-    g_prime = _cosine_sum(grid.rho * coeffs, grid.drho)
+    g, g_prime = _sine_cosine_sums(coeffs, grid.rho * coeffs * band_edge_taper(grid),
+                                   grid.drho)
+    if dealias_fraction is None:
+        g = vec.samples
     return g_prime + 2.0 * g / grid.r
 
 
@@ -74,6 +81,16 @@ def direct_sine_transform(grid, samples):
     kernel = np.sin(np.outer(grid.rho, grid.r))
     ghat = math.sqrt(2.0 / math.pi) * grid.dr * kernel @ (grid.r * samples)
     return ghat / grid.rho
+
+
+def direct_sine_cosine_sums(grid, sine_coeffs, cosine_coeffs):
+    """O(N^2) summation oracle for _sine_cosine_sums with step drho.  The
+    phase r_m rho_k = pi m k/(N+1) is reduced in integers first, so the
+    oracle's own argument rounding stays far below the tolerance."""
+    k = np.arange(1, grid.n_modes + 1)
+    phase = np.pi * (np.outer(k, k) % (2 * (grid.n_modes + 1))) / (grid.n_modes + 1)
+    scale = math.sqrt(2.0 / math.pi) * grid.drho
+    return scale * np.sin(phase) @ sine_coeffs, scale * np.cos(phase) @ cosine_coeffs
 
 
 class TestGrid:
@@ -141,6 +158,14 @@ class TestTransforms:
         f = rng.standard_normal(256)
         oracle = direct_sine_transform(grid, f)
         assert np.max(np.abs(to_spectral(grid, f) - oracle)) < 1e-11
+
+    @pytest.mark.parametrize("n", [8, 255, 256, 1023])
+    def test_sine_cosine_pair_matches_direct_summation(self, n):
+        grid = make_grid(n, 13.0)
+        x, y = np.random.default_rng(n).standard_normal((2, n))
+        for got, want in zip(_sine_cosine_sums(x, y, grid.drho),
+                             direct_sine_cosine_sums(grid, x, y)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_round_trip_random(self):
         grid = make_grid(512, 25.0)
