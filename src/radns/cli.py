@@ -1,7 +1,7 @@
 """Command-line entry point with bit-stable CSV/JSON emission.
 
-Exit codes: 0 pass, 1 experiment FAIL verdict, 2 configuration error,
-3 solver abort or non-finite output.
+Exit codes: 0 pass, 1 experiment FAIL verdict, 2 configuration error (also
+a run too large for memory), 3 solver abort or non-finite output.
 """
 
 from __future__ import annotations
@@ -293,6 +293,10 @@ def command_dispatch(argv) -> int:
         return EXIT_CONFIG
     except RadnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:          # e.g. numpy cannot allocate the grid
+        print("configuration error: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

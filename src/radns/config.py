@@ -50,7 +50,6 @@ _SCHEMA: dict[str, _Key] = {
     "c": _Key(_parse_float, lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
     "w": _Key(_parse_float, lambda v: v > 0, "must be positive"),
     "output_interval": _Key(_parse_float, lambda v: v > 0, "must be positive"),
-    "dealias": _Key(_parse_float, lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "guard": _Key(_parse_float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "linear_only": _Key(_parse_bool),
     # the CSV holds the p = 2 and p = inf norms only
@@ -76,8 +75,7 @@ _SCHEMA: dict[str, _Key] = {
 _SOLVER_FIELDS = {
     "N": "n_modes", "R": "outer_radius", "dt": "dt", "T": "t_final",
     "output_interval": "output_interval", "gamma": "gamma", "c": "amplitude",
-    "w": "width", "dealias": "dealias_fraction", "guard": "density_guard",
-    "linear_only": "linear_only",
+    "w": "width", "guard": "density_guard", "linear_only": "linear_only",
 }
 
 _DEFAULTS: dict[str, Any] = {

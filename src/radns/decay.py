@@ -65,6 +65,10 @@ class FitResult:
     dropped: int = 0
 
 
+#: fewest points a fit uses, and fewest output times a verdict window holds
+_MIN_POINTS = 4
+
+
 def theoretical_exponent(p: float, kind: str = "full") -> float:
     """Sharp decay exponent for the given Lebesgue index and series kind."""
     if p < 2:
@@ -81,12 +85,11 @@ def theoretical_exponent(p: float, kind: str = "full") -> float:
 
 def fit_decay_exponent(series: DecaySeries, window: tuple[float, float]) -> FitResult:
     """Ordinary least squares on (log t, log value) inside the window."""
-    t_lo, t_hi = window
-    sel = (series.t >= t_lo) & (series.t <= t_hi)
-    t = series.t[sel]
-    v = series.values[sel]
-    if len(t) < 4:
-        raise FitError(f"window [{t_lo}, {t_hi}] holds {len(t)} points; need >= 4")
+    inside = series.window(*window)
+    t, v = inside.t, inside.values
+    if len(t) < _MIN_POINTS:
+        raise FitError(f"window [{window[0]}, {window[1]}] holds {len(t)} points; "
+                       f"need >= {_MIN_POINTS}")
     if np.any(v <= 0):
         offenders = t[v <= 0]
         raise FitError(f"nonpositive values at t = {offenders.tolist()}")
@@ -153,12 +156,21 @@ class ExperimentReport:
                 "entries": [e.as_dict() for e in self.entries]}
 
 
-_COLUMN_FOR_P = {2.0: "l2_av", math.inf: "linf_av"}
+#: (series kind, p) -> (label, CSV column, theoretical_exponent kind, tolerance
+#: on |slope - target|, r^2 floor) of one fitted entry.  The p = inf remainder
+#: is read through the summed-block sup norm, on which the p != 2 estimate rests.
+_FITS = {("linear", 2.0): ("L^2.0 linear", "l2_av", "full", 0.05, 0.995),
+         ("linear", math.inf): ("L^inf linear", "linf_av", "full", 0.10, 0.995),
+         ("total", 2.0): ("L^2.0 total", "l2_av", "full", 0.10, 0.995),
+         ("total", math.inf): ("L^inf total", "linf_av", "full", 0.10, 0.995),
+         ("nonlinear", 2.0): ("nonlinear part L^2", "nl_l2", "nonlinear", 0.15, 0.98),
+         ("nonlinear", math.inf): ("nonlinear part B0_inf1", "nl_besov_inf1", "nonlinear",
+                                   0.20, 0.98)}
 
 
 def _require_csv_p(p_list: Sequence[float]) -> None:
     """The diagnostics rows hold the p = 2 and p = inf norms only."""
-    bad = [p for p in p_list if float(p) not in _COLUMN_FOR_P]
+    bad = [p for p in p_list if ("linear", float(p)) not in _FITS]
     if bad:
         raise UnsupportedParameterError(f"decay fits cover p = 2 and inf only, got {bad}")
 
@@ -169,30 +181,40 @@ def series_from_rows(rows: Sequence[DiagnosticsRow], column: str) -> DecaySeries
     return DecaySeries.from_samples(data[:, 0], data[:, idx])
 
 
-#: (tolerance on |slope - target|, r^2 floor) of a fit, by series kind and p
-_FIT_BOUNDS = {("linear", 2.0): (0.05, 0.995), ("linear", math.inf): (0.10, 0.995),
-               ("total", 2.0): (0.10, 0.995), ("total", math.inf): (0.10, 0.995),
-               ("nonlinear", 2.0): (0.15, 0.98), ("nonlinear", math.inf): (0.20, 0.98)}
+def _windowed(rows: Sequence[DiagnosticsRow], column: str, window: tuple[float, float]
+              ) -> tuple[tuple[float, float], DecaySeries]:
+    """The window cut at the last output time (which may pass T by a rounding)
+    and the column's series inside it.  A cut window that holds fewer than
+    _MIN_POINTS output times has no verdict: it raises FitError."""
+    window = (window[0], min(window[1], rows[-1].t))
+    count = sum(window[0] <= row.t <= window[1] for row in rows)
+    if count < _MIN_POINTS:
+        raise FitError(f"window [{window[0]}, {window[1]}] holds {count} output times; "
+                       f"need >= {_MIN_POINTS}")
+    return window, series_from_rows(rows, column).window(*window)
 
 
-def _clip(window: tuple[float, float], rows: Sequence[DiagnosticsRow]) -> tuple[float, float]:
-    """The window cut at the last output time, which may pass T by a rounding."""
-    return (window[0], min(window[1], rows[-1].t))
-
-
-def _fit_entry(label: str, rows: Sequence[DiagnosticsRow], column: str,
-               window: tuple[float, float], p: float, kind: str) -> ExperimentEntry:
-    target = theoretical_exponent(p, "nonlinear" if kind == "nonlinear" else "full")
-    series = series_from_rows(rows, column)
-    window = _clip(window, rows)
+def _fit_entry(kind: str, p: float, rows: Sequence[DiagnosticsRow],
+               window: tuple[float, float]) -> ExperimentEntry:
+    label, column, target_kind, tol, r2_min = _FITS[kind, p]
+    target = theoretical_exponent(p, target_kind)
+    window, series = _windowed(rows, column, window)
     if len(series.t) == 0:
         return ExperimentEntry(label, target, None, None, window, "EMPTY")
-    tol, r2_min = _FIT_BOUNDS[kind, p]
     fit = fit_decay_exponent(series, window)
     ok = abs(fit.slope - target) <= tol and fit.r_squared >= r2_min
     return ExperimentEntry(label, target, fit.slope, fit.r_squared, window,
                            "PASS" if ok else "FAIL",
                            extra={"tolerance": tol, "r2_min": r2_min})
+
+
+def _band_entry(label: str, window: tuple[float, float], lo: float, hi: float,
+                max_ratio: float, extra: dict) -> ExperimentEntry:
+    """PASS when the band hi / lo is at most max_ratio; lo <= 0 reads ratio inf."""
+    ratio = hi / lo if lo > 0 else math.inf
+    return ExperimentEntry(label, None, None, None, window,
+                           "PASS" if ratio <= max_ratio else "FAIL",
+                           extra={**extra, "ratio": ratio, "max_ratio": max_ratio})
 
 
 def linear_rows(config: SolverConfig) -> list[DiagnosticsRow]:
@@ -209,47 +231,30 @@ def run_linear_decay(rows: list[DiagnosticsRow], p_list: Sequence[float],
                      window: tuple[float, float]) -> ExperimentReport:
     """Fit L^p decay exponents of the linear flow against sigma(p)."""
     _require_csv_p(p_list)
-    entries = []
-    for p in map(float, p_list):
-        entries.append(_fit_entry(f"L^{p} linear", rows, _COLUMN_FOR_P[p], window, p,
-                                  "linear"))
+    entries = [_fit_entry("linear", p, rows, window) for p in map(float, p_list)]
     return ExperimentReport("linear-decay", entries, rows)
 
 
 def run_nonlinear_decay(rows: list[DiagnosticsRow], p_list: Sequence[float],
                         window: tuple[float, float]) -> ExperimentReport:
-    """Fit the total norms and the Duhamel-remainder norms of a full run.
-
-    The p = inf remainder is measured through the summed-block sup norm, the
-    route on which the p != 2 estimate actually rests.
-    """
+    """Fit the total norms and the Duhamel-remainder norms of a full run."""
     _require_csv_p(p_list)
-    entries = []
-    for p in map(float, p_list):
-        entries.append(_fit_entry(f"L^{p} total", rows, _COLUMN_FOR_P[p], window, p, "total"))
-        nl_col = "nl_l2" if p == 2.0 else "nl_besov_inf1"
-        label = "nonlinear part L^2" if p == 2.0 else "nonlinear part B0_inf1"
-        entries.append(_fit_entry(label, rows, nl_col, window, p, "nonlinear"))
+    entries = [_fit_entry(kind, p, rows, window)
+               for p in map(float, p_list) for kind in ("total", "nonlinear")]
     return ExperimentReport("nonlinear-decay", entries, rows)
 
 
 def _ratio_entry(label: str, rows: Sequence[DiagnosticsRow], column: str,
                  window: tuple[float, float], scale, max_ratio: float,
                  against_first: bool) -> ExperimentEntry:
-    window = _clip(window, rows)
-    trimmed = series_from_rows(rows, column).window(*window)
+    window, trimmed = _windowed(rows, column, window)
     if len(trimmed.t) == 0:
         return ExperimentEntry(label, None, None, None, window, "EMPTY")
     scaled = trimmed.values * scale(trimmed.t)
     lo = scaled[0] if against_first else float(scaled.min())
     hi = float(scaled.max())
-    ok = lo > 0 and hi / lo <= max_ratio
-    return ExperimentEntry(label, None, None, None, window,
-                           "PASS" if ok else "FAIL",
-                           extra={"scaled_min": float(scaled.min()),
-                                  "scaled_max": hi,
-                                  "ratio": hi / lo if lo > 0 else math.inf,
-                                  "max_ratio": max_ratio})
+    return _band_entry(label, window, lo, hi, max_ratio,
+                       {"scaled_min": float(scaled.min()), "scaled_max": hi})
 
 
 def run_lower_bound(rows: list[DiagnosticsRow], linear: bool) -> ExperimentReport:
@@ -307,7 +312,6 @@ def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> Exp
         if not math.isfinite(t * t):    # then t^2 * sup is not finite for any sup
             raise SolverAbort(f"t^2 * probe sup is not finite at t = {t:g}", time=t)
         _frame_blocks(t, j0_for_time(t))
-    max_ratio = 3.0
     scaled = []
     details = []
     for t in t_list:
@@ -319,13 +323,7 @@ def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> Exp
                         "frame_sup": frame,
                         "frame_to_probe": frame / value if value > 0 else math.inf})
     scaled = np.asarray(scaled)
-    lo, hi = float(scaled.min()), float(scaled.max())
-    ok = lo > 0 and hi / lo <= max_ratio
-    entry = ExperimentEntry("t^2-scaled probe sup", None, None, None,
-                            (min(t_list), max(t_list)),
-                            "PASS" if ok else "FAIL",
-                            extra={"scaled_values": scaled.tolist(),
-                                   "ratio": hi / lo if lo > 0 else math.inf,
-                                   "max_ratio": max_ratio,
-                                   "per_time": details})
+    entry = _band_entry("t^2-scaled probe sup", (min(t_list), max(t_list)),
+                        float(scaled.min()), float(scaled.max()), 3.0,
+                        {"scaled_values": scaled.tolist(), "per_time": details})
     return ExperimentReport("kernel-probe", [entry])

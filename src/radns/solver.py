@@ -87,7 +87,6 @@ class SolverConfig:
     gamma: float = 1.4
     amplitude: float = 0.01
     width: float = 1.0
-    dealias_fraction: float = 2.0 / 3.0
     density_guard: float = 0.5
     linear_only: bool = False
 
@@ -108,8 +107,6 @@ class SolverConfig:
         if not 0.0 < self.width < math.inf:
             raise ConfigurationError(f"data width must be finite and positive, got {self.width}")
         self.law()                      # re-checks the adiabatic exponent
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ConfigurationError("dealias fraction must lie in (0, 1]")
         if not 0.0 < self.density_guard < 1.0:
             raise ConfigurationError("density guard must lie in (0, 1)")
         front = 2.0 * self.t_final + 10.0 * self.width
@@ -193,7 +190,7 @@ def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
     """Spectral forcing rows (f_hat, h_hat) at the current state, by the
     radial identities of the module docstring on the dealiased fields."""
     grid = state.grid
-    mask = dealias_mask(grid, config.dealias_fraction)
+    mask = dealias_mask(grid)
     a_hat, v_hat = state.pair * mask
 
     a, a_r = physical_and_gradient(grid, a_hat)

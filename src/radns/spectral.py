@@ -141,11 +141,9 @@ def physical_and_gradient(grid: RadialGrid, hat: np.ndarray) -> tuple[np.ndarray
 
 
 @per_grid_cache
-def dealias_mask(grid: RadialGrid, fraction: float) -> np.ndarray:
-    """Mask keeping the lowest `fraction` of the spectral band."""
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigurationError(f"dealias fraction must lie in (0, 1], got {fraction}")
-    keep = int(np.floor(fraction * grid.n_modes))
+def dealias_mask(grid: RadialGrid) -> np.ndarray:
+    """Mask keeping the lowest 2/3 of the spectral band (the 2/3 rule)."""
+    keep = int(np.floor(2.0 / 3.0 * grid.n_modes))
     mask = np.zeros(grid.n_modes)
     mask[:keep] = 1.0
     return mask

@@ -60,6 +60,11 @@ class TestParseConfig:
         assert config.ok
         assert config.get("N") == 64
 
+    def test_dealias_is_not_a_key(self):
+        # the 2/3 rule is the one truncation; no other fraction was ever run
+        config = parse_config("dealias = 0.5")
+        assert config.errors == ["unknown key 'dealias' (line 1)"]
+
     def test_duplicate_key(self):
         config = parse_config("N = 64\nN = 128")
         assert not config.ok
@@ -346,6 +351,42 @@ fit_tol = 0.01
                                  "--out", str(tmp_path), "--quiet"]) == 0
         assert ((tmp_path / "diagnostics.csv").read_bytes()
                 == (tmp_path / "linear-decay.csv").read_bytes())
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate used to print numpy's traceback and exit
+        # 1, the code of a FAIL verdict; no test allocates such a grid
+        def too_large(config):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(radns.cli, "simulate", too_large)
+        assert command_dispatch(["simulate", "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: out of memory: " \
+                      "Unable to allocate 745. GiB for an array\n"
+        assert not (tmp_path / "diagnostics.csv").exists()
+
+    # every driver needs 4 output times in its window cut at the last row:
+    # fit_t_lo..fit_t_hi = [10, 200] for the fits, [20, 200] for lower-bound
+    # and [1, 200] for weighted-decay; output_interval is 1
+    @pytest.mark.parametrize("command, t_final, code, message", [
+        ("linear-decay", 5, 2, "window [10.0, 5.0] holds 0 output times"),
+        ("nonlinear-decay", 5, 2, "window [10.0, 5.0] holds 0 output times"),
+        # these three used to exit 1 (EMPTY on [20, 5]), 0 and 0
+        ("lower-bound", 5, 2, "window [20.0, 5.0] holds 0 output times"),
+        ("lower-bound", 22, 2, "window [20.0, 22.0] holds 3 output times"),
+        ("weighted-decay", 3, 2, "window [1.0, 3.0] holds 3 output times"),
+        ("lower-bound", 23, 0, ""),
+        ("weighted-decay", 4, 0, ""),
+    ], ids=["linear-T5", "nonlinear-T5", "lower-T5", "lower-T22", "weighted-T3",
+            "lower-T23-four-times", "weighted-T4-four-times"])
+    def test_short_window_exits_2(self, tmp_path, capsys, command, t_final, code, message):
+        cfg = write_config(tmp_path, f"N = 255\nR = 60\ndt = 0.1\nT = {t_final}\n"
+                                     "linear_only = true\n")
+        assert command_dispatch([command, "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == code
+        assert message in capsys.readouterr().err
+        if code == 2:
+            assert not list(tmp_path.glob("*.json"))
 
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_RUN)

@@ -29,7 +29,7 @@ from radns.decay import (
 )
 from radns.errors import FitError, NumericDomainError, UnsupportedParameterError
 from radns.semigroup import scalar_kernel_values
-from radns.solver import SolverConfig, simulate
+from radns.solver import DiagnosticsRow, SolverConfig, simulate
 from radns.spectral import make_grid
 
 
@@ -207,6 +207,69 @@ class TestNonlinearDriver:
         assert by_label["L^2.0 total"].fitted_exponent == pytest.approx(0.75, abs=0.15)
         assert by_label["nonlinear part L^2"].fitted_exponent == pytest.approx(
             1.25, abs=0.3)
+
+
+def synthetic_rows(t_final, value=lambda t: (t + 1.0) ** -2):
+    """One row per unit time up to t_final, every column set to value(t)."""
+    return [DiagnosticsRow(float(t), *[value(t)] * 7) for t in range(t_final + 1)]
+
+
+class TestWindowRule:
+    """Every driver cuts its window at the last row and needs 4 output times
+    in it; a window without a positive value reads EMPTY."""
+
+    DRIVERS = {
+        "linear": lambda rows: run_linear_decay(rows, (2.0, math.inf), (10.0, 200.0)),
+        "nonlinear": lambda rows: run_nonlinear_decay(rows, (2.0, math.inf), (10.0, 200.0)),
+        "lower-bound": lambda rows: run_lower_bound(rows, linear=True),
+        "weighted": run_weighted_decay,
+    }
+    #: last row time at which the cut window holds exactly 4 output times
+    FOUR_AT = {"linear": 13, "nonlinear": 13, "lower-bound": 23, "weighted": 4}
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_four_output_times_needed(self, driver):
+        t_final = self.FOUR_AT[driver]
+        with pytest.raises(FitError, match="holds 3 output times; need >= 4"):
+            self.DRIVERS[driver](synthetic_rows(t_final - 1))
+        for entry in self.DRIVERS[driver](synthetic_rows(t_final)).entries:
+            assert entry.verdict in ("PASS", "FAIL")
+            assert entry.window[1] == t_final
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_no_positive_value_in_window_is_empty(self, driver):
+        # positive before the window, zero inside it: EMPTY, not a FitError
+        rows = synthetic_rows(30, lambda t: 1.0 if t < 1 else 0.0)
+        entries = self.DRIVERS[driver](rows).entries
+        assert entries and all(e.verdict == "EMPTY" for e in entries)
+
+    def test_fit_needs_four_positive_values(self):
+        rows = synthetic_rows(20, lambda t: 1.0 if t < 12 else 0.0)
+        with pytest.raises(FitError, match="holds 2 points; need >= 4"):
+            run_linear_decay(rows, (2.0,), (10.0, 200.0))
+
+
+class TestVerdictTable:
+    """Every fitted entry's label, target, tolerance, r^2 floor and cut window,
+    pinned at p = 2 and inf for both fit drivers."""
+
+    PINNED = [
+        ("L^2.0 linear", 0.75, 0.05, 0.995),
+        ("L^inf linear", 2.0, 0.10, 0.995),
+        ("L^2.0 total", 0.75, 0.10, 0.995),
+        ("nonlinear part L^2", 1.25, 0.15, 0.98),
+        ("L^inf total", 2.0, 0.10, 0.995),
+        ("nonlinear part B0_inf1", 2.5, 0.20, 0.98),
+    ]
+
+    def test_fit_entries_pinned(self, small_linear_report, small_nonlinear_rows):
+        nonlinear = run_nonlinear_decay(small_nonlinear_rows, (2.0, math.inf), (10.0, 60.0))
+        entries = small_linear_report.entries + nonlinear.entries
+        got = [(e.label, e.target_exponent, e.extra["tolerance"], e.extra["r2_min"])
+               for e in entries]
+        assert got == self.PINNED
+        assert all(e.window == (10.0, 60.0) for e in entries)
+        assert all(e.verdict in ("PASS", "FAIL") for e in entries)
 
 
 class TestRatioDrivers:

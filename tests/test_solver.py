@@ -111,7 +111,7 @@ def reference_rhs(state, law, config):
     and both divergences from the dealiased sine expansion of the profile
     (17 transforms).  Oracle for nonlinear_rhs."""
     grid = state.grid
-    mask = dealias_mask(grid, config.dealias_fraction)
+    mask = dealias_mask(grid)
     a_hat, v_hat = state.pair * mask
 
     a, grad_a = physical_and_gradient(grid, a_hat)
@@ -123,7 +123,7 @@ def reference_rhs(state, law, config):
 
     # f = -div(a u)
     transport = RadialVectorProfile(grid, a * velocity.samples)
-    f_phys = divergence_of_profile(transport, dealias_fraction=config.dealias_fraction)
+    f_phys = divergence_of_profile(transport, dealias=True)
     f_hat = to_spectral(grid, -f_phys)
 
     # h = |D|^{-1} div(G x/r) with the combined forcing profile G
@@ -131,7 +131,7 @@ def reference_rhs(state, law, config):
                - (a / (1.0 + a)) * grad_w
                - law.beta(a) * grad_a)
     div_g = divergence_of_profile(RadialVectorProfile(grid, forcing),
-                                  dealias_fraction=config.dealias_fraction)
+                                  dealias=True)
     h_hat = (1.0 / grid.rho) * to_spectral(grid, div_g)
 
     return np.array((f_hat, h_hat)) * mask

@@ -56,22 +56,22 @@ def band_edge_taper(grid):
     return np.exp(-36.0 * x ** 36)
 
 
-def divergence_of_profile(vec, dealias_fraction=None):
+def divergence_of_profile(vec, dealias=False):
     """Samples of div(G(r) x/r) = G'(r) + 2 G(r)/r at the grid nodes.
 
     G' comes from differentiating the band-edge tapered sine expansion of G
-    itself; when a dealias fraction is given the top modes of that expansion
+    itself; with `dealias` the modes above the 2/3 edge of that expansion
     are zeroed and the 2G/r term uses the truncated profile for consistency.
     """
     grid = vec.grid
     if not np.all(np.isfinite(vec.samples)):
         raise NumericDomainError("profile contains non-finite samples")
     coeffs = _sine_sum(vec.samples, grid.dr)      # of the odd extension of G
-    if dealias_fraction is not None:
-        coeffs = coeffs * dealias_mask(grid, dealias_fraction)
+    if dealias:
+        coeffs = coeffs * dealias_mask(grid)
     g, g_prime = _sine_cosine_sums(coeffs, grid.rho * coeffs * band_edge_taper(grid),
                                    grid.drho)
-    if dealias_fraction is None:
+    if not dealias:
         g = vec.samples
     return g_prime + 2.0 * g / grid.r
 
