@@ -21,7 +21,7 @@ import numpy as np
 
 from .besov import _block_lq_norm, j0_for_time, resolved_range
 from .errors import FitError, NumericDomainError, SolverAbort, UnsupportedParameterError
-from .semigroup import CutoffPsi, kernel_probe, probe_point_grid, scalar_kernel_values
+from .semigroup import CutoffPsi, kernel_probe, probe_point_grid, scalar_kernel_parts
 from .solver import CSV_COLUMNS, DiagnosticsRow, SolverConfig, simulate
 from .spectral import make_grid
 
@@ -295,8 +295,7 @@ def block_frame_sup(t: float, j0: int) -> float:
     """max over |j - j0| <= 2 of the blockwise kernel sup (B0_inf_inf frame)."""
     blocks = _frame_blocks(t, j0)
     grid = make_grid(*_FRAME_GRID)
-    kernel = scalar_kernel_values(grid.rho, t)
-    parts = np.array((kernel.real, kernel.imag))
+    parts = scalar_kernel_parts(grid.rho * grid.rho, t)
     return _block_lq_norm(grid, parts, 0.0, math.inf, math.inf, blocks)
 
 

@@ -88,14 +88,21 @@ def apply_semigroup(grid: RadialGrid, pair: np.ndarray, t: float) -> np.ndarray:
 
 # -- scalar semigroup kernels --------------------------------------------------
 
-def scalar_kernel_values(rho: np.ndarray, t: float) -> np.ndarray:
-    """e^{t lambda_+(rho)} as complex values (vectorised).
+def scalar_kernel_parts(rho_sq: np.ndarray, t: float) -> np.ndarray:
+    """Real and imaginary parts of e^{t lambda_+} at rho^2 = rho_sq, stacked (vectorised).
 
-    lambda_+ = -(rho^2/2)(1 + sqrt(1 - 4/rho^2)); the complex square root is
-    imaginary below rho = 2 and real above, so one expression covers both.
+    lambda_+ = -(rho^2/2)(1 + sqrt(1 - 4/rho^2)) in real arithmetic: below
+    rho = 2 the root is imaginary and e^{t lambda_+} = e^{-t rho^2/2}
+    (cos theta - i sin theta) with theta = t sqrt(rho^2 - rho^4/4); from
+    rho = 2 on it is the real e^{-t (rho^2/2 + sqrt(rho^4/4 - rho^2))}.
     """
-    rho = np.asarray(rho, dtype=float)
-    return np.exp(-t * (rho * rho / 2.0) * (1.0 + np.sqrt((1.0 - 4.0 / rho ** 2) + 0j)))
+    rho_sq = np.asarray(rho_sq, dtype=float)
+    half = rho_sq / 2.0
+    root = np.sqrt(np.abs(1.0 - 4.0 / rho_sq))
+    hyperbolic = rho_sq >= 4.0
+    modulus = np.exp(-t * half * np.where(hyperbolic, 1.0 + root, 1.0))
+    theta = np.where(hyperbolic, 0.0, t * half * root)
+    return np.stack((modulus * np.cos(theta), -modulus * np.sin(theta)))
 
 
 # -- anisotropic lower-bound probe ---------------------------------------------
@@ -115,13 +122,11 @@ class CutoffPsi:
     axial_width: float = 0.25
 
     def __call__(self, xi1, xi2, xi3) -> np.ndarray:
-        xi1, xi2, xi3 = np.broadcast_arrays(np.asarray(xi1, float),
-                                            np.asarray(xi2, float),
-                                            np.asarray(xi3, float))
-        norm = np.sqrt(xi1 ** 2 + xi2 ** 2 + xi3 ** 2)
-        # C^inf bumps exp(-1/(1 - s^2)) on |s| < 1
-        shell = _ramp(1.0 - ((norm - self.shell_center) / self.shell_width) ** 2)
+        xi1 = np.asarray(xi1, float)
+        # C^inf bumps exp(-1/(1 - s^2)) on |s| < 1; the axial one needs xi1 alone
         axial = _ramp(1.0 - ((np.abs(xi1) - self.axial_center) / self.axial_width) ** 2)
+        norm = np.sqrt(xi1 ** 2 + np.asarray(xi2, float) ** 2 + np.asarray(xi3, float) ** 2)
+        shell = _ramp(1.0 - ((norm - self.shell_center) / self.shell_width) ** 2)
         return shell * axial
 
     def transverse_radius(self, xi1: float) -> float:
@@ -131,8 +136,10 @@ class CutoffPsi:
         return math.sqrt(max(outer * outer - xi1 * xi1, 0.0))
 
 
-def _gauss_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
+def _map_rule(rule: tuple[np.ndarray, np.ndarray], a: float, b: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1] mapped to [a, b]."""
+    x, w = rule
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -144,45 +151,57 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int) 
     octant with xi_1 in [t^{-1/2}/2, t^{-1/2}], xi_{2,3} in [0, t^{-3/4}].
     Points must lie on a coordinate axis, so each needs only the marginal of
     the weighted integrand along its axis.  xi_2 and xi_3 share their nodes
-    and weights, and the integrand depends on xi_1 and |xi| only, so it is
-    symmetric under xi_2 <-> xi_3 and one transverse marginal serves both
-    transverse axes; the axial and transverse marginals are summed one xi_1
-    slab at a time.
+    and weights, and the integrand depends on them only through
+    xi_2^2 + xi_3^2, so it is symmetric under xi_2 <-> xi_3: each xi_1 slab
+    evaluates only the node pairs i >= j of its (xi_2, xi_3) block, an
+    off-diagonal pair counting twice, and one transverse marginal (the mean
+    of the pair sums over i and over j) serves both transverse axes.
 
     Psi is exactly 0 at or past the shell's outer radius, so a slab with
     X_1 = t^{1/2} xi_1 there is skipped, and the others evaluate only the
-    leading k x k block of (xi_2, xi_3) nodes inside psi.transverse_radius(X_1),
-    plus one node of margin: the sums are the full-box sums without their
-    zero terms.
+    pairs of the leading k x k block of nodes inside
+    psi.transverse_radius(X_1), plus one node of margin: the sums are the
+    full-box sums without their zero terms.  The pairs are listed row by row
+    (np.tril_indices), so the pairs of every block are a prefix of one list.
     """
     points = np.asarray(points, dtype=float)
     if np.any(np.count_nonzero(points, axis=1) > 1):
         raise UsageError("probe points must lie on a coordinate axis")
     s = 1.0 / math.sqrt(t)
-    x1, w1 = _gauss_nodes(0.5 * s, s, n_nodes)
-    x2, w2 = _gauss_nodes(0.0, t ** -0.75, n_nodes)
+    rule = np.polynomial.legendre.leggauss(n_nodes)
+    x1, w1 = _map_rule(rule, 0.5 * s, s)
+    x2, w2 = _map_rule(rule, 0.0, t ** -0.75)
     scaled = t ** 0.75 * x2         # ascending, as np.searchsorted needs
 
-    marginals = np.zeros((2, n_nodes), dtype=complex)
+    rows, cols = np.tril_indices(n_nodes)
+    pair_sq = x2[rows] ** 2 + x2[cols] ** 2
+    pair_weight = np.where(rows == cols, 1.0, 2.0) * w2[rows] * w2[cols]
+    scaled_rows, scaled_cols = scaled[rows], scaled[cols]
+
+    # [axial, transverse] x [real, imaginary] marginals
+    marginals = np.zeros((2, 2, n_nodes))
     for i, (xi1, wi) in enumerate(zip(x1, w1)):
         scaled1 = math.sqrt(t) * xi1
         radius = psi.transverse_radius(scaled1)
         if radius == 0.0:
             continue
         k = min(int(np.searchsorted(scaled, radius)) + 1, n_nodes)
-        rho = np.sqrt(xi1 ** 2 + x2[:k, None] ** 2 + x2[None, :k] ** 2)
-        slab = scalar_kernel_values(rho, t)
-        slab *= psi(scaled1, scaled[:k, None], scaled[None, :k])
-        slab *= wi * w2[:k, None] * w2[None, :k]
-        marginals[0, i] = slab.sum()
-        marginals[1, :k] += slab.sum(axis=1)
+        m = k * (k + 1) // 2
+        slab = scalar_kernel_parts(xi1 ** 2 + pair_sq[:m], t)
+        slab *= psi(scaled1, scaled_rows[:m], scaled_cols[:m]) * (wi * pair_weight[:m])
+        marginals[0, :, i] = slab.sum(axis=1)
+        for part in range(2):
+            marginals[1, part, :k] += 0.5 * (np.bincount(rows[:m], slab[part], k)
+                                             + np.bincount(cols[:m], slab[part], k))
 
-    vals = np.empty(len(points), dtype=complex)
-    for i, point in enumerate(points):
-        axis = int(np.argmax(np.abs(point)))
-        side = min(axis, 1)             # 0 axial, 1 transverse
-        vals[i] = np.cos(point[axis] * (x1, x2)[side]) @ marginals[side]
-    return 8.0 * np.abs(vals)
+    axis = np.argmax(np.abs(points), axis=1)
+    coord = points[np.arange(len(points)), axis]
+    side = np.minimum(axis, 1)          # 0 axial, 1 transverse
+    sums = np.empty((len(points), 2))
+    for which, nodes in enumerate((x1, x2)):
+        on = side == which
+        sums[on] = np.cos(np.outer(coord[on], nodes)) @ marginals[which].T
+    return 8.0 * np.hypot(sums[:, 0], sums[:, 1])
 
 
 def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float]],

@@ -30,7 +30,6 @@ from radns.semigroup import (
     kernel_probe,
     mode_matrices,
     probe_point_grid,
-    scalar_kernel_values,
     _probe_integral,
 )
 from radns.solver import (
@@ -47,7 +46,7 @@ from radns.spectral import (
     to_spectral,
     weighted_sup_norm,
 )
-from test_semigroup import hi_freq_identity_check
+from test_semigroup import hi_freq_identity_check, kernel_values
 from test_solver import zero_forcing
 
 
@@ -239,7 +238,7 @@ def test_criterion_09_high_frequency_identity():
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
         # the program's kernel: compare exponents, the value at rho = 16 is ~e^-255
         s = math.sqrt(1.0 - 4.0 / (rho * rho))
-        exponent = math.log(scalar_kernel_values(np.array([rho]), 1.0)[0].real)
+        exponent = math.log(kernel_values(np.array([rho]), 1.0)[0].real)
         worst_kernel = max(worst_kernel, abs(exponent + 2.0 / (1.0 - s)) / (2.0 / (1.0 - s)))
     report("criterion 9 (high-frequency exponent identity)",
            worst <= 1e-12 and worst_kernel <= 1e-12,

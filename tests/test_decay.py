@@ -28,9 +28,9 @@ from radns.decay import (
     linear_rows,
 )
 from radns.errors import FitError, NumericDomainError, UnsupportedParameterError
-from radns.semigroup import scalar_kernel_values
 from radns.solver import DiagnosticsRow, SolverConfig, simulate
 from radns.spectral import make_grid
+from test_semigroup import kernel_values
 
 
 class TestTheoreticalExponent:
@@ -368,7 +368,7 @@ class TestKernelProbeDriver:
         scale = math.sqrt(2.0 / math.pi) * grid.drho
         lower = upper = 0.0
         for j in range(max(j0 - 2, j_min), min(j0 + 2, j_max) + 1):
-            m = phi_hat(j, grid.rho) * scalar_kernel_values(grid.rho, t)
+            m = phi_hat(j, grid.rho) * kernel_values(grid.rho, t)
             at_dr = scale * np.sum(grid.rho * m * np.sin(grid.dr * grid.rho)) / grid.dr
             lower = max(lower, abs(at_dr))
             upper = max(upper, scale * np.sum(grid.rho ** 2 * np.abs(m)))

@@ -26,9 +26,17 @@ from radns.semigroup import (
     mode_matrices,
     phi_pair_coefficients,
     probe_point_grid,
-    scalar_kernel_values,
+    scalar_kernel_parts,
 )
 from radns.spectral import make_grid, spectral_lp_norm
+
+
+def kernel_values(rho, t: float) -> np.ndarray:
+    """e^{t lambda_+(rho)} as complex values, from the program's real and
+    imaginary parts."""
+    rho = np.asarray(rho, dtype=float)
+    re, im = scalar_kernel_parts(rho * rho, t)
+    return re + 1j * im
 
 
 def generator(rho: float) -> np.ndarray:
@@ -78,10 +86,10 @@ def spectral_abscissa(rho: float) -> float:
 
 
 def assert_kernels_match(rho: float, t: float = 0.75) -> None:
-    """scalar_kernel_values(rho, t) == exp(t lambda_plus), and by the trace
+    """kernel_values(rho, t) == exp(t lambda_plus), and by the trace
     lambda_plus + lambda_minus = -rho^2, exp(-t rho^2) over it == exp(t lambda_minus)."""
     lam_plus, lam_minus = eigenvalues(rho)
-    plus = scalar_kernel_values(np.array([rho]), t)[0]
+    plus = kernel_values(np.array([rho]), t)[0]
     assert plus == pytest.approx(np.exp(t * lam_plus), rel=1e-13, abs=0.0)
     minus = math.exp(-t * rho * rho) / plus
     assert minus == pytest.approx(np.exp(t * lam_minus), rel=1e-13, abs=0.0)
@@ -102,7 +110,7 @@ def hi_freq_identity_check(rho: float, t: float, branch: str = "plus") -> tuple[
 def kernel_exponent(rho: float, t: float, branch: str = "plus") -> float:
     """t lambda_branch(rho) for rho > 2 from the program's kernel: the log of
     e^{t lambda_plus}, and -t rho^2 minus that for the minus branch."""
-    plus = math.log(scalar_kernel_values(np.array([rho]), t)[0].real)
+    plus = math.log(kernel_values(np.array([rho]), t)[0].real)
     return plus if branch == "plus" else -t * rho * rho - plus
 
 
@@ -136,7 +144,7 @@ def kernel_band_norm(grid, t: float, p: float, band: str, j: int | None = None,
         mult = 1.0 - theta(grid.rho / 4.0)
     else:
         mult = phi_hat(j, grid.rho)
-    kernel = (scalar_kernel_values(grid.rho, t) if branch == "plus"
+    kernel = (kernel_values(grid.rho, t) if branch == "plus"
               else two_branch_kernel_values(grid.rho, t, branch)) * mult
     return spectral_lp_norm(grid, np.stack((kernel.real, kernel.imag)), p)
 
@@ -363,7 +371,7 @@ class TestHighFrequencyIdentity:
 
     def test_zero_time(self):
         assert hi_freq_identity_check(5.0, 0.0)[0] == 0.0
-        assert scalar_kernel_values(np.array([5.0]), 0.0)[0] == 1.0
+        assert kernel_values(np.array([5.0]), 0.0)[0] == 1.0
 
     def test_domain(self):
         with pytest.raises(NumericDomainError):
@@ -372,7 +380,7 @@ class TestHighFrequencyIdentity:
             hi_freq_identity_check(1.0, 1.0)
         # there the exponent is complex, and the kernel decays as e^{-t rho^2/2}
         for rho in (1.0, 2.0):
-            modulus = abs(scalar_kernel_values(np.array([rho]), 3.0)[0])
+            modulus = abs(kernel_values(np.array([rho]), 3.0)[0])
             assert modulus == pytest.approx(math.exp(-1.5 * rho * rho), rel=1e-14)
 
 
@@ -384,12 +392,21 @@ class TestScalarKernelValues:
         rho = np.concatenate((np.linspace(40.0 / 20000, 40.0, 20000), near_two))
         want = two_branch_kernel_values(rho, t, branch)
         assert np.count_nonzero(want) > 10000
-        got = scalar_kernel_values(rho, t)
+        got = kernel_values(rho, t)
         if branch == "minus":
             # below coalescence the minus branch is the plus kernel's conjugate
             low = rho < 2.0
             got, want = np.conj(got[low]), want[low]
         np.testing.assert_allclose(got, want, rtol=4.4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 4.0, 16.0, 256.0])
+    def test_real_form_matches_closed_form(self, t):
+        # the real-arithmetic parts over rho in (0, 17] and exactly at rho = 2,
+        # against the two-branch complex closed form; the absolute floor only
+        # covers values that underflow (e^{-t rho^2/2} below 1e-300)
+        rho = np.append(np.linspace(17.0 / 5000, 17.0, 5000), 2.0)
+        want = two_branch_kernel_values(rho, t, "plus")
+        np.testing.assert_allclose(kernel_values(rho, t), want, rtol=1e-13, atol=1e-300)
 
 
 class TestKernelBandNorms:
@@ -460,7 +477,7 @@ class TestKernelProbe:
         X2 = x23[None, :, None]
         X3 = x23[None, None, :]
         rho = np.sqrt(X1 ** 2 + X2 ** 2 + X3 ** 2)
-        kern = scalar_kernel_values(rho.ravel(), t).reshape(rho.shape)
+        kern = kernel_values(rho.ravel(), t).reshape(rho.shape)
         cut = psi(math.sqrt(t) * X1, t ** 0.75 * X2, t ** 0.75 * X3)
         inner = simpson(simpson(kern * cut, x=x23, axis=2), x=x23, axis=1)
         oracle = 8.0 * abs(simpson(inner, x=x1, axis=0))
@@ -531,23 +548,32 @@ class TestProbeIntegral:
 
     @pytest.mark.parametrize("t", [16.0, 256.0])
     def test_skipped_nodes_outside_support(self, t):
-        # record the block of nodes each evaluated slab passes to Psi, then
-        # evaluate Psi on the whole n^3 box: it must be exactly 0 elsewhere
+        # record each (xi_2, xi_3) node pair a slab passes to Psi, and its
+        # mirror, then evaluate Psi on the whole n^3 box: it must be exactly 0
+        # on every node never evaluated
         n = 32
-        blocks = []
-
-        class RecordingPsi(CutoffPsi):
-            def __call__(self, xi1, xi2, xi3):
-                blocks.append((float(xi1), np.size(xi2), np.size(xi3)))
-                return super().__call__(xi1, xi2, xi3)
-
-        _probe_integral(t, RecordingPsi(), probe_point_grid(t), n)
         x, _ = np.polynomial.legendre.leggauss(n)
         scaled1 = 0.75 + 0.25 * x          # t^{1/2} xi_1 over [1/2, 1]
         scaled23 = 0.5 * (x + 1.0)         # t^{3/4} xi_{2,3} over [0, 1]
         evaluated = np.zeros((n, n, n), dtype=bool)
-        for x1, k2, k3 in blocks:
-            evaluated[np.argmin(np.abs(scaled1 - x1)), :k2, :k3] = True
+        slabs = []
+
+        def nearest(nodes, values):
+            return np.argmin(np.abs(np.asarray(values, float)[..., None] - nodes), axis=-1)
+
+        class RecordingPsi(CutoffPsi):
+            def __call__(self, xi1, xi2, xi3):
+                i, j, l = nearest(scaled1, xi1), nearest(scaled23, xi2), nearest(scaled23, xi3)
+                evaluated[i, j, l] = evaluated[i, l, j] = True
+                slabs.append((np.size(xi2), set(zip(np.maximum(j, l), np.minimum(j, l)))))
+                return super().__call__(xi1, xi2, xi3)
+
+        _probe_integral(t, RecordingPsi(), probe_point_grid(t), n)
+        # each slab evaluates the k(k+1)/2 pairs j >= l of its leading k x k block once
+        for size, pairs in slabs:
+            k = max(j for j, _ in pairs) + 1
+            assert size == len(pairs) == k * (k + 1) // 2
+            assert pairs == {(j, l) for j in range(k) for l in range(j + 1)}
         full = CutoffPsi()(scaled1[:, None, None], scaled23[None, :, None],
                                 scaled23[None, None, :])
         assert np.count_nonzero(evaluated) < n ** 3 / 2
