@@ -15,8 +15,9 @@ def stable_heap():
 
 @pytest.fixture
 def transform_counter(monkeypatch):
-    """Count the 1-D transforms issued through radns.spectral's dst, dct and
-    rfft (the last makes one sine/cosine pair per row).
+    """Count the 1-D transforms issued through radns.spectral's dst and rfft
+    (the last makes one sine/cosine pair per row; dst calls numpy's rfft
+    directly, so a sine-only sum counts once).
 
     A call on an array of shape (..., n) along the last axis makes
     size / n one-dimensional transforms.  Returns a one-entry list holding
@@ -32,6 +33,5 @@ def transform_counter(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(radns.spectral, "dst", counting(radns.spectral.dst))
-    monkeypatch.setattr(radns.spectral, "dct", counting(radns.spectral.dct))
     monkeypatch.setattr(radns.spectral, "rfft", counting(radns.spectral.rfft))
     return count
