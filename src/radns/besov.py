@@ -148,8 +148,14 @@ def _block_lq_norm(grid: RadialGrid, hat: np.ndarray, s: float, p: float, q: flo
 def pair_besov_norm(grid: RadialGrid, hat: np.ndarray, spec: BesovSpec) -> float:
     """Besov norm of the field with spectral values `hat` on `grid`, or of a
     pair [a; v] stacked as its rows: the blockwise Euclidean modulus before
-    L^p."""
-    indices = _band_indices(spec, *resolved_range(grid))
+    L^p.  A band that holds no resolved block would read 0, so it raises
+    NumericDomainError instead."""
+    j_min, j_max = resolved_range(grid)
+    indices = _band_indices(spec, j_min, j_max)
+    if not indices:
+        raise NumericDomainError(
+            f"the {spec.band} band with j0 = {spec.j0} holds no block of the "
+            f"range [{j_min}, {j_max}] resolved by the grid")
     return _block_lq_norm(grid, hat, spec.s, spec.p, spec.q, indices)
 
 

@@ -198,6 +198,18 @@ class TestBesovNorm:
                      BesovSpec(-0.5, 2.0, 2.0, band="low", j0=0)):
             assert pair_besov_norm(grid, np.zeros(grid.n_modes), spec) == 0.0
 
+    def test_band_with_no_resolved_block_raises(self):
+        grid = make_grid(64, 30.0)
+        j_min, j_max = resolved_range(grid)
+        f = to_spectral(grid, np.exp(-grid.r ** 2))
+        for band, j0 in (("low", -50), ("low", j_min - 1), ("high", 40), ("high", j_max + 1)):
+            with pytest.raises(NumericDomainError, match=f"{band} band with j0 = {j0}.*"
+                               rf"\[{j_min}, {j_max}\]"):
+                pair_besov_norm(grid, f, BesovSpec(0.0, 2.0, 1.0, band=band, j0=j0))
+        # the edge blocks still count
+        for band, j0 in (("low", j_min), ("high", j_max)):
+            assert pair_besov_norm(grid, f, BesovSpec(0.0, math.inf, 1.0, band=band, j0=j0)) > 0.0
+
     def test_single_annulus_three_block_oracle(self):
         grid = make_grid(2048, 100.0)
         f = phi_hat(0, grid.rho)

@@ -205,6 +205,16 @@ p_list = 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "besov_norm.json").exists()
 
+    @pytest.mark.parametrize("band,j0", [("low", -50), ("high", 40)])
+    def test_besov_norm_empty_band_exits_2(self, tmp_path, capsys, band, j0):
+        cfg = write_config(tmp_path, f"N = 64\nR = 30\nc = 0.01\ns = 0\np = 2\nq = 1\n"
+                                     f"band = {band}\nj0 = {j0}\n")
+        code = command_dispatch(["besov-norm", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "holds no block of the range [-4, 3]" in capsys.readouterr().err
+        assert not (tmp_path / "besov_norm.json").exists()
+
     def test_fit_command_round_trip(self, tmp_path):
         run_cfg = write_config(tmp_path, SMALL_RUN)
         assert command_dispatch(["simulate", "--config", run_cfg,

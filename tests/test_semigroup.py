@@ -335,10 +335,16 @@ class TestPhiCoefficients:
             aug[b * n:(b + 1) * n, (b + 1) * n:(b + 2) * n] = np.eye(n)
         return scipy.linalg.expm(aug)[:n, j * n:(j + 1) * n]
 
+    # near rho = 2 and at the lowest frequencies |dt delta| falls on both
+    # sides of the switch to the Gauss mean
+    RHOS = ((0.006, 0.01, 0.5, 1.9, 1.999, 2.0, 2.001, 2.1, 4.0, 16.0, 103.0)
+            + tuple(2.0 + sign * 10.0 ** k for k in np.linspace(-12, -2, 21) for sign in (1, -1))
+            + tuple(10.0 ** np.linspace(-6, -1, 21)))
+
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_against_augmented_expm(self, j):
-        for rho in (0.006, 0.01, 0.5, 1.9, 1.999, 2.0, 2.001, 2.1, 4.0, 16.0, 103.0):
-            for dt in (0.05, 0.5):
+        for rho in self.RHOS:
+            for dt in (0.05, 0.5, 3.0):
                 c0, c1 = phi_pair_coefficients(j, np.array([rho]), dt)
                 M = generator(rho)
                 approx = c0[0] * np.eye(2) + c1[0] * dt * (M + rho * rho / 2 * np.eye(2))
