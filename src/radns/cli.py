@@ -44,9 +44,6 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(path: str, rows) -> None:
-    for row in rows:
-        if not all(math.isfinite(v) for v in row.as_tuple()):
-            raise SolverAbort("refusing to write non-finite diagnostics", time=row.t)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
@@ -85,9 +82,9 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _report_exit(args, report, out_name: str) -> int:
+def _report_exit(args, report) -> int:
     out = _outdir(args)
-    write_json(os.path.join(out, out_name), report.as_dict())
+    write_json(os.path.join(out, report.name.replace("-", "_") + ".json"), report.as_dict())
     if report.rows:
         write_csv(os.path.join(out, report.name + ".csv"), report.rows)
     for entry in report.entries:
@@ -127,7 +124,7 @@ def cmd_linear_decay(args) -> int:
     rows = linear_rows(config.solver_config())
     window = (config.get("fit_t_lo"), config.get("fit_t_hi"))
     report = run_linear_decay(rows, config.get("p_list"), window)
-    return _report_exit(args, report, "linear_decay.json")
+    return _report_exit(args, report)
 
 
 def cmd_simulate(args) -> int:
@@ -144,27 +141,27 @@ def cmd_nonlinear_decay(args) -> int:
     rows, _ = simulate(config.solver_config())
     window = (config.get("fit_t_lo"), config.get("fit_t_hi"))
     report = run_nonlinear_decay(rows, config.get("p_list"), window)
-    return _report_exit(args, report, "nonlinear_decay.json")
+    return _report_exit(args, report)
 
 
 def cmd_lower_bound(args) -> int:
     solver = _load(args).solver_config()
     rows, _ = simulate(solver)
     report = run_lower_bound(rows, solver.linear_only)
-    return _report_exit(args, report, "lower_bound.json")
+    return _report_exit(args, report)
 
 
 def cmd_weighted_decay(args) -> int:
     config = _load(args)
     rows, _ = simulate(config.solver_config())
     report = run_weighted_decay(rows)
-    return _report_exit(args, report, "weighted_decay.json")
+    return _report_exit(args, report)
 
 
 def cmd_kernel_probe(args) -> int:
     config = _load(args)
     report = run_kernel_lower_probe(tuple(config.get("t_list")))
-    return _report_exit(args, report, "kernel_probe.json")
+    return _report_exit(args, report)
 
 
 def cmd_besov_norm(args) -> int:
@@ -190,7 +187,7 @@ def cmd_fit(args) -> int:
     if not config.has("csv"):
         raise ConfigurationError("fit needs a `csv = PATH` key in the config")
     path = config.get("csv")
-    column = config.get("column") if config.has("column") else "l2_av"
+    column = config.get("column")
     if column not in CSV_COLUMNS[1:]:
         raise ConfigurationError(f"unknown column {column!r}")
     try:

@@ -81,7 +81,7 @@ _SOLVER_FIELDS = {
 _DEFAULTS: dict[str, Any] = {
     **{key: getattr(SolverConfig, name) for key, name in _SOLVER_FIELDS.items()},
     "p_list": [2.0, math.inf], "t_list": [16.0, 64.0, 256.0],
-    "fit_t_lo": 10.0, "fit_t_hi": 200.0, "fit_tol": 0.1,
+    "fit_t_lo": 10.0, "fit_t_hi": 200.0, "fit_tol": 0.1, "column": "l2_av",
     "s": 0.0, "p": 2.0, "q": 1.0, "band": "full", "j0": 0,
 }
 

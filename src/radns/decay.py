@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .besov import _block_lq_norm, j0_for_time, resolved_range
-from .errors import FitError, NumericDomainError, SolverAbort, UnsupportedParameterError
-from .semigroup import CutoffPsi, kernel_probe, probe_point_grid, scalar_kernel_parts
+from .errors import FitError, NumericDomainError, UnsupportedParameterError
+from .semigroup import CutoffPsi, kernel_probe, scalar_kernel_parts
 from .solver import CSV_COLUMNS, DiagnosticsRow, SolverConfig, simulate
 from .spectral import make_grid
 
@@ -307,16 +307,13 @@ def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> Exp
     """
     if not all(4.0 <= t < math.inf for t in t_list):
         raise NumericDomainError("probe times must be finite and satisfy t >= 4")
-    for t in t_list:            # every time is checked before the first probe
-        if not math.isfinite(t * t):    # then t^2 * sup is not finite for any sup
-            raise SolverAbort(f"t^2 * probe sup is not finite at t = {t:g}", time=t)
-        _frame_blocks(t, j0_for_time(t))
+    j0s = [j0_for_time(t) for t in t_list]
+    # frames first: a time the frame grid cannot resolve fails before any probe runs
+    frames = [block_frame_sup(t, j0) for t, j0 in zip(t_list, j0s)]
     scaled = []
     details = []
-    for t in t_list:
-        value = kernel_probe(t, CutoffPsi(), probe_point_grid(t))
-        j0 = j0_for_time(t)
-        frame = block_frame_sup(t, j0)
+    for t, j0, frame in zip(t_list, j0s, frames):
+        value = kernel_probe(t, CutoffPsi())
         scaled.append(t * t * value)
         details.append({"t": t, "probe_sup": value, "j0": j0,
                         "frame_sup": frame,

@@ -11,7 +11,7 @@ class ConfigurationError(RadnsError, ValueError):
 
 class UsageError(RadnsError, TypeError):
     """An operation was called with arguments of the wrong shape (a spectral
-    pair that is not (2, N); an empty, non-3D or off-axis probe set)."""
+    pair that is not (2, N))."""
 
 
 class NumericDomainError(RadnsError, ValueError):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -143,19 +142,22 @@ def _map_rule(rule: tuple[np.ndarray, np.ndarray], a: float, b: float
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int) -> np.ndarray:
-    """|integral e^{i x.xi} e^{t lambda(|xi|)} Psi(t^{1/2} xi_t) dxi| per probe point.
+def _probe_integral(t: float, psi: CutoffPsi, coords: tuple[np.ndarray, np.ndarray],
+                    n_nodes: int) -> np.ndarray:
+    """|integral e^{i x.xi} e^{t lambda(|xi|)} Psi(t^{1/2} xi_t) dxi| at the probe points.
 
+    coords = (axial, transverse): the points are (x, 0, 0) for each axial x,
+    then (0, x, 0) for each transverse x, and the values come in that order.
     The integrand is even in each coordinate, so the integral over the full
     symmetric support box is 8x the cosine-weighted integral over the positive
     octant with xi_1 in [t^{-1/2}/2, t^{-1/2}], xi_{2,3} in [0, t^{-3/4}].
-    Points must lie on a coordinate axis, so each needs only the marginal of
-    the weighted integrand along its axis.  xi_2 and xi_3 share their nodes
-    and weights, and the integrand depends on them only through
-    xi_2^2 + xi_3^2, so it is symmetric under xi_2 <-> xi_3: each xi_1 slab
-    evaluates only the node pairs i >= j of its (xi_2, xi_3) block, an
-    off-diagonal pair counting twice, and one transverse marginal (the mean
-    of the pair sums over i and over j) serves both transverse axes.
+    A point on an axis needs only the marginal of the weighted integrand along
+    that axis.  xi_2 and xi_3 share their nodes and weights, and the integrand
+    depends on them only through xi_2^2 + xi_3^2, so it is symmetric under
+    xi_2 <-> xi_3: each xi_1 slab evaluates only the node pairs i >= j of its
+    (xi_2, xi_3) block, an off-diagonal pair counting twice, and one
+    transverse marginal (the mean of the pair sums over i and over j) serves
+    both transverse axes, so (0, 0, x) reads the value of (0, x, 0).
 
     Psi is exactly 0 at or past the shell's outer radius, so a slab with
     X_1 = t^{1/2} xi_1 there is skipped, and the others evaluate only the
@@ -164,9 +166,6 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int) 
     full-box sums without their zero terms.  The pairs are listed row by row
     (np.tril_indices), so the pairs of every block are a prefix of one list.
     """
-    points = np.asarray(points, dtype=float)
-    if np.any(np.count_nonzero(points, axis=1) > 1):
-        raise UsageError("probe points must lie on a coordinate axis")
     s = 1.0 / math.sqrt(t)
     rule = np.polynomial.legendre.leggauss(n_nodes)
     x1, w1 = _map_rule(rule, 0.5 * s, s)
@@ -194,38 +193,28 @@ def _probe_integral(t: float, psi: CutoffPsi, points: np.ndarray, n_nodes: int) 
             marginals[1, part, :k] += 0.5 * (np.bincount(rows[:m], slab[part], k)
                                              + np.bincount(cols[:m], slab[part], k))
 
-    axis = np.argmax(np.abs(points), axis=1)
-    coord = points[np.arange(len(points)), axis]
-    side = np.minimum(axis, 1)          # 0 axial, 1 transverse
-    sums = np.empty((len(points), 2))
-    for which, nodes in enumerate((x1, x2)):
-        on = side == which
-        sums[on] = np.cos(np.outer(coord[on], nodes)) @ marginals[which].T
+    sums = np.concatenate([np.cos(np.outer(coord, nodes)) @ marginal.T
+                           for coord, nodes, marginal in zip(coords, (x1, x2), marginals)])
     return 8.0 * np.hypot(sums[:, 0], sums[:, 1])
 
 
-def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float]],
-                 refine_rtol: float = 1.0e-6, max_nodes: int = 256) -> float:
-    """Sup over probe points of the anisotropically cut kernel modulus.
+def kernel_probe(t: float, psi: CutoffPsi, refine_rtol: float = 1.0e-6,
+                 max_nodes: int = 256) -> float:
+    """Sup of the cut kernel modulus over the points of probe_coordinates(t).
 
     Gauss-Legendre tensor quadrature over the compact support box; the node
-    count doubles from 32 until the sup changes by less than refine_rtol relative.
-    Raises SolverAbort if that has not happened by max_nodes, and UsageError
-    for a point off the coordinate axes.
+    count doubles from 32 until the sup changes by less than refine_rtol
+    relative.  Raises SolverAbort if that has not happened by max_nodes.
     """
     if t < 4.0:
         raise NumericDomainError(f"probe needs t >= 4, got {t}")
-    pts = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if pts.size == 0:
-        raise UsageError("probe point set is empty")
-    if pts.shape[1] != 3:
-        raise UsageError("probe points must be 3D")
+    coords = probe_coordinates(t)
     n = 32
-    value = float(np.max(_probe_integral(t, psi, pts, n)))
+    value = float(np.max(_probe_integral(t, psi, coords, n)))
     change = math.inf
     while n < max_nodes:
         n *= 2
-        refined = float(np.max(_probe_integral(t, psi, pts, n)))
+        refined = float(np.max(_probe_integral(t, psi, coords, n)))
         if abs(refined - value) <= refine_rtol * abs(refined):
             return refined
         change = abs(refined - value) / abs(refined) if refined != 0.0 else math.inf
@@ -235,18 +224,13 @@ def kernel_probe(t: float, psi: CutoffPsi, probe_points: Sequence[Sequence[float
         f"change {change:.3g} > refine_rtol = {refine_rtol:g}", time=t)
 
 
-def probe_point_grid(t: float) -> np.ndarray:
-    """Axis-aligned probe set matching the kernel's anisotropic scales.
+def probe_coordinates(t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Axial and transverse probe coordinates at the kernel's anisotropic scales.
 
     The stationary scale along the wave axis is x_1 ~ t (256 points up to
-    4t); transverse ~ t^{3/4} (64 points up to 4 t^{3/4} on each other axis).
+    4t); across it |x'| ~ t^{3/4} (64 points up to 4 t^{3/4}).
     """
-    ax = np.linspace(0.0, 4.0 * t, 256)
-    tr = np.linspace(0.0, 4.0 * t ** 0.75, 64)
-    pts = [(x, 0.0, 0.0) for x in ax]
-    pts += [(0.0, x, 0.0) for x in tr]
-    pts += [(0.0, 0.0, x) for x in tr]
-    return np.asarray(pts)
+    return np.linspace(0.0, 4.0 * t, 256), np.linspace(0.0, 4.0 * t ** 0.75, 64)
 
 
 # -- phi functions for the exponential integrator ------------------------------

@@ -29,7 +29,7 @@ from radns.semigroup import (
     apply_semigroup,
     kernel_probe,
     mode_matrices,
-    probe_point_grid,
+    probe_coordinates,
     _probe_integral,
 )
 from radns.solver import (
@@ -253,11 +253,11 @@ def test_criterion_10_kernel_probe():
     scaled = []
     refine_ok = True
     for t in (16.0, 64.0, 256.0):
-        pts = probe_point_grid(t)
-        value = kernel_probe(t, psi, pts)
+        coords = probe_coordinates(t)
+        value = kernel_probe(t, psi)
         scaled.append(t * t * value)
-        coarse = float(np.max(_probe_integral(t, psi, pts, 128)))
-        fine = float(np.max(_probe_integral(t, psi, pts, 256)))
+        coarse = float(np.max(_probe_integral(t, psi, coords, 128)))
+        fine = float(np.max(_probe_integral(t, psi, coords, 256)))
         refine_ok = refine_ok and abs(fine - coarse) / fine < 1e-6
     ratio = max(scaled) / min(scaled)
     elapsed = time.time() - started

@@ -344,9 +344,9 @@ class TestKernelProbeDriver:
         probe_integral = radns.semigroup._probe_integral
         n_nodes = []
 
-        def recording(t, psi, points, n):
+        def recording(t, psi, coords, n):
             n_nodes.append((t, n))
-            return probe_integral(t, psi, points, n)
+            return probe_integral(t, psi, coords, n)
 
         monkeypatch.setattr(radns.semigroup, "_probe_integral", recording)
         got = run_kernel_lower_probe((16.0, 64.0, 256.0)).entries[0].extra["per_time"]

@@ -63,9 +63,9 @@ def test_probe_refinements_and_defaults_reach_the_tracer(monkeypatch):
     """The tracer reads n_nodes as _probe_integral's fourth positional argument
     and kernel_probe's refine_rtol / max_nodes from its signature defaults."""
     import radns.semigroup
-    from radns.semigroup import CutoffPsi, probe_point_grid
+    from radns.semigroup import CutoffPsi
 
     tracing, tracer = install_tracer(monkeypatch)
-    radns.semigroup.kernel_probe(16.0, CutoffPsi(), probe_point_grid(16.0))
+    radns.semigroup.kernel_probe(16.0, CutoffPsi())
     assert [n for _, n, _ in tracer.probe_history] == [32, 64, 128, 256]
     assert tracing.probe_defaults(radns.semigroup) == (1e-6, 256)

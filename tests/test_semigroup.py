@@ -25,7 +25,7 @@ from radns.semigroup import (
     mode_function_entries,
     mode_matrices,
     phi_pair_coefficients,
-    probe_point_grid,
+    probe_coordinates,
     scalar_kernel_parts,
 )
 from radns.spectral import make_grid, spectral_lp_norm
@@ -473,9 +473,10 @@ class TestCutoffPsi:
 
 class TestKernelProbe:
     def test_origin_against_simpson_oracle(self):
+        # coordinate 0 on the axial and on the transverse side is the origin
         t = 16.0
         psi = CutoffPsi()
-        mine = kernel_probe(t, psi, [(0.0, 0.0, 0.0)])
+        mine = _probe_integral(t, psi, (np.zeros(1), np.zeros(1)), 128)
         s = t ** -0.5
         x1 = np.linspace(s / 2, s, 129)
         x23 = np.linspace(0.0, t ** -0.75, 129)
@@ -487,7 +488,7 @@ class TestKernelProbe:
         cut = psi(math.sqrt(t) * X1, t ** 0.75 * X2, t ** 0.75 * X3)
         inner = simpson(simpson(kern * cut, x=x23, axis=2), x=x23, axis=1)
         oracle = 8.0 * abs(simpson(inner, x=x1, axis=0))
-        assert mine == pytest.approx(oracle, rel=1e-5)
+        assert mine == pytest.approx([oracle, oracle], rel=1e-5)
 
     def test_zero_cutoff_gives_zero(self):
         class ZeroPsi(CutoffPsi):
@@ -495,43 +496,33 @@ class TestKernelProbe:
                 return np.zeros(np.broadcast(np.asarray(xi1), np.asarray(xi2),
                                              np.asarray(xi3)).shape)
 
-        assert kernel_probe(16.0, ZeroPsi(), [(0.0, 0.0, 0.0)]) == 0.0
+        assert kernel_probe(16.0, ZeroPsi()) == 0.0
 
     def test_all_zero_coarse_pass_does_not_end_refinement(self):
         # at n = 32 no node reaches this narrow axial bump, so the first sup is
         # exactly 0; n = 64 / 128 / 256 read 4.0e-6 / 3.3e-6 / 3.6e-6, so a
         # zero coarse pass must not end the refinement
         psi = CutoffPsi(axial_width=0.01)
-        assert _probe_integral(16.0, psi, probe_point_grid(16.0), 32).max() == 0.0
+        assert _probe_integral(16.0, psi, probe_coordinates(16.0), 32).max() == 0.0
         with pytest.raises(SolverAbort, match="max_nodes = 256"):
-            kernel_probe(16.0, psi, probe_point_grid(16.0))
+            kernel_probe(16.0, psi)
 
     def test_unconverged_refinement_raises(self):
         # 32 -> 64 nodes changes the sup far more than 1e-12: no silent return
         with pytest.raises(SolverAbort, match=r"max_nodes = 64: last relative change") as err:
-            kernel_probe(16.0, CutoffPsi(), probe_point_grid(16.0),
-                         max_nodes=64, refine_rtol=1e-12)
+            kernel_probe(16.0, CutoffPsi(), max_nodes=64, refine_rtol=1e-12)
         assert err.value.time == 16.0
-
-    def test_empty_probe_set_rejected(self):
-        with pytest.raises(UsageError):
-            kernel_probe(16.0, CutoffPsi(), [])
 
     def test_small_time_rejected(self):
         with pytest.raises(NumericDomainError):
-            kernel_probe(2.0, CutoffPsi(), [(0.0, 0.0, 0.0)])
-
-    def test_off_axis_point_rejected(self):
-        with pytest.raises(UsageError, match="coordinate axis"):
-            kernel_probe(16.0, CutoffPsi(), [(0.0, 0.0, 0.0), (1.0, 0.0, 2.0)])
-        with pytest.raises(UsageError, match="coordinate axis"):
-            _probe_integral(16.0, CutoffPsi(), np.array([[1.0, 2.0, 0.0]]), 8)
+            kernel_probe(2.0, CutoffPsi())
 
     def test_probe_grid_shape(self):
-        pts = probe_point_grid(16.0)
-        assert pts.shape[1] == 3
-        assert len(pts) == 256 + 2 * 64
-        assert pts[:, 0].max() == pytest.approx(4.0 * 16.0)
+        axial, transverse = probe_coordinates(16.0)
+        assert axial.shape == (256,) and transverse.shape == (64,)
+        assert axial[0] == transverse[0] == 0.0
+        assert axial[-1] == pytest.approx(4.0 * 16.0)
+        assert transverse[-1] == pytest.approx(4.0 * 16.0 ** 0.75)
 
 
 #: the default shell (outer radius 0.875), a narrow one (0.8) and a wide one
@@ -547,10 +538,20 @@ class TestProbeIntegral:
     @pytest.mark.parametrize("t, n_nodes, cutoff", ORACLE_CASES)
     def test_matches_full_tensor_oracle(self, t, n_nodes, cutoff):
         psi = PROBE_CUTOFFS[cutoff]
-        pts = np.vstack(([0.0, 0.0, 0.0], probe_point_grid(t)))
-        got = _probe_integral(t, psi, pts, n_nodes)
-        want = full_tensor_probe_integral(t, psi, pts, n_nodes)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        axial, transverse = probe_coordinates(t)
+        got = _probe_integral(t, psi, (axial, transverse), n_nodes)
+
+        def oracle(coord, axis):
+            points = np.zeros((len(coord), 3))
+            points[:, axis] = coord
+            return full_tensor_probe_integral(t, psi, points, n_nodes)
+
+        # axial values at (x, 0, 0), then transverse values at (0, x, 0); the
+        # x_3 axis reads the x_2 values, so one transverse set covers both
+        on_x2 = oracle(transverse, 1)
+        np.testing.assert_allclose(got, np.concatenate((oracle(axial, 0), on_x2)),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(oracle(transverse, 2), on_x2, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("t", [16.0, 256.0])
     def test_skipped_nodes_outside_support(self, t):
@@ -574,7 +575,7 @@ class TestProbeIntegral:
                 slabs.append((np.size(xi2), set(zip(np.maximum(j, l), np.minimum(j, l)))))
                 return super().__call__(xi1, xi2, xi3)
 
-        _probe_integral(t, RecordingPsi(), probe_point_grid(t), n)
+        _probe_integral(t, RecordingPsi(), probe_coordinates(t), n)
         # each slab evaluates the k(k+1)/2 pairs j >= l of its leading k x k block once
         for size, pairs in slabs:
             k = max(j for j, _ in pairs) + 1
@@ -590,7 +591,7 @@ class TestProbeIntegral:
         n = 128
         tracemalloc.start()
         try:
-            _probe_integral(16.0, CutoffPsi(), probe_point_grid(16.0), n)
+            _probe_integral(16.0, CutoffPsi(), probe_coordinates(16.0), n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
