@@ -30,7 +30,7 @@ from radns.spectral import (
     to_spectral,
     weighted_sup_norm,
 )
-from test_besov import oracle_pair_besov_norm, screened_kept_blocks
+from test_besov import is_wide, oracle_pair_besov_norm, screened_kept_blocks
 from test_spectral import RadialVectorProfile, divergence_of_profile, gradient_profile
 
 
@@ -496,9 +496,9 @@ def oracle_row(state, linear):
 
 class TestDiagnosticsRow:
     """Transforms per row: one two-row synthesis of (a, v), then one two-row
-    transform per block that screening keeps for each p = inf pair norm;
-    every p = 2 norm is Parseval, and an identically zero nonlinear part
-    costs nothing."""
+    transform per wide block that screening keeps for each p = inf pair norm
+    (a narrow block is the two-level product); every p = 2 norm is Parseval,
+    and an identically zero nonlinear part costs nothing."""
 
     def snapshot(self, linear):
         """A state at t = 3 and its linear flow."""
@@ -520,9 +520,11 @@ class TestDiagnosticsRow:
         assert 0 < len(kept) < j_max - j_min + 1
         nl_kept = [] if linear else screened_kept_blocks(
             grid, *(state.pair - flow), spec)
+        wide = [j for j in kept + nl_kept if is_wide(grid, j)]
+        assert 0 < len(wide) < len(kept + nl_kept)
         start = transform_counter[0]
         diagnostics_row(state, flow)
-        assert transform_counter[0] - start == 2 + 2 * len(kept) + 2 * len(nl_kept)
+        assert transform_counter[0] - start == 2 + 2 * len(wide)
 
     @pytest.mark.parametrize("linear", [True, False])
     def test_matches_physical_space_formulas(self, linear):
