@@ -32,7 +32,7 @@ import numpy as np
 
 from .besov import _ramp
 from .errors import NumericDomainError, SolverAbort, UsageError
-from .spectral import RadialGrid
+from .spectral import RadialGrid, modulus, per_grid_cache
 
 #: below this value of |t*delta| the divided difference c1 cancels, and is
 #: replaced by the two-point Gauss mean of phi_j' (error below 1e-14 there).
@@ -135,6 +135,11 @@ class CutoffPsi:
         return math.sqrt(max(outer * outer - xi1 * xi1, 0.0))
 
 
+#: Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], cached:
+#: a probe refinement revisits the same few node counts.
+_gauss_legendre = per_grid_cache(np.polynomial.legendre.leggauss)
+
+
 def _map_rule(rule: tuple[np.ndarray, np.ndarray], a: float, b: float
               ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the Gauss-Legendre rule on [-1, 1] mapped to [a, b]."""
@@ -167,7 +172,7 @@ def _probe_integral(t: float, psi: CutoffPsi, coords: tuple[np.ndarray, np.ndarr
     (np.tril_indices), so the pairs of every block are a prefix of one list.
     """
     s = 1.0 / math.sqrt(t)
-    rule = np.polynomial.legendre.leggauss(n_nodes)
+    rule = _gauss_legendre(n_nodes)
     x1, w1 = _map_rule(rule, 0.5 * s, s)
     x2, w2 = _map_rule(rule, 0.0, t ** -0.75)
     scaled = t ** 0.75 * x2         # ascending, as np.searchsorted needs
@@ -195,7 +200,7 @@ def _probe_integral(t: float, psi: CutoffPsi, coords: tuple[np.ndarray, np.ndarr
 
     sums = np.concatenate([np.cos(np.outer(coord, nodes)) @ marginal.T
                            for coord, nodes, marginal in zip(coords, (x1, x2), marginals)])
-    return 8.0 * np.hypot(sums[:, 0], sums[:, 1])
+    return 8.0 * modulus(sums.T)
 
 
 def kernel_probe(t: float, psi: CutoffPsi, refine_rtol: float = 1.0e-6,

@@ -42,6 +42,7 @@ from .spectral import (
     dealias_mask,
     lp_norm,
     make_grid,
+    modulus,
     physical_and_gradient,
     physical_values,
     spectral_lp_norm,
@@ -261,7 +262,7 @@ def diagnostics_row(state: SolverState, linear: np.ndarray) -> DiagnosticsRow:
     discrete Parseval, a and v synthesised together once for the sup norms,
     and the Besov norms read straight from the spectral pairs."""
     grid, hat = state.grid, state.pair
-    av = np.hypot(*physical_values(grid, hat))
+    av = modulus(physical_values(grid, hat))
     nl = hat - linear
     spec_inf1 = BesovSpec(0.0, np.inf, 1.0)
     return DiagnosticsRow(

@@ -195,6 +195,23 @@ p_list = 2
                                "N = 4096\nR = 200\nc = 0.3\nw = 2\ns = 0.5\np = inf\n"
                                "q = 1\nband = high\nj0 = -1\n", "0.29954596721801224")
 
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", "N = 255\nR = 60\ndt = 0.1\nT = 4\n"),
+        ("linear-decay", "N = 4095\nR = 140\ndt = 0.05\nT = 60\nc = 0.01\n"
+                         "fit_t_lo = 10\nfit_t_hi = 60\np_list = 2\n"),
+        ("kernel-probe", "t_list = 16\n"),
+        ("besov-norm", "N = 255\nR = 30\ns = 0\np = 3\nq = 1\n"),
+    ], ids=["simulate", "linear-decay", "kernel-probe", "besov-norm"])
+    def test_no_command_calls_hypot(self, tmp_path, monkeypatch, command, text):
+        # every modulus goes through spectral.modulus, a complex abs: the
+        # scalar libm hypot costs six to eight times as much per node
+        def no_hypot(*args, **kwargs):
+            raise AssertionError("numpy.hypot called")
+        monkeypatch.setattr(np, "hypot", no_hypot)
+        cfg = write_config(tmp_path, text)
+        assert command_dispatch([command, "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == 0
+
     @pytest.mark.parametrize("s,message", [("inf", "must be finite"),
                                            ("2000", "overflows"), ("-2000", "overflows")])
     def test_besov_norm_bad_s_exits_2(self, tmp_path, capsys, s, message):

@@ -13,6 +13,7 @@ import pytest
 from radns.besov import (
     _block_lq_norm,
     _narrow_physical_values,
+    _product_tables,
     block_multiplier,
     block_support,
     phi_hat,
@@ -103,6 +104,37 @@ def test_narrow_blocks_match_direct_sums(n_modes, radius, _, transform_counter):
         sup = _block_lq_norm(grid, hat, 0.0, math.inf, 1.0, [j])
         assert transform_counter[0] == start
         assert abs(sup - exact_sup) <= NARROW_RTOL * exact_sup
+
+
+@pytest.mark.parametrize("n_modes,radius,_", GRIDS)
+def test_one_mode_block_is_the_single_mode_product(n_modes, radius, _):
+    # the j_min block takes in its neighbour at coefficient 0, so that matmul
+    # has an inner dimension of 2: its node values keep every bit of the
+    # product over its one mode
+    grid = make_grid(n_modes, radius)
+    j_min = resolved_range(grid)[0]
+    support = block_support(grid, j_min)
+    _, coeffs = block_pair(grid, j_min, np.random.default_rng(n_modes))
+    (sin_p, cos_p), (cos_d, sin_d) = _product_tables(grid)
+    c = (math.sqrt(2.0 / math.pi) * grid.drho * grid.rho[support] * coeffs)[:, :, None]
+    sums = sin_p[:, support] @ (c * cos_d[support]) + cos_p[:, support] @ (c * sin_d[support])
+    single = sums.reshape(2, -1)[:, 1:n_modes + 1] / grid.r
+    assert np.array_equal(_narrow_physical_values(grid, coeffs, support), single)
+
+
+def test_one_mode_top_block_has_no_mode_above():
+    # rho_N = 1.05 * 2^{j_max - 1}: the top block holds mode N alone, at a
+    # multiplier of about 1e-9, and there is no next mode to take in, so it
+    # keeps the one-mode product
+    grid = make_grid(16, 16 * math.pi / 4.2)
+    j_max = resolved_range(grid)[1]
+    support = block_support(grid, j_max)
+    assert (support.start, support.stop) == (15, 16)
+    _, coeffs = block_pair(grid, j_max, np.random.default_rng(16))
+    assert coeffs.any()
+    exact = direct_values(grid, coeffs, support)
+    values = _narrow_physical_values(grid, coeffs, support)
+    assert np.max(np.abs(values - exact)) <= NARROW_RTOL * float(np.max(np.hypot(*exact)))
 
 
 @pytest.mark.parametrize("n_modes,_,radius", GRIDS)

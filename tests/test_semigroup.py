@@ -19,6 +19,7 @@ from radns.besov import phi_hat, theta
 from radns.errors import NumericDomainError, SolverAbort, UsageError
 from radns.semigroup import (
     CutoffPsi,
+    _gauss_legendre,
     _probe_integral,
     apply_semigroup,
     kernel_probe,
@@ -535,6 +536,16 @@ ORACLE_CASES = [pytest.param(t, n, name, id=f"{t}-{n}" + ("" if name == "default
 
 
 class TestProbeIntegral:
+    def test_cached_rule_is_leggauss_read_only(self):
+        # every probe call at one node count shares the rule, so no caller
+        # may write to it, and it keeps every bit of numpy's
+        for n in (32, 64, 128, 256):
+            nodes, weights = _gauss_legendre(n)
+            assert _gauss_legendre(n)[0] is nodes
+            assert not nodes.flags.writeable and not weights.flags.writeable
+            x, w = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+
     @pytest.mark.parametrize("t, n_nodes, cutoff", ORACLE_CASES)
     def test_matches_full_tensor_oracle(self, t, n_nodes, cutoff):
         psi = PROBE_CUTOFFS[cutoff]
