@@ -18,7 +18,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericDomainError, UnsupportedParameterError
-from .spectral import RadialGrid, lp_norm, modulus, per_grid_cache, spectral_lp_norm
+from .spectral import (
+    RadialGrid,
+    lp_norm,
+    modulus,
+    per_grid_cache,
+    physical_values,
+    spectral_lp_norm,
+)
 
 
 def _ramp(s: np.ndarray) -> np.ndarray:
@@ -47,9 +54,10 @@ def phi_hat(j: int, rho) -> np.ndarray:
     return theta(scale * rho) - theta(2.0 * scale * rho)
 
 
+@per_grid_cache
 def block_support(grid: RadialGrid, j: int) -> slice:
     """The modes 2^{j-1} < rho_k < 2^{j+1} of block j: phi_hat_j is exactly 0
-    at every other node."""
+    at every other node (cached per grid and j)."""
     return slice(int(np.searchsorted(grid.rho, 2.0 ** (j - 1), side="right")),
                  int(np.searchsorted(grid.rho, 2.0 ** (j + 1))))
 
@@ -120,14 +128,22 @@ def _narrow_physical_values(grid: RadialGrid, hat: np.ndarray, support: slice) -
     return values
 
 
-def _block_lp_norm(grid: RadialGrid, coeffs: np.ndarray, support: slice, p: float) -> float:
+def _block_lp_norm(grid: RadialGrid, coeffs: np.ndarray, support: slice, p: float,
+                   total: np.ndarray | None) -> float:
     """`spectral_lp_norm` of a block whose rows `coeffs` hold its spectral
-    values on the modes `support`, narrow blocks by the two-level product.
-    A call per block frees its temporaries before the next block's: held
-    across blocks, they raised the peak RSS of a linear-decay run by 0.6 MiB."""
-    if p == 2 or support.stop - support.start > _narrow_width(grid) or not coeffs.any():
+    values on the modes `support`, narrow blocks by the two-level product;
+    the node values of every block synthesised are added into `total`, if
+    given.  A call per block frees its temporaries before the next block's:
+    held across blocks, they raised the peak RSS of a linear-decay run by
+    0.6 MiB."""
+    if p == 2 or not coeffs.any():
         return spectral_lp_norm(grid, coeffs, p, support)
-    values = _narrow_physical_values(grid, coeffs, support)
+    if support.stop - support.start > _narrow_width(grid):
+        values = physical_values(grid, coeffs, support)
+    else:
+        values = _narrow_physical_values(grid, coeffs, support)
+    if total is not None:
+        total += values
     return lp_norm(grid, modulus(values), p)
 
 
@@ -182,7 +198,7 @@ def _sup_bound_weights(grid: RadialGrid, hat: np.ndarray) -> np.ndarray:
 
 
 def _block_lq_norm(grid: RadialGrid, hat: np.ndarray, s: float, p: float, q: float,
-                   indices: Sequence[int]) -> float:
+                   indices: Sequence[int], total: np.ndarray | None = None) -> float:
     """l^q sum over `indices` of 2^{sj} times the L^p norm of the blockwise
     modulus of the fields whose spectral values on `grid` are `hat`, one
     field (N,) or a stack of fields, one per row.
@@ -190,11 +206,13 @@ def _block_lq_norm(grid: RadialGrid, hat: np.ndarray, s: float, p: float, q: flo
     Blocks go one at a time in j order, each on its support alone: Parseval
     for p = 2; else, unless the block is all zero, a narrow block's node values
     come from the two-level product and a wider block's from one transform
-    call.  For p = inf a block counts as 0, with no synthesis, while its bound
-    B_j = 2^{sj} sum_k |phi_hat_j| w_k plus the B of the blocks already
-    skipped is at most _SKIP_FRACTION times the l^q sum of the terms kept so
-    far; by the triangle inequality in l^q the result moves by at most that
-    skipped sum, for every q.  All-zero blocks are always skipped.
+    call, and are added into `total`, if given.  For p = inf a block counts as
+    0, with no synthesis, while its bound B_j = 2^{sj} sum_k |phi_hat_j| w_k
+    plus the B of the blocks already skipped is at most _SKIP_FRACTION times
+    the l^q sum of the terms kept so far (kept as a running sum of their q-th
+    powers, or a running maximum for q = inf); by the triangle inequality in
+    l^q the result moves by at most that skipped sum, for every q, and so
+    does the sup of each row of `total`.  All-zero blocks are always skipped.
     """
     try:
         weights = [2.0 ** (s * j) for j in indices]
@@ -204,32 +222,36 @@ def _block_lq_norm(grid: RadialGrid, hat: np.ndarray, s: float, p: float, q: flo
             f"{indices[0]}..{indices[-1]}") from None
     hat = np.atleast_2d(hat)
     bound_weights = _sup_bound_weights(grid, hat) if np.isinf(p) else None
-    terms, skipped = [], 0.0
+    terms, skipped, kept = [], 0.0, 0.0
     for j, weight in zip(indices, weights):
         support = block_support(grid, j)
         mult = block_multiplier(grid, j)
         if bound_weights is not None:
             bound = weight * float(mult @ bound_weights[support])
-            if skipped + bound <= _SKIP_FRACTION * lq_sum(terms, q):
+            if skipped + bound <= _SKIP_FRACTION * (kept if np.isinf(q) else kept ** (1.0 / q)):
                 skipped += bound
                 terms.append(0.0)
                 continue
-        terms.append(weight * _block_lp_norm(grid, mult * hat[:, support], support, p))
+        term = weight * _block_lp_norm(grid, mult * hat[:, support], support, p, total)
+        terms.append(term)
+        kept = max(kept, term) if np.isinf(q) else kept + np.power(term, q)
     return lq_sum(terms, q)
 
 
-def pair_besov_norm(grid: RadialGrid, hat: np.ndarray, spec: BesovSpec) -> float:
+def pair_besov_norm(grid: RadialGrid, hat: np.ndarray, spec: BesovSpec,
+                    total: np.ndarray | None = None) -> float:
     """Besov norm of the field with spectral values `hat` on `grid`, or of a
     pair [a; v] stacked as its rows: the blockwise Euclidean modulus before
-    L^p.  A band that holds no resolved block would read 0, so it raises
-    NumericDomainError instead."""
+    L^p.  The node values of the blocks it synthesises are added into
+    `total`, if given (see _block_lq_norm).  A band that holds no resolved
+    block would read 0, so it raises NumericDomainError instead."""
     j_min, j_max = resolved_range(grid)
     indices = _band_indices(spec, j_min, j_max)
     if not indices:
         raise NumericDomainError(
             f"the {spec.band} band with j0 = {spec.j0} holds no block of the "
             f"range [{j_min}, {j_max}] resolved by the grid")
-    return _block_lq_norm(grid, hat, spec.s, spec.p, spec.q, indices)
+    return _block_lq_norm(grid, hat, spec.s, spec.p, spec.q, indices, total)
 
 
 def j0_for_time(t: float) -> int:

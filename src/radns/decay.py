@@ -221,8 +221,9 @@ def linear_rows(config: SolverConfig) -> list[DiagnosticsRow]:
     """Diagnostics of the exactly propagated data at simulate's output times.
 
     This is simulate's linear-only run, which takes no time step: each output
-    is one application of the mode-wise propagator to the initial data, so
-    the series carries no integrator error.
+    applies the mode-wise propagator of its gap to the previous output's
+    pair, exact by the semigroup law, so the series carries no integrator
+    error.
     """
     return simulate(replace(config, linear_only=True))[0]
 

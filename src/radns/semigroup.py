@@ -77,12 +77,20 @@ def mode_matrices(rho: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np
     return mode_function_entries(0, rho, float(t))
 
 
+@per_grid_cache
+def _propagator(grid: RadialGrid, t: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """mode_matrices(grid.rho, t), cached per grid and t."""
+    return mode_matrices(grid.rho, t)
+
+
 def apply_semigroup(grid: RadialGrid, pair: np.ndarray, t: float) -> np.ndarray:
-    """Propagate the spectral (a, v) pair on `grid`, one row each, exactly by time t."""
+    """Propagate the spectral (a, v) pair on `grid`, one row each, exactly by
+    time t, through the propagator e^{tM} cached per grid and t."""
     if np.shape(pair) != (2, grid.n_modes):
         raise UsageError(f"apply_semigroup needs an (a, v) pair of shape "
                          f"(2, {grid.n_modes}), got {np.shape(pair)}")
-    return mode_product(mode_matrices(grid.rho, t), pair)
+    return mode_product(_propagator(grid, t), pair)
 
 
 # -- scalar semigroup kernels --------------------------------------------------

@@ -125,14 +125,16 @@ def per_grid_cache(fn):
 
     Bounded LRU, so a process that visits many grids does not grow without
     limit; the cached array, or each array of a cached tuple, is made
-    read-only because every caller shares it.
+    read-only because every caller shares it (other values, such as a slice,
+    are immutable already).
     """
     @functools.lru_cache(maxsize=64)
     @functools.wraps(fn)
     def cached(*args, **kwargs):
         table = fn(*args, **kwargs)
         for array in table if isinstance(table, tuple) else (table,):
-            array.flags.writeable = False
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
         return table
     return cached
 
@@ -144,10 +146,16 @@ def to_spectral(grid: RadialGrid, samples: np.ndarray) -> np.ndarray:
     return _sine_sum(grid.r * samples, grid.dr) / grid.rho
 
 
-def physical_values(grid: RadialGrid, hat: np.ndarray) -> np.ndarray:
+def physical_values(grid: RadialGrid, hat: np.ndarray,
+                    support: slice = slice(None)) -> np.ndarray:
     """Inverse weighted DST-I fhat(rho_k) -> f(r_m), an exact involution, for
-    one field or for a stack of fields (one row each) in one transform call."""
-    return _sine_sum(grid.rho * hat, grid.drho) / grid.r
+    one field or for a stack of fields (one row each) in one transform call;
+    `hat` holds the spectral values on the modes `support`, 0 on the others."""
+    # rho * hat, written straight into the zero-padded rows: a second (rows, N)
+    # array would add 0.45 MiB to a linear-decay run's peak RSS
+    ghat = np.zeros(np.shape(hat)[:-1] + (grid.n_modes,))
+    np.multiply(grid.rho[support], hat, out=ghat[..., support])
+    return _sine_sum(ghat, grid.drho) / grid.r
 
 
 # -- radial differential operators -------------------------------------------
@@ -222,11 +230,7 @@ def spectral_lp_norm(grid: RadialGrid, hat: np.ndarray, p: float,
                          * np.sum(np.sum(grid.rho[support] ** 2 * hat ** 2, axis=-1)))
     if not hat.any():
         return lp_norm(grid, np.zeros(grid.n_modes), p)
-    # physical_values's rho * hat, written straight into the zero-padded rows:
-    # a second (rows, N) array would add 0.45 MiB to a linear-decay run's peak RSS
-    ghat = np.zeros((len(hat), grid.n_modes))
-    np.multiply(grid.rho[support], hat, out=ghat[:, support])
-    return lp_norm(grid, modulus(_sine_sum(ghat, grid.drho) / grid.r), p)
+    return lp_norm(grid, modulus(physical_values(grid, hat, support)), p)
 
 
 def weighted_sup_norm(grid: RadialGrid, values: np.ndarray) -> float:

@@ -6,13 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import radns.besov
 from radns.besov import (
     BesovSpec,
+    _block_lp_norm,
     _block_lq_norm,
     _sup_bound_weights,
     block_multiplier,
     block_support,
     j0_for_time,
+    lq_sum,
     pair_besov_norm,
     phi_hat,
     resolved_range,
@@ -442,6 +445,57 @@ class TestScreening:
         assert transform_counter[0] - start == 3
         oracle = oracle_pair_besov_norm(grid, hat, None, spec)
         assert abs(mine - oracle) <= 1e-15 * oracle
+
+
+def recomputed_screen_lq_norm(grid, hat, s, q, indices):
+    """The p = inf l^q sum with screening against lq_sum of every term kept
+    so far, recomputed at each block: (the norm, the blocks synthesised)."""
+    hat = np.atleast_2d(hat)
+    bound_weights = _sup_bound_weights(grid, hat)
+    terms, skipped, kept = [], 0.0, []
+    for j in indices:
+        weight = 2.0 ** (s * j)
+        support, mult = block_support(grid, j), block_multiplier(grid, j)
+        bound = weight * float(mult @ bound_weights[support])
+        if skipped + bound <= 1e-17 * lq_sum(terms, q):
+            skipped += bound
+            terms.append(0.0)
+            continue
+        kept.append(j)
+        terms.append(weight * _block_lp_norm(grid, mult * hat[:, support], support,
+                                             math.inf, None))
+    return lq_sum(terms, q), kept
+
+
+class TestRunningScreen:
+    """Screening against a running l^q total (a running maximum for
+    q = inf) keeps and skips the blocks that recomputing the l^q sum of the
+    kept terms at every block does, and returns the same bits."""
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    def test_matches_the_recomputed_sum(self, q, monkeypatch):
+        grid = make_grid(1023, 40.0)
+        indices = range(*_inclusive(grid))
+        synthesised = []
+
+        def recording(grid, coeffs, support, p, total):
+            synthesised.append(support)
+            return _block_lp_norm(grid, coeffs, support, p, total)
+
+        monkeypatch.setattr(radns.besov, "_block_lp_norm", recording)
+        rng = np.random.default_rng(24)
+        screened = 0
+        for _ in range(24):
+            decay = np.exp(-rng.uniform(0.002, 0.3) * grid.rho ** 2)
+            a, v = (rng.standard_normal(grid.n_modes) * decay for _ in range(2))
+            hat = np.stack((a, v * rng.integers(0, 2)))
+            s = float(rng.choice([-1.0, 0.0, 0.5, 1.0]))
+            want, kept = recomputed_screen_lq_norm(grid, hat, s, q, indices)
+            synthesised.clear()
+            assert _block_lq_norm(grid, hat, s, math.inf, q, indices) == want
+            assert synthesised == [block_support(grid, j) for j in kept]
+            screened += len(indices) - len(kept)
+        assert screened > 0
 
 
 class TestSpecValidation:

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from radns.besov import BesovSpec, resolved_range
+import radns.semigroup
+import radns.solver
+from radns.besov import BesovSpec, block_support, resolved_range
 from radns.errors import ConfigurationError, SolverAbort
-from radns.semigroup import apply_semigroup
+from radns.semigroup import _propagator, apply_semigroup
 from radns.solver import (
     CSV_COLUMNS,
     PressureLaw,
@@ -25,6 +27,7 @@ from radns.spectral import (
     dealias_mask,
     lp_norm,
     make_grid,
+    modulus,
     physical_and_gradient,
     physical_values,
     to_spectral,
@@ -495,10 +498,11 @@ def oracle_row(state, linear):
 
 
 class TestDiagnosticsRow:
-    """Transforms per row: one two-row synthesis of (a, v), then one two-row
-    transform per wide block that screening keeps for each p = inf pair norm
-    (a narrow block is the two-level product); every p = 2 norm is Parseval,
-    and an identically zero nonlinear part costs nothing."""
+    """Transforms per row: one two-row transform per wide block that
+    screening keeps for each p = inf pair norm (a narrow block is the
+    two-level product, and the sup norms sum the blocks of the pair's norm);
+    every p = 2 norm is Parseval, and an identically zero nonlinear part costs
+    nothing."""
 
     def snapshot(self, linear):
         """A state at t = 3 and its linear flow."""
@@ -524,7 +528,7 @@ class TestDiagnosticsRow:
         assert 0 < len(wide) < len(kept + nl_kept)
         start = transform_counter[0]
         diagnostics_row(state, flow)
-        assert transform_counter[0] - start == 2 + 2 * len(wide)
+        assert transform_counter[0] - start == 2 * len(wide)
 
     @pytest.mark.parametrize("linear", [True, False])
     def test_matches_physical_space_formulas(self, linear):
@@ -542,6 +546,102 @@ class TestDiagnosticsRow:
         flow = apply_semigroup(start.grid, start.pair, state.t)
         for got, want in zip(rows[-1].as_tuple(), oracle_row(state, flow)):
             assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestOutputPropagation:
+    """simulate carries the linear flow from one output to the next with the
+    propagator of the gap between them, cached per gap."""
+
+    def test_rows_follow_the_direct_propagator(self, monkeypatch):
+        # rho_k = k / 16 puts mode 32 at rho = 2, where the eigenvalues
+        # coalesce; T = 1.3 ends on a gap of 6 steps after two of 10
+        cfg = small_config(n_modes=255, outer_radius=16.0 * math.pi, dt=0.05,
+                           t_final=1.3, output_interval=0.5, linear_only=True)
+        seen = []
+
+        def recording(state, linear):
+            seen.append((state.t, state.pair, linear))
+            return diagnostics_row(state, linear)
+
+        built, mode_matrices = [0], radns.semigroup.mode_matrices
+
+        def counting(rho, t):
+            built[0] += 1
+            return mode_matrices(rho, t)
+
+        monkeypatch.setattr(radns.solver, "diagnostics_row", recording)
+        monkeypatch.setattr(radns.semigroup, "mode_matrices", counting)
+        _propagator.cache_clear()
+        simulate(cfg)
+        run_built = built[0]
+        assert [t for t, _, _ in seen] == pytest.approx([0.0, 0.5, 1.0, 1.3], abs=1e-12)
+        pair0 = initial_state(cfg).pair
+        for t, pair, linear in seen:
+            assert pair is linear
+            direct = apply_semigroup(cfg.grid(), pair0, t)
+            assert np.max(np.abs(pair - direct)) <= 1e-13 * np.max(np.abs(direct))
+        assert run_built == 2                     # one propagator per distinct gap
+
+
+class TestSupColumns:
+    """linf_av and weighted_sup come from the sum of the blocks that the
+    pair's B^0_{inf,1} norm synthesises; they match the node maxima of the
+    one-transform synthesis of the pair."""
+
+    GRID = (1023, 40.0)     # block j_min holds the one mode rho_1
+
+    @staticmethod
+    def node_maxima(grid, pair):
+        values = modulus(physical_values(grid, pair))
+        return np.max(values), np.max(grid.r * values)
+
+    def check(self, grid, pair):
+        row = diagnostics_row(SolverState(0.0, grid, pair), pair)
+        linf, weighted = self.node_maxima(grid, pair)
+        assert abs(row.linf_av - linf) <= 1e-14 * linf
+        assert abs(row.weighted_sup - weighted) <= 1e-14 * weighted
+
+    @staticmethod
+    def screened(grid, pair):
+        """Blocks with content that screening skips."""
+        spec = BesovSpec(0.0, math.inf, 1.0)
+        kept = screened_kept_blocks(grid, *pair, spec)
+        j_min, j_max = resolved_range(grid)
+        return [j for j in range(j_min, j_max + 1)
+                if j not in kept and np.any(pair[:, block_support(grid, j)])]
+
+    def test_one_mode_block(self):
+        grid = make_grid(*self.GRID)
+        support = block_support(grid, resolved_range(grid)[0])
+        assert (support.start, support.stop) == (0, 1)
+        pair = np.zeros((2, grid.n_modes))
+        pair[:, 0] = (1.0, -0.5)
+        assert not self.screened(grid, pair)
+        self.check(grid, pair)
+
+    @pytest.mark.parametrize("t, screens", [(0.0, False), (2.0, False),
+                                            (8.0, True), (30.0, True)])
+    def test_linear_flow_rows(self, t, screens):
+        grid = make_grid(*self.GRID)
+        pair0 = np.zeros((2, grid.n_modes))
+        pair0[0] = to_spectral(grid, initial_data_gaussian(0.01, 1.0, grid))
+        pair = apply_semigroup(grid, pair0, t)
+        assert bool(self.screened(grid, pair)) == screens
+        self.check(grid, pair)
+
+    def test_rough_data_keeps_every_block(self):
+        grid = make_grid(*self.GRID)
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            pair = rng.standard_normal((2, grid.n_modes)) / (1.0 + grid.rho ** 2)
+            assert not self.screened(grid, pair)
+            self.check(grid, pair)
+
+    def test_zero_data(self):
+        grid = make_grid(*self.GRID)
+        row = diagnostics_row(SolverState(0.0, grid, np.zeros((2, grid.n_modes))),
+                              np.zeros((2, grid.n_modes)))
+        assert row.linf_av == row.weighted_sup == 0.0
 
 
 class TestSimulate:
