@@ -103,13 +103,23 @@ def scalar_kernel_parts(rho_sq: np.ndarray, t: float) -> np.ndarray:
     (cos theta - i sin theta) with theta = t sqrt(rho^2 - rho^4/4); from
     rho = 2 on it is the real e^{-t (rho^2/2 + sqrt(rho^4/4 - rho^2))}.
     """
-    rho_sq = np.asarray(rho_sq, dtype=float)
-    half = rho_sq / 2.0
-    root = np.sqrt(np.abs(1.0 - 4.0 / rho_sq))
-    hyperbolic = rho_sq >= 4.0
-    modulus = np.exp(-t * half * np.where(hyperbolic, 1.0 + root, 1.0))
-    theta = np.where(hyperbolic, 0.0, t * half * root)
-    return np.stack((modulus * np.cos(theta), -modulus * np.sin(theta)))
+    shape = np.shape(rho_sq)
+    rho_sq = np.atleast_1d(np.asarray(rho_sq, dtype=float))
+    exponent = rho_sq * (-0.5 * t)
+    root = 4.0 / rho_sq
+    root -= 1.0                         # 4/rho^2 - 1, <= 0 from rho = 2 on
+    hyperbolic = root <= 0.0
+    if hyperbolic.any():
+        exponent[hyperbolic] *= 1.0 + np.sqrt(-root[hyperbolic])
+        root[hyperbolic] = 0.0
+    # -theta, since the exponent is -t rho^2/2: its sine carries the minus sign
+    phase = np.sqrt(root, out=root)
+    phase *= exponent
+    parts = np.empty((2,) + rho_sq.shape)
+    np.cos(phase, out=parts[0])
+    np.sin(phase, out=parts[1])
+    parts *= np.exp(exponent, out=exponent)
+    return parts.reshape((2,) + shape)
 
 
 # -- anisotropic lower-bound probe ---------------------------------------------
@@ -120,7 +130,8 @@ class CutoffPsi:
 
     Concretely the product of a radial shell bump centred at |xi| = 3/4 and an
     axial bump centred at |xi_1| = 3/4; only support, evenness, smoothness and
-    non-negativity matter.
+    non-negativity matter.  The shell bump is exactly 0 unless
+    |xi| - shell_center is below shell_width (5/8 < |xi| < 7/8 by default).
     """
 
     shell_center: float = 0.75
@@ -136,16 +147,24 @@ class CutoffPsi:
         shell = _ramp(1.0 - ((norm - self.shell_center) / self.shell_width) ** 2)
         return shell * axial
 
-    def transverse_radius(self, xi1: float) -> float:
-        """Radius sqrt(r^2 - xi1^2) in the (xi_2, xi_3) plane beyond which
-        Psi(xi1, ., .) is exactly 0, r the shell's outer radius; 0.0 once |xi1| >= r."""
+    def transverse_band(self, xi1) -> tuple[np.ndarray, np.ndarray]:
+        """Radii (inner, outer) of the annulus in the (xi_2, xi_3) plane
+        outside which Psi(xi1, ., .) is exactly 0, vectorised over xi1: the
+        shell's radii cut at xi1, 0 where the cut misses the shell."""
+        xi1_sq = np.square(xi1)
+        inner = self.shell_center - self.shell_width
         outer = self.shell_center + self.shell_width
-        return math.sqrt(max(outer * outer - xi1 * xi1, 0.0))
+        return (np.sqrt(np.maximum(inner * inner - xi1_sq, 0.0)),
+                np.sqrt(np.maximum(outer * outer - xi1_sq, 0.0)))
 
 
 #: Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], cached:
 #: a probe refinement revisits the same few node counts.
 _gauss_legendre = per_grid_cache(np.polynomial.legendre.leggauss)
+
+#: Margin on a probe slab's band of squared radii: it covers the last bits by
+#: which Psi's nodes differ from the unit nodes that sort the pairs.
+_BAND_MARGIN = 1.0e-12
 
 
 def _map_rule(rule: tuple[np.ndarray, np.ndarray], a: float, b: float
@@ -153,6 +172,20 @@ def _map_rule(rule: tuple[np.ndarray, np.ndarray], a: float, b: float
     """Nodes and weights of the Gauss-Legendre rule on [-1, 1] mapped to [a, b]."""
     x, w = rule
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+@per_grid_cache
+def _pair_table(n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The node pairs (i, j), i >= j, of the n-point rule on [0, 1] sorted by
+    squared radius u_i^2 + u_j^2: rows i, columns j, that squared radius and
+    the pair weight w_i w_j, doubled off the diagonal for the mirror pair."""
+    u, w = _map_rule(_gauss_legendre(n_nodes), 0.0, 1.0)
+    rows, cols = np.tril_indices(n_nodes)
+    radius_sq = u[rows] ** 2 + u[cols] ** 2
+    order = np.argsort(radius_sq, kind="stable")
+    rows, cols = rows[order], cols[order]
+    weight = np.where(rows == cols, 1.0, 2.0) * w[rows] * w[cols]
+    return rows, cols, radius_sq[order], weight
 
 
 def _probe_integral(t: float, psi: CutoffPsi, coords: tuple[np.ndarray, np.ndarray],
@@ -167,47 +200,51 @@ def _probe_integral(t: float, psi: CutoffPsi, coords: tuple[np.ndarray, np.ndarr
     A point on an axis needs only the marginal of the weighted integrand along
     that axis.  xi_2 and xi_3 share their nodes and weights, and the integrand
     depends on them only through xi_2^2 + xi_3^2, so it is symmetric under
-    xi_2 <-> xi_3: each xi_1 slab evaluates only the node pairs i >= j of its
-    (xi_2, xi_3) block, an off-diagonal pair counting twice, and one
-    transverse marginal (the mean of the pair sums over i and over j) serves
-    both transverse axes, so (0, 0, x) reads the value of (0, x, 0).
+    xi_2 <-> xi_3: each xi_1 slab evaluates only node pairs i >= j, an
+    off-diagonal pair counting twice, and one transverse marginal (the mean
+    of the pair sums over i and over j) serves both transverse axes, so
+    (0, 0, x) reads the value of (0, x, 0).
 
-    Psi is exactly 0 at or past the shell's outer radius, so a slab with
-    X_1 = t^{1/2} xi_1 there is skipped, and the others evaluate only the
-    pairs of the leading k x k block of nodes inside
-    psi.transverse_radius(X_1), plus one node of margin: the sums are the
-    full-box sums without their zero terms.  The pairs are listed row by row
-    (np.tril_indices), so the pairs of every block are a prefix of one list.
+    Scaled by t^{3/4}, the (xi_2, xi_3) nodes are the nodes u of the rule on
+    [0, 1] for every t, and Psi(X_1, ., .) with X_1 = t^{1/2} xi_1 is exactly
+    0 outside the annulus psi.transverse_band(X_1).  So a slab evaluates only
+    the pairs with u_i^2 + u_j^2 in that band, widened by _BAND_MARGIN: one
+    slice of _pair_table(n_nodes).  The sums are the full-box sums without
+    their zero terms.  The transverse marginal is summed once per call, from
+    per-pair totals over the slabs.
     """
     s = 1.0 / math.sqrt(t)
     rule = _gauss_legendre(n_nodes)
     x1, w1 = _map_rule(rule, 0.5 * s, s)
-    x2, w2 = _map_rule(rule, 0.0, t ** -0.75)
-    scaled = t ** 0.75 * x2         # ascending, as np.searchsorted needs
+    x2, _ = _map_rule(rule, 0.0, t ** -0.75)
+    scaled1 = math.sqrt(t) * x1
+    scaled2 = t ** 0.75 * x2
 
-    rows, cols = np.tril_indices(n_nodes)
+    rows, cols, unit_sq, unit_weight = _pair_table(n_nodes)
+    inner, outer = psi.transverse_band(scaled1)
+    starts = np.searchsorted(unit_sq, inner * inner - _BAND_MARGIN)
+    stops = np.searchsorted(unit_sq, outer * outer + _BAND_MARGIN, side="right")
     pair_sq = x2[rows] ** 2 + x2[cols] ** 2
-    pair_weight = np.where(rows == cols, 1.0, 2.0) * w2[rows] * w2[cols]
-    scaled_rows, scaled_cols = scaled[rows], scaled[cols]
+    scaled_rows, scaled_cols = scaled2[rows], scaled2[cols]
+    area = (t ** -0.75) ** 2                # per axis t^{-3/4} times the unit weight
 
-    # [axial, transverse] x [real, imaginary] marginals
-    marginals = np.zeros((2, 2, n_nodes))
-    for i, (xi1, wi) in enumerate(zip(x1, w1)):
-        scaled1 = math.sqrt(t) * xi1
-        radius = psi.transverse_radius(scaled1)
-        if radius == 0.0:
+    # [real, imaginary] per-pair totals over the slabs, and axial marginals
+    pair_totals = np.zeros((2, rows.size))
+    axial = np.zeros((2, n_nodes))
+    for i, (xi1, wi, start, stop) in enumerate(zip(x1, w1, starts, stops)):
+        if start == stop:
             continue
-        k = min(int(np.searchsorted(scaled, radius)) + 1, n_nodes)
-        m = k * (k + 1) // 2
-        slab = scalar_kernel_parts(xi1 ** 2 + pair_sq[:m], t)
-        slab *= psi(scaled1, scaled_rows[:m], scaled_cols[:m]) * (wi * pair_weight[:m])
-        marginals[0, :, i] = slab.sum(axis=1)
-        for part in range(2):
-            marginals[1, part, :k] += 0.5 * (np.bincount(rows[:m], slab[part], k)
-                                             + np.bincount(cols[:m], slab[part], k))
+        band = slice(start, stop)
+        slab = scalar_kernel_parts(xi1 ** 2 + pair_sq[band], t)
+        slab *= psi(scaled1[i], scaled_rows[band], scaled_cols[band]) * (wi * area)
+        axial[:, i] = slab @ unit_weight[band]
+        pair_totals[:, band] += slab
+    pair_totals *= unit_weight
+    transverse = 0.5 * np.stack([np.bincount(rows, total, n_nodes)
+                                 + np.bincount(cols, total, n_nodes) for total in pair_totals])
 
-    sums = np.concatenate([np.cos(np.outer(coord, nodes)) @ marginal.T
-                           for coord, nodes, marginal in zip(coords, (x1, x2), marginals)])
+    sums = np.concatenate([np.cos(np.outer(coord, nodes)) @ marginal.T for coord, nodes, marginal
+                           in zip(coords, (x1, x2), (axial, transverse))])
     return 8.0 * modulus(sums.T)
 
 
@@ -219,8 +256,8 @@ def kernel_probe(t: float, psi: CutoffPsi, refine_rtol: float = 1.0e-6,
     count doubles from 32 until the sup changes by less than refine_rtol
     relative.  Raises SolverAbort if that has not happened by max_nodes.
     """
-    if t < 4.0:
-        raise NumericDomainError(f"probe needs t >= 4, got {t}")
+    if not 4.0 <= t < math.inf:
+        raise NumericDomainError(f"probe needs a finite t >= 4, got {t}")
     coords = probe_coordinates(t)
     n = 32
     value = float(np.max(_probe_integral(t, psi, coords, n)))

@@ -6,6 +6,7 @@ augmented-matrix expm; the closed-form eigenvalues below are the oracle for
 the scalar kernels e^{t lambda}.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from radns.besov import phi_hat, theta
 from radns.errors import NumericDomainError, SolverAbort, UsageError
 from radns.semigroup import (
     CutoffPsi,
+    _BAND_MARGIN,
     _gauss_legendre,
     _probe_integral,
     apply_semigroup,
@@ -406,6 +408,22 @@ class TestScalarKernelValues:
             got, want = np.conj(got[low]), want[low]
         np.testing.assert_allclose(got, want, rtol=4.4e-16, atol=0.0)
 
+    @pytest.mark.parametrize("branch, t", [("oscillating", 4.0), ("oscillating", 16.0),
+                                           ("oscillating", 256.0), ("hyperbolic", 0.25),
+                                           ("hyperbolic", 1.0), ("hyperbolic", 4.0)])
+    def test_one_branch_arrays(self, branch, t):
+        # arrays wholly on one side of rho = 2, so that a shortcut for either
+        # side is covered: the probe's rho <= 0.71 at its times, and rho in
+        # [2, 3] at times short enough that no value underflows
+        rho = (np.linspace(0.71 / 4000, 0.71, 4000) if branch == "oscillating"
+               else np.linspace(2.0, 3.0, 4000))
+        want = two_branch_kernel_values(rho, t, "plus")
+        assert np.count_nonzero(want) == rho.size
+        np.testing.assert_allclose(kernel_values(rho, t), want, rtol=4.4e-16, atol=0.0)
+        # a single frequency as a scalar gives its two parts
+        re, im = scalar_kernel_parts(rho[-1] ** 2, t)
+        np.testing.assert_allclose(re + 1j * im, want[-1], rtol=4.4e-16, atol=0.0)
+
     @pytest.mark.parametrize("t", [0.0, 0.5, 4.0, 16.0, 256.0])
     def test_real_form_matches_closed_form(self, t):
         # the real-arithmetic parts over rho in (0, 17] and exactly at rho = 2,
@@ -518,6 +536,15 @@ class TestKernelProbe:
         with pytest.raises(NumericDomainError):
             kernel_probe(2.0, CutoffPsi())
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected_before_quadrature(self, t, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran for a non-finite time")
+
+        monkeypatch.setattr("radns.semigroup._probe_integral", no_quadrature)
+        with pytest.raises(NumericDomainError, match="finite t >= 4"):
+            kernel_probe(t, CutoffPsi())
+
     def test_probe_grid_shape(self):
         axial, transverse = probe_coordinates(16.0)
         assert axial.shape == (256,) and transverse.shape == (64,)
@@ -533,6 +560,11 @@ PROBE_CUTOFFS = {"default": CutoffPsi(),
                  "wide-shell": CutoffPsi(shell_width=0.3)}
 ORACLE_CASES = [pytest.param(t, n, name, id=f"{t}-{n}" + ("" if name == "default" else f"-{name}"))
                 for name in PROBE_CUTOFFS for n in (32, 64) for t in (16.0, 64.0, 256.0)]
+SUPPORT_CASES = [pytest.param(t, name, id=f"{t}" + ("" if name == "default" else f"-{name}"))
+                 for name in PROBE_CUTOFFS for t in (16.0, 256.0)]
+#: share of the n = 32 box that each cutoff's probe evaluates, as measured
+#: (0.13596, 0.05298, 0.36456), rounded up
+SUPPORT_FRACTIONS = {"default": 0.1360, "narrow-shell": 0.0530, "wide-shell": 0.3646}
 
 
 class TestProbeIntegral:
@@ -564,17 +596,18 @@ class TestProbeIntegral:
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(oracle(transverse, 2), on_x2, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("t", [16.0, 256.0])
-    def test_skipped_nodes_outside_support(self, t):
+    @pytest.mark.parametrize("t, cutoff", SUPPORT_CASES)
+    def test_skipped_nodes_outside_support(self, t, cutoff):
         # record each (xi_2, xi_3) node pair a slab passes to Psi, and its
         # mirror, then evaluate Psi on the whole n^3 box: it must be exactly 0
-        # on every node never evaluated
+        # on every node never evaluated, the inner hole of the annulus included
         n = 32
+        psi = PROBE_CUTOFFS[cutoff]
         x, _ = np.polynomial.legendre.leggauss(n)
         scaled1 = 0.75 + 0.25 * x          # t^{1/2} xi_1 over [1/2, 1]
         scaled23 = 0.5 * (x + 1.0)         # t^{3/4} xi_{2,3} over [0, 1]
         evaluated = np.zeros((n, n, n), dtype=bool)
-        slabs = []
+        slabs = {}
 
         def nearest(nodes, values):
             return np.argmin(np.abs(np.asarray(values, float)[..., None] - nodes), axis=-1)
@@ -583,19 +616,28 @@ class TestProbeIntegral:
             def __call__(self, xi1, xi2, xi3):
                 i, j, l = nearest(scaled1, xi1), nearest(scaled23, xi2), nearest(scaled23, xi3)
                 evaluated[i, j, l] = evaluated[i, l, j] = True
-                slabs.append((np.size(xi2), set(zip(np.maximum(j, l), np.minimum(j, l)))))
+                assert int(i) not in slabs
+                slabs[int(i)] = (np.size(xi2), set(zip(j.tolist(), l.tolist())))
                 return super().__call__(xi1, xi2, xi3)
 
-        _probe_integral(t, RecordingPsi(), probe_coordinates(t), n)
-        # each slab evaluates the k(k+1)/2 pairs j >= l of its leading k x k block once
-        for size, pairs in slabs:
-            k = max(j for j, _ in pairs) + 1
-            assert size == len(pairs) == k * (k + 1) // 2
-            assert pairs == {(j, l) for j in range(k) for l in range(j + 1)}
-        full = CutoffPsi()(scaled1[:, None, None], scaled23[None, :, None],
-                                scaled23[None, None, :])
-        assert np.count_nonzero(evaluated) < n ** 3 / 2
+        _probe_integral(t, RecordingPsi(**dataclasses.asdict(psi)), probe_coordinates(t), n)
+        # each slab evaluates every pair j >= l whose squared radius lies in
+        # its band, each once, and a slab with an empty band calls Psi not at all
+        inner, outer = psi.transverse_band(scaled1)
+        radius_sq = scaled23[:, None] ** 2 + scaled23[None, :] ** 2
+        for i in range(n):
+            in_band = ((radius_sq >= inner[i] ** 2 - _BAND_MARGIN)
+                       & (radius_sq <= outer[i] ** 2 + _BAND_MARGIN))
+            band = set(zip(*(index.tolist() for index in np.nonzero(np.tril(in_band)))))
+            assert (i in slabs) == bool(band)
+            size, pairs = slabs.get(i, (0, set()))
+            assert size == len(pairs) and pairs == band
+        full = psi(scaled1[:, None, None], scaled23[None, :, None], scaled23[None, None, :])
         assert np.all(full[~evaluated] == 0.0)
+        hole = scaled1[:, None, None] ** 2 + radius_sq[None] < (psi.shell_center - psi.shell_width) ** 2
+        assert np.any(hole) == (cutoff != "wide-shell") and not np.any(evaluated & hole)
+        # Psi is nonzero on 0.1358 (default), 0.0529 (narrow) and 0.3644 (wide)
+        assert np.count_nonzero(evaluated) <= SUPPORT_FRACTIONS[cutoff] * n ** 3
 
     def test_memory_below_one_tensor(self):
         # the marginals are summed slab by slab: no n^3 array is ever built
