@@ -19,31 +19,42 @@ evaluation is three syntheses ((a, a'), (w, w'), q'), one DST for f and the
 (S, C) pair for h; each sine/cosine pair is one real FFT, so it makes 5
 transforms, and an ETD2 step makes 11.
 
+The forcing is dealiased by the 2/3 rule, the one spectral truncation: it
+reads only the lowest keep = floor(2N/3) modes of the state and is exactly 0
+on every mode above them.  One per-grid table holds all its weights: each
+synthesis writes the symmetric extension of spectral.py straight from the
+kept modes through weight rows that fold in sqrt(2/pi) drho/2 and its rho
+factors, 1/r turns r w and (r w)' into w and w', and the two analyses write
+the kept modes alone through weights that fold in sqrt(2/pi) dr/2 and the
+1/rho and 1/rho^2 of f_hat and h_hat.
+
 Integration is second-order exponential time differencing over the exact
 per-mode propagator: the linear flow commits no time-discretisation error, so
 subtracting the exactly propagated initial data isolates the Duhamel integral
 of the nonlinearity ("the nonlinear part") to the accuracy of the quadrature
-of the forcing alone.
+of the forcing alone.  Because the forcing vanishes above the kept band, dt
+phi_1 and dt phi_2 are tabulated and applied on that band only, and every
+mode above it takes the exact step e^{dt M}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
+from . import spectral      # rfft and dst looked up per call: counters wrap them
 from .besov import BesovSpec, pair_besov_norm
 from .errors import ConfigurationError, SolverAbort
 from .semigroup import apply_semigroup, mode_function_entries, mode_matrices, mode_product
 from .spectral import (
     RadialGrid,
-    _sine_cosine_sums,
-    dealias_mask,
     lp_norm,
     make_grid,
     modulus,
-    physical_and_gradient,
+    per_grid_cache,
     physical_values,
     spectral_lp_norm,
     to_spectral,
@@ -186,35 +197,92 @@ def _check_density(a_phys: np.ndarray, guard: float, t: float) -> None:
             time=t, mode_index=high)
 
 
+class _ForcingTable(NamedTuple):
+    """The forcing's weights on the kept band of a grid (module docstring):
+    synthesis rows (plus, minus) for (a, a'), also applied to rho v_hat for
+    (w, w'), and for (-q, -q'); 1/r; the output weights of f_hat and h_hat."""
+
+    keep: int
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    q_plus: np.ndarray
+    q_minus: np.ndarray
+    inv_r: np.ndarray
+    f_out: np.ndarray
+    h_out: np.ndarray
+
+
+@per_grid_cache
+def _forcing_table(grid: RadialGrid) -> _ForcingTable:
+    keep = 2 * grid.n_modes // 3
+    rho = grid.rho[:keep]
+    scale = math.sqrt(2.0 / math.pi) * grid.drho / 2.0
+    out = math.sqrt(2.0 / math.pi) * grid.dr / 2.0 / rho
+    return _ForcingTable(keep, scale * (rho * rho - rho), scale * (rho * rho + rho),
+                         scale * (1.0 - rho), -scale * (1.0 + rho),
+                         1.0 / grid.r, -out, out / rho)
+
+
+def _synthesis(plus: np.ndarray, minus: np.ndarray, hat: np.ndarray,
+               inv_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w and w' at the nodes from the kept modes `hat` of a field: z holds
+    plus_k hat_k at j = k and minus_k hat_k at j = 2(N+1) - k, so its real
+    FFT's bins are (r w)' + i r w."""
+    n, keep = len(inv_r), len(hat)
+    z = np.zeros(2 * (n + 1))
+    np.multiply(plus, hat, out=z[1:keep + 1])
+    np.multiply(minus, hat, out=z[:-keep - 1:-1])
+    bins = spectral.rfft(z)[1:n + 1]
+    value = bins.imag * inv_r
+    slope = bins.real - value
+    slope *= inv_r
+    return value, slope
+
+
 def nonlinear_rhs(state: SolverState, law: PressureLaw, config: SolverConfig
                   ) -> np.ndarray:
     """Spectral forcing rows (f_hat, h_hat) at the current state, by the
-    radial identities of the module docstring on the dealiased fields."""
+    radial identities of the module docstring on the kept band of the
+    state; both rows are exactly 0 from mode floor(2N/3) up."""
     grid = state.grid
-    mask = dealias_mask(grid)
-    a_hat, v_hat = state.pair * mask
+    table = _forcing_table(grid)
+    keep = table.keep
+    a_hat, v_hat = state.pair[:, :keep]
 
-    a, a_r = physical_and_gradient(grid, a_hat)
+    a, a_r = _synthesis(table.a_plus, table.a_minus, a_hat, table.inv_r)
     _check_density(a, config.density_guard, state.t)
-    w, w_r = physical_and_gradient(grid, grid.rho * v_hat)     # w = |D| v
-    u = -physical_and_gradient(grid, (1.0 / grid.rho) * v_hat)[1]
-    u_r = w - 2.0 * u / grid.r                    # div(U x/r) = w
+    w, w_r = _synthesis(table.a_plus, table.a_minus, grid.rho[:keep] * v_hat, table.inv_r)
+    u = _synthesis(table.q_plus, table.q_minus, v_hat, table.inv_r)[1]     # U = -q'
+    u_r = u * table.inv_r                   # U' = w - 2U/r, as div(U x/r) = w
+    u_r *= -2.0
+    u_r += w
 
-    rows = np.empty((2, grid.n_modes))
-    # f = -div(a U x/r) = -(a' U + a w)
-    rows[0] = to_spectral(grid, -(a_r * u + a * w))
+    rows = np.zeros((2, grid.n_modes))
+    # f = -div(a U x/r) = -(a' U + a w), with the sign in f_out
+    flux = a_r * u
+    flux += a * w
+    flux *= grid.r
+    np.multiply(spectral.dst(flux)[:keep], table.f_out, out=rows[0, :keep])
 
-    # h = |D|^{-1} div(G x/r); by parts, rho^2 h_hat = S - rho C
-    g = -u * u_r - (a / (1.0 + a)) * w_r - law.beta(a) * a_r
-    sine, cosine = _sine_cosine_sums(g, grid.r * g, grid.dr)
-    rows[1] = (sine - grid.rho * cosine) / grid.rho ** 2
-    rows *= mask
+    # h = |D|^{-1} div(G x/r); by parts, rho^2 h_hat = S - rho C, with the
+    # sign of G = -(U U' + a/(1+a) w' + beta(a) a') in the output weights
+    minus_g = u * u_r
+    minus_g += (a / (1.0 + a)) * w_r
+    minus_g += law.beta(a) * a_r
+    r_minus_g = grid.r * minus_g
+    z = np.zeros(2 * (grid.n_modes + 1))
+    np.add(r_minus_g, minus_g, out=z[1:grid.n_modes + 1])
+    np.subtract(r_minus_g, minus_g, out=z[:grid.n_modes + 1:-1])
+    bins = spectral.rfft(z)[1:keep + 1]
+    np.multiply(bins.imag, table.h_out, out=rows[1, :keep])
+    rows[1, :keep] -= bins.real * table.f_out
     return rows
 
 
 @dataclass
 class EtdTables:
-    """Per-(grid, dt) entries (m11, m12, m21, m22) of e^{dt M}, phi_1 and phi_2."""
+    """Per-(grid, dt) entries (m11, m12, m21, m22) of e^{dt M} on every
+    mode, and of dt phi_1 and dt phi_2 on the forcing's kept band."""
 
     dt: float
     exp_entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -223,24 +291,28 @@ class EtdTables:
 
 
 def make_etd_tables(grid: RadialGrid, dt: float) -> EtdTables:
+    rho = grid.rho[:_forcing_table(grid).keep]
     return EtdTables(dt=dt,
                      exp_entries=mode_matrices(grid.rho, dt),
-                     phi1=mode_function_entries(1, grid.rho, dt),
-                     phi2=mode_function_entries(2, grid.rho, dt))
+                     phi1=tuple(dt * m for m in mode_function_entries(1, rho, dt)),
+                     phi2=tuple(dt * m for m in mode_function_entries(2, rho, dt)))
 
 
 def step_etd2(state: SolverState, law: PressureLaw, config: SolverConfig,
               tables: EtdTables) -> SolverState:
-    """One predictor/corrector exponential step of size tables.dt."""
+    """One predictor/corrector exponential step of size tables.dt.  The
+    forcing is 0 above its kept band, so the phi terms act on that band
+    alone and every mode above it takes the exact linear step."""
     grid = state.grid
-    dt = tables.dt
-    t = state.t + dt
+    t = state.t + tables.dt
+    band = slice(0, len(tables.phi1[0]))
 
-    f0 = nonlinear_rhs(state, law, config)
-    mid = (mode_product(tables.exp_entries, state.pair)
-           + dt * mode_product(tables.phi1, f0))
-    f1 = nonlinear_rhs(SolverState(t, grid, mid), law, config)
-    new = mid + dt * mode_product(tables.phi2, f1 - f0)
+    f0 = nonlinear_rhs(state, law, config)[:, band]
+    mid = mode_product(tables.exp_entries, state.pair)
+    mid[:, band] += mode_product(tables.phi1, f0)
+    f1 = nonlinear_rhs(SolverState(t, grid, mid), law, config)[:, band]
+    mid[:, band] += mode_product(tables.phi2, f1 - f0)
+    new = mid
 
     if not np.all(np.isfinite(new)):    # the first bad mode of a, else of v
         bad = int(np.flatnonzero(~np.isfinite(new))[0]) % grid.n_modes

@@ -75,7 +75,9 @@ def make_grid(n_modes: int, outer_radius: float) -> RadialGrid:
 # extension of y in z, z_j = y_j + x_j and z_{2(N+1)-j} = y_j - x_j for
 # j = 1..N, z_0 = z_{N+1} = 0; then bin m of its transform is
 # 2 sum_k y_k cos(pi m k/(N+1)) - 2i sum_k x_k sin(pi m k/(N+1)).  The
-# forcing's four pairs and one DST make 5 transforms, and an ETD2 step 11.
+# forcing (solver.nonlinear_rhs) writes z for its four pairs from its own
+# weights and transforms it with this module's `rfft`, so one counter that
+# wraps `rfft` and `dst` sees its 5 transforms, and an ETD2 step's 11.
 
 def dst(x: np.ndarray) -> np.ndarray:
     """Type-I DST along the last axis, 2 sum_k x_k sin(pi m k/(N+1)) for
@@ -102,21 +104,6 @@ dct = _no_dct
 def _sine_sum(coeffs: np.ndarray, step: float) -> np.ndarray:
     """sqrt(2/pi) * step * sum_k coeffs_k sin(node_m * dual_node_k)."""
     return np.sqrt(2.0 / np.pi) * step * 0.5 * dst(coeffs)
-
-
-def _sine_cosine_sums(sine_coeffs: np.ndarray, cosine_coeffs: np.ndarray,
-                      step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The sine sum of `sine_coeffs` and the cosine sum of `cosine_coeffs`,
-    sqrt(2/pi) * step * sum_k coeffs_k {sin, cos}(node_m * dual_node_k),
-    from one real FFT of their symmetric extension."""
-    n = len(sine_coeffs)
-    z = np.zeros(2 * (n + 1))
-    np.add(cosine_coeffs, sine_coeffs, out=z[1:n + 1])
-    np.subtract(cosine_coeffs, sine_coeffs, out=z[:n + 1:-1])
-    bins = rfft(z)[1:n + 1]
-    bins *= np.sqrt(2.0 / np.pi) * step * 0.5
-    bins.imag *= -1.0       # scaled in place: no further N-length arrays
-    return bins.imag, bins.real
 
 
 def per_grid_cache(fn):
@@ -156,29 +143,6 @@ def physical_values(grid: RadialGrid, hat: np.ndarray,
     ghat = np.zeros(np.shape(hat)[:-1] + (grid.n_modes,))
     np.multiply(grid.rho[support], hat, out=ghat[..., support])
     return _sine_sum(ghat, grid.drho) / grid.r
-
-
-# -- radial differential operators -------------------------------------------
-
-def physical_and_gradient(grid: RadialGrid, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w(r_m) and the radial derivative w'(r_m) of the field w with spectral
-    values `hat`, from one synthesis.
-
-    Works through the sine coefficients of g(r) = r w(r): the derivative is
-    the matching cosine sum, both from one FFT, and w' = g'/r - g/r^2.
-    """
-    ghat = grid.rho * hat
-    g, g_prime = _sine_cosine_sums(ghat, grid.rho * ghat, grid.drho)
-    return g / grid.r, g_prime / grid.r - g / grid.r ** 2
-
-
-@per_grid_cache
-def dealias_mask(grid: RadialGrid) -> np.ndarray:
-    """Mask keeping the lowest 2/3 of the spectral band (the 2/3 rule)."""
-    keep = int(np.floor(2.0 / 3.0 * grid.n_modes))
-    mask = np.zeros(grid.n_modes)
-    mask[:keep] = 1.0
-    return mask
 
 
 # -- norms --------------------------------------------------------------------

@@ -18,19 +18,50 @@ from scipy.optimize import minimize_scalar
 from radns.errors import ConfigurationError, NumericDomainError
 from radns.spectral import (
     RadialGrid,
-    _sine_cosine_sums,
     _sine_sum,
-    dealias_mask,
     dst,
     lp_norm,
     make_grid,
     modulus,
-    physical_and_gradient,
     physical_values,
     spectral_lp_norm,
     to_spectral,
     weighted_sup_norm,
 )
+
+
+# The synthesis helpers the nonlinear forcing once went through, kept as
+# oracles: the forcing now writes the same symmetric extension from its
+# per-grid table, on the kept 2/3 band alone.
+
+def sine_cosine_sums(sine_coeffs, cosine_coeffs, step):
+    """The sine sum of `sine_coeffs` and the cosine sum of `cosine_coeffs`,
+    sqrt(2/pi) * step * sum_k coeffs_k {sin, cos}(node_m * dual_node_k),
+    from one real FFT of length 2(N+1) of their odd-plus-even extension
+    (Martucci, IEEE Trans. Signal Process. 42, 1994)."""
+    n = len(sine_coeffs)
+    z = np.zeros(2 * (n + 1))
+    z[1:n + 1] = cosine_coeffs + sine_coeffs
+    z[:n + 1:-1] = cosine_coeffs - sine_coeffs
+    bins = np.fft.rfft(z)[1:n + 1] * (math.sqrt(2.0 / math.pi) * step * 0.5)
+    return -bins.imag, bins.real
+
+
+def physical_and_gradient(grid, hat):
+    """w(r_m) and w'(r_m) of the field w with spectral values `hat`, through
+    g(r) = r w(r): the derivative is the matching cosine sum, and
+    w' = g'/r - g/r^2."""
+    ghat = grid.rho * hat
+    g, g_prime = sine_cosine_sums(ghat, grid.rho * ghat, grid.drho)
+    return g / grid.r, g_prime / grid.r - g / grid.r ** 2
+
+
+def dealias_mask(grid):
+    """Mask keeping the lowest 2/3 of the spectral band (the 2/3 rule)."""
+    keep = int(np.floor(2.0 / 3.0 * grid.n_modes))
+    mask = np.zeros(grid.n_modes)
+    mask[:keep] = 1.0
+    return mask
 
 
 # The vector-profile layer the nonlinear RHS once went through (a radial
@@ -72,8 +103,8 @@ def divergence_of_profile(vec, dealias=False):
     coeffs = _sine_sum(vec.samples, grid.dr)      # of the odd extension of G
     if dealias:
         coeffs = coeffs * dealias_mask(grid)
-    g, g_prime = _sine_cosine_sums(coeffs, grid.rho * coeffs * band_edge_taper(grid),
-                                   grid.drho)
+    g, g_prime = sine_cosine_sums(coeffs, grid.rho * coeffs * band_edge_taper(grid),
+                                  grid.drho)
     if not dealias:
         g = vec.samples
     return g_prime + 2.0 * g / grid.r
@@ -87,7 +118,7 @@ def direct_sine_transform(grid, samples):
 
 
 def direct_sine_cosine_sums(grid, sine_coeffs, cosine_coeffs):
-    """O(N^2) summation oracle for _sine_cosine_sums with step drho.  The
+    """O(N^2) summation oracle for sine_cosine_sums with step drho.  The
     phase r_m rho_k = pi m k/(N+1) is reduced in integers first, so the
     oracle's own argument rounding stays far below the tolerance."""
     k = np.arange(1, grid.n_modes + 1)
@@ -166,7 +197,7 @@ class TestTransforms:
     def test_sine_cosine_pair_matches_direct_summation(self, n):
         grid = make_grid(n, 13.0)
         x, y = np.random.default_rng(n).standard_normal((2, n))
-        for got, want in zip(_sine_cosine_sums(x, y, grid.drho),
+        for got, want in zip(sine_cosine_sums(x, y, grid.drho),
                              direct_sine_cosine_sums(grid, x, y)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
