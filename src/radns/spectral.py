@@ -75,9 +75,11 @@ def make_grid(n_modes: int, outer_radius: float) -> RadialGrid:
 # extension of y in z, z_j = y_j + x_j and z_{2(N+1)-j} = y_j - x_j for
 # j = 1..N, z_0 = z_{N+1} = 0; then bin m of its transform is
 # 2 sum_k y_k cos(pi m k/(N+1)) - 2i sum_k x_k sin(pi m k/(N+1)).  The
-# forcing (solver.nonlinear_rhs) writes z for its four pairs from its own
-# weights and transforms it with this module's `rfft`, so one counter that
-# wraps `rfft` and `dst` sees its 5 transforms, and an ETD2 step's 11.
+# forcing (solver.nonlinear_rhs) writes z from its own weights, its three
+# syntheses as the rows of one array and f's sine sum and h's pair as the
+# rows of another, and transforms each with this module's `rfft`, so one
+# counter that wraps `rfft` and `dst` sees its 5 transforms in 2 calls, and
+# an ETD2 step's 10 in 4.
 
 def dst(x: np.ndarray) -> np.ndarray:
     """Type-I DST along the last axis, 2 sum_k x_k sin(pi m k/(N+1)) for

@@ -20,15 +20,16 @@ def transform_counter(monkeypatch):
     directly, so a sine-only sum counts once).
 
     A call on an array of shape (..., n) along the last axis makes
-    size / n one-dimensional transforms.  Returns a one-entry list holding
-    the running count.
+    size / n one-dimensional transforms.  Returns a two-entry list holding
+    the running counts of transforms and of calls.
     """
-    count = [0]
+    count = [0, 0]
 
     def counting(fn):
         def wrapper(x, *args, **kwargs):
             axis = kwargs.get("axis", -1)
             count[0] += x.size // x.shape[axis] if x.ndim else 1
+            count[1] += 1
             return fn(x, *args, **kwargs)
         return wrapper
 

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 import radns.semigroup
 import radns.solver
-from radns.besov import BesovSpec, block_support, resolved_range
+from radns.besov import BesovSpec, _sup_bound_weights, block_support, resolved_range
 from radns.errors import ConfigurationError, SolverAbort
 from radns.semigroup import _propagator, apply_semigroup, mode_product
 from radns.solver import (
@@ -16,6 +16,7 @@ from radns.solver import (
     PressureLaw,
     SolverConfig,
     SolverState,
+    _check_density,
     diagnostics_row,
     initial_data_gaussian,
     initial_state,
@@ -25,6 +26,7 @@ from radns.solver import (
     step_etd2,
 )
 from radns.spectral import (
+    dst,
     lp_norm,
     make_grid,
     modulus,
@@ -255,8 +257,8 @@ class TestNonlinearRhs:
         assert err.value.mode_index == int(np.argmax(a_phys)) == 0
 
     def test_transform_count(self, transform_counter):
-        # one FFT for each of the three (w, w') syntheses and for h's (S, C)
-        # pair, and one DST for f
+        # one FFT for each of the three (w, w') syntheses, for f's sine sum
+        # and for h's (S, C) pair
         cfg = small_config()
         state = initial_state(cfg)
         tables = make_etd_tables(state.grid, cfg.dt)
@@ -264,9 +266,9 @@ class TestNonlinearRhs:
         nonlinear_rhs(state, cfg.law(), cfg)
         assert transform_counter[0] == 5
         transform_counter[0] = 0
-        # two RHS calls and the synthesis behind the end-of-step density check
+        # two RHS calls; the sup bound settles the end-of-step density check
         step_etd2(state, cfg.law(), cfg, tables)
-        assert transform_counter[0] == 11
+        assert transform_counter[0] == 10
 
 
 def smooth_state(grid, rng, amplitude=0.01):
@@ -472,6 +474,181 @@ class TestKeptBand:
         edge = 2 * n_modes // 3
         assert np.array_equal(new[:, edge:], linear[:, edge:])
         assert np.all(new[:, edge - 1] != linear[:, edge - 1])
+
+
+def per_pair_rhs(state, law, config):
+    """The forcing with one transform call per sine/cosine pair, as
+    nonlinear_rhs made it before its calls were batched: three one-row
+    syntheses, a DST for f and one FFT for h's (S, C) pair, with the forcing
+    table's weights written out.  The batched rows must match it bit for bit."""
+    grid = state.grid
+    n = grid.n_modes
+    keep = 2 * n // 3
+    rho = grid.rho[:keep]
+    scale = math.sqrt(2.0 / math.pi) * grid.drho / 2.0
+    out = math.sqrt(2.0 / math.pi) * grid.dr / 2.0 / rho
+    a_plus, a_minus = scale * (rho * rho - rho), scale * (rho * rho + rho)
+    inv_r = 1.0 / grid.r
+
+    def synthesis(plus, minus, hat):
+        z = np.zeros(2 * (n + 1))
+        np.multiply(plus, hat, out=z[1:keep + 1])
+        np.multiply(minus, hat, out=z[:-keep - 1:-1])
+        bins = np.fft.rfft(z)[1:n + 1]
+        value = bins.imag * inv_r
+        slope = bins.real - value
+        slope *= inv_r
+        return value, slope
+
+    a_hat, v_hat = state.pair[:, :keep]
+    a, a_r = synthesis(a_plus, a_minus, a_hat)
+    w, w_r = synthesis(a_plus, a_minus, rho * v_hat)
+    u = synthesis(scale * (1.0 - rho), -scale * (1.0 + rho), v_hat)[1]
+    u_r = u * inv_r
+    u_r *= -2.0
+    u_r += w
+
+    rows = np.zeros((2, n))
+    flux = a_r * u
+    flux += a * w
+    flux *= grid.r
+    np.multiply(dst(flux)[:keep], -out, out=rows[0, :keep])
+
+    minus_g = u * u_r
+    minus_g += (a / (1.0 + a)) * w_r
+    minus_g += law.beta(a) * a_r
+    r_minus_g = grid.r * minus_g
+    z = np.zeros(2 * (n + 1))
+    np.add(r_minus_g, minus_g, out=z[1:n + 1])
+    np.subtract(r_minus_g, minus_g, out=z[:n + 1:-1])
+    bins = np.fft.rfft(z)[1:keep + 1]
+    np.multiply(bins.imag, out / rho, out=rows[1, :keep])
+    rows[1, :keep] -= bins.real * -out
+    return rows
+
+
+class TestPerPairOracle:
+    """numpy's batched real FFT transforms each row as a one-row call does,
+    so the two batched calls of nonlinear_rhs reproduce the per-pair calls
+    exactly."""
+
+    @pytest.mark.parametrize("n_modes, radius", [(255, 30.0), (256, 30.0), (8191, 1100.0)])
+    @pytest.mark.parametrize("make", [smooth_state, rough_state])
+    def test_bit_identical(self, n_modes, radius, make):
+        cfg = small_config(n_modes=n_modes, outer_radius=radius)
+        law = cfg.law()
+        rng = np.random.default_rng(n_modes)
+        for _ in range(3):
+            state = make(cfg.grid(), rng)
+            assert np.array_equal(nonlinear_rhs(state, law, cfg),
+                                  per_pair_rhs(state, law, cfg))
+
+
+class TestTransformCalls:
+    """A forcing makes its 5 transforms in 2 calls, one real FFT for the three
+    syntheses and one for the two analyses; a step adds the full-band density
+    synthesis only when the sup bound of its a allows a trigger."""
+
+    def test_forcing(self, transform_counter):
+        cfg = small_config()
+        state = initial_state(cfg)
+        transform_counter[:] = [0, 0]
+        nonlinear_rhs(state, cfg.law(), cfg)
+        assert transform_counter == [5, 2]
+
+    @pytest.mark.parametrize("margin, counts", [(1e-9, [10, 4]), (-1e-9, [11, 5])])
+    def test_step_either_side_of_the_bound(self, transform_counter, margin, counts):
+        # guard = 1 - 2 B (1 + margin) puts (1 - guard)/2 just above the sup
+        # bound B of the step's a, which settles the check, or just below it,
+        # where the step synthesises a; a clears both guards either way
+        cfg = small_config()
+        state, law = initial_state(cfg), cfg.law()
+        tables = make_etd_tables(state.grid, cfg.dt)
+        new = step_etd2(state, law, cfg, tables).pair
+        bound = float(np.sum(_sup_bound_weights(state.grid, new[:1])))
+        edge = small_config(density_guard=1.0 - 2.0 * bound * (1.0 + margin))
+        assert (bound < (1.0 - edge.density_guard) / 2.0) == (margin > 0)
+        transform_counter[:] = [0, 0]
+        assert np.array_equal(step_etd2(state, law, edge, tables).pair, new)
+        assert transform_counter == counts
+
+
+class TestDensityCheck:
+    """The density guards: _check_density's triggers and nodes, and the full
+    band's check at the end of a step, which the sup bound may settle but
+    never hide."""
+
+    @staticmethod
+    def values(rng, node, value):
+        a = rng.uniform(-0.3, 0.3, 600)
+        a[node] = value
+        return a
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "non-finite density perturbation"),
+        (math.inf, "non-finite density perturbation"),
+        (-math.inf, "non-finite density perturbation"),
+        (-0.6, "density floor breached: min(1+a) = 0.4000 <= guard 0.5"),
+        (-0.5, "density floor breached: min(1+a) = 0.5000 <= guard 0.5"),
+        (-1.5, "density floor breached: min(1+a) = -0.5000 <= guard 0.5"),
+        (1.5, "density perturbation too large: max|a| = 1.5000 >= 1"),
+        (1.0, "density perturbation too large: max|a| = 1.0000 >= 1"),
+    ])
+    def test_failing_check_names_trigger_and_node(self, value, message):
+        a = self.values(np.random.default_rng(3), 417, value)
+        with pytest.raises(SolverAbort) as err:
+            _check_density(a, 0.5, 2.5)
+        assert str(err.value) == message
+        assert (err.value.mode_index, err.value.time) == (417, 2.5)
+
+    @pytest.mark.parametrize("faults, trigger, node", [
+        ({417: -0.6, 12: math.nan}, "non-finite", 12),
+        ({417: math.nan, 12: -math.inf}, "non-finite", 12),
+        ({417: 1.5, 12: -0.6}, "floor", 12),
+        ({417: -0.7, 12: -0.6}, "floor", 417),
+        ({417: 1.5, 12: -1.2}, "floor", 12),
+    ])
+    def test_first_trigger_wins(self, faults, trigger, node):
+        a = np.random.default_rng(3).uniform(-0.3, 0.3, 600)
+        for where, value in faults.items():
+            a[where] = value
+        with pytest.raises(SolverAbort, match=trigger) as err:
+            _check_density(a, 0.5, 2.5)
+        assert err.value.mode_index == node
+
+    def test_passing_check(self):
+        a = self.values(np.random.default_rng(3), 417, -0.4999)
+        a[12] = 0.9999
+        assert _check_density(a, 0.5, 2.5) is None
+
+    @pytest.mark.parametrize("depth, guard, trigger", [(-2.0, 0.5, "floor"),
+                                                       (-2.5, 0.1, "too large")])
+    def test_breach_above_the_kept_band_aborts(self, monkeypatch, depth, guard, trigger):
+        # a small Gaussian on the kept band, and above it the modes of a
+        # one-node dip: the forcing's checks read the kept band alone and
+        # pass, while the full-band a crosses a guard
+        cfg = small_config(density_guard=guard)
+        grid, law = cfg.grid(), cfg.law()
+        keep = 2 * grid.n_modes // 3
+        spike = np.zeros(grid.n_modes)
+        spike[100] = depth
+        a_hat = to_spectral(grid, initial_data_gaussian(0.01, 1.0, grid))
+        a_hat[keep:] = to_spectral(grid, spike)[keep:]
+        state = make_state(grid, a_hat, np.zeros(grid.n_modes))
+        tables = make_etd_tables(grid, cfg.dt)
+        with monkeypatch.context() as patch:
+            patch.setattr(radns.solver, "_check_density", lambda *args: None)
+            new = step_etd2(state, law, cfg, tables).pair
+        kept = slice(0, keep)
+        for pair in (state.pair, new):
+            _check_density(physical_values(grid, pair[0, kept], kept), cfg.density_guard, 0.0)
+        with pytest.raises(SolverAbort) as want:
+            _check_density(physical_values(grid, new[0]), cfg.density_guard, cfg.dt)
+        assert trigger in str(want.value)
+        with pytest.raises(SolverAbort) as got:
+            step_etd2(state, law, cfg, tables)
+        assert (str(got.value), got.value.mode_index, got.value.time) == \
+            (str(want.value), want.value.mode_index, want.value.time)
 
 
 class TestNonlinearPart:
