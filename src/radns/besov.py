@@ -24,17 +24,17 @@ from .spectral import (
     modulus,
     per_grid_cache,
     physical_values,
-    spectral_lp_norm,
+    spectral_l2_norm,
 )
 
 
 def _ramp(s: np.ndarray) -> np.ndarray:
-    """exp(-1/s) for s > 0, zero otherwise (the C^inf glue)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    out[pos] = np.exp(-1.0 / s[pos])
-    return out
+    """exp(-1/s) for s > 0, zero otherwise (the C^inf glue), in one array:
+    -1/s where s > 0 and -inf elsewhere, exponentiated in place."""
+    out = np.full_like(s, -np.inf)
+    with np.errstate(over="ignore"):            # -1/s of a subnormal s
+        np.divide(-1.0, s, out=out, where=s > 0)
+    return np.exp(out, out=out)
 
 
 def theta(rho) -> np.ndarray:
@@ -130,14 +130,18 @@ def _narrow_physical_values(grid: RadialGrid, hat: np.ndarray, support: slice) -
 
 def _block_lp_norm(grid: RadialGrid, coeffs: np.ndarray, support: slice, p: float,
                    total: np.ndarray | None) -> float:
-    """`spectral_lp_norm` of a block whose rows `coeffs` hold its spectral
-    values on the modes `support`, narrow blocks by the two-level product;
-    the node values of every block synthesised are added into `total`, if
-    given.  A call per block frees its temporaries before the next block's:
-    held across blocks, they raised the peak RSS of a linear-decay run by
-    0.6 MiB."""
-    if p == 2 or not coeffs.any():
-        return spectral_lp_norm(grid, coeffs, p, support)
+    """L^p norm of the pointwise modulus of a block whose rows `coeffs` hold
+    its spectral values on the modes `support`: `spectral_l2_norm` for
+    p = 2, exactly 0 with no synthesis for an all-zero block, and otherwise
+    `lp_norm` of the node values, narrow blocks by the two-level product and
+    wider ones by one transform call; the node values of every block
+    synthesised are added into `total`, if given.  A call per block frees its
+    temporaries before the next block's: held across blocks, they raised the
+    peak RSS of a linear-decay run by 0.6 MiB."""
+    if p == 2:
+        return spectral_l2_norm(grid, coeffs, support)
+    if not coeffs.any():
+        return 0.0
     if support.stop - support.start > _narrow_width(grid):
         values = physical_values(grid, coeffs, support)
     else:

@@ -43,13 +43,13 @@ class _Key:
 # every recognised key with its parser and range check
 _SCHEMA: dict[str, _Key] = {
     "N": _Key(int, lambda v: v >= 8, "below minimum 8"),
-    "R": _Key(_parse_float, lambda v: v > 0, "must be positive"),
-    "dt": _Key(_parse_float, lambda v: v > 0, "must be positive"),
-    "T": _Key(_parse_float, lambda v: v >= 0, "must be non-negative"),
+    "R": _Key(_parse_float, lambda v: 0 < v < math.inf, "must be finite and positive"),
+    "dt": _Key(_parse_float, lambda v: 0 < v < math.inf, "must be finite and positive"),
+    "T": _Key(_parse_float, lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
     "gamma": _Key(_parse_float, lambda v: 1 < v < math.inf, "must be finite and exceed 1"),
     "c": _Key(_parse_float, lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
-    "w": _Key(_parse_float, lambda v: v > 0, "must be positive"),
-    "output_interval": _Key(_parse_float, lambda v: v > 0, "must be positive"),
+    "w": _Key(_parse_float, lambda v: 0 < v < math.inf, "must be finite and positive"),
+    "output_interval": _Key(_parse_float, lambda v: 0 < v < math.inf, "must be finite and positive"),
     "guard": _Key(_parse_float, lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "linear_only": _Key(_parse_bool),
     # the CSV holds the p = 2 and p = inf norms only

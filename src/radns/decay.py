@@ -279,25 +279,19 @@ def run_weighted_decay(rows: list[DiagnosticsRow]) -> ExperimentReport:
 _FRAME_GRID = (8192, 1500.0)
 
 
-def _frame_blocks(t: float, j0: int) -> range:
-    """Blocks j0 - 2 .. j0 + 2 of the frame at time t.  A window the frame
-    grid does not resolve in full would read a smaller sup, or 0 when it is
-    empty, so it raises NumericDomainError instead."""
-    j_min, j_max = resolved_range(make_grid(*_FRAME_GRID))
+def block_frame_sup(t: float, j0: int) -> float:
+    """max over |j - j0| <= 2 of the blockwise kernel sup (B0_inf_inf frame).
+    A window the frame grid does not resolve in full would read a smaller
+    sup, or 0 when it is empty, so it raises NumericDomainError instead."""
+    grid = make_grid(*_FRAME_GRID)
+    j_min, j_max = resolved_range(grid)
     if j0 - 2 < j_min or j0 + 2 > j_max:
         raise NumericDomainError(
             f"frame blocks {j0 - 2} .. {j0 + 2} at t = {t:g} leave the range "
             f"[{j_min}, {j_max}] resolved by the N = {_FRAME_GRID[0]}, "
             f"R = {_FRAME_GRID[1]:g} frame grid")
-    return range(j0 - 2, j0 + 3)
-
-
-def block_frame_sup(t: float, j0: int) -> float:
-    """max over |j - j0| <= 2 of the blockwise kernel sup (B0_inf_inf frame)."""
-    blocks = _frame_blocks(t, j0)
-    grid = make_grid(*_FRAME_GRID)
     parts = scalar_kernel_parts(grid.rho * grid.rho, t)
-    return _block_lq_norm(grid, parts, 0.0, math.inf, math.inf, blocks)
+    return _block_lq_norm(grid, parts, 0.0, math.inf, math.inf, range(j0 - 2, j0 + 3))
 
 
 def run_kernel_lower_probe(t_list: Sequence[float] = (16.0, 64.0, 256.0)) -> ExperimentReport:

@@ -96,15 +96,13 @@ def apply_semigroup(grid: RadialGrid, pair: np.ndarray, t: float) -> np.ndarray:
 # -- scalar semigroup kernels --------------------------------------------------
 
 def scalar_kernel_parts(rho_sq: np.ndarray, t: float) -> np.ndarray:
-    """Real and imaginary parts of e^{t lambda_+} at rho^2 = rho_sq, stacked (vectorised).
+    """Real and imaginary parts of e^{t lambda_+} at the array rho^2 = rho_sq, stacked.
 
     lambda_+ = -(rho^2/2)(1 + sqrt(1 - 4/rho^2)) in real arithmetic: below
     rho = 2 the root is imaginary and e^{t lambda_+} = e^{-t rho^2/2}
     (cos theta - i sin theta) with theta = t sqrt(rho^2 - rho^4/4); from
     rho = 2 on it is the real e^{-t (rho^2/2 + sqrt(rho^4/4 - rho^2))}.
     """
-    shape = np.shape(rho_sq)
-    rho_sq = np.atleast_1d(np.asarray(rho_sq, dtype=float))
     exponent = rho_sq * (-0.5 * t)
     root = 4.0 / rho_sq
     root -= 1.0                         # 4/rho^2 - 1, <= 0 from rho = 2 on
@@ -119,7 +117,7 @@ def scalar_kernel_parts(rho_sq: np.ndarray, t: float) -> np.ndarray:
     np.cos(phase, out=parts[0])
     np.sin(phase, out=parts[1])
     parts *= np.exp(exponent, out=exponent)
-    return parts.reshape((2,) + shape)
+    return parts
 
 
 # -- anisotropic lower-bound probe ---------------------------------------------

@@ -59,7 +59,7 @@ from .spectral import (
     modulus,
     per_grid_cache,
     physical_values,
-    spectral_lp_norm,
+    spectral_l2_norm,
     to_spectral,
     weighted_sup_norm,
 )
@@ -366,11 +366,11 @@ def diagnostics_row(state: SolverState, linear: np.ndarray) -> DiagnosticsRow:
     nl = hat - linear
     return DiagnosticsRow(
         t=state.t,
-        l2_av=spectral_lp_norm(grid, hat, 2.0),
+        l2_av=spectral_l2_norm(grid, hat),
         linf_av=lp_norm(grid, av, np.inf),
         besov0_21=pair_besov_norm(grid, hat, BesovSpec(0.0, 2.0, 1.0)),
         besov0_inf1=besov0_inf1,
-        nl_l2=spectral_lp_norm(grid, nl, 2.0),
+        nl_l2=spectral_l2_norm(grid, nl),
         nl_besov_inf1=pair_besov_norm(grid, nl, spec_inf1),
         weighted_sup=weighted_sup_norm(grid, av),
     )

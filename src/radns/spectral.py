@@ -58,7 +58,7 @@ def make_grid(n_modes: int, outer_radius: float) -> RadialGrid:
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 8:
         raise ConfigurationError(f"n_modes must be an integer >= 8, got {n_modes!r}")
     if not np.isfinite(outer_radius) or outer_radius <= 0:
-        raise ConfigurationError(f"outer_radius must be positive, got {outer_radius!r}")
+        raise ConfigurationError(f"outer_radius must be finite and positive, got {outer_radius!r}")
     n = int(n_modes)
     radius = float(outer_radius)
     dr = radius / (n + 1)
@@ -180,23 +180,15 @@ def lp_norm(grid: RadialGrid, values: np.ndarray, p: float) -> float:
     return float((4.0 * np.pi * grid.dr * np.sum(vals ** p * grid.r ** 2)) ** (1.0 / p))
 
 
-def spectral_lp_norm(grid: RadialGrid, hat: np.ndarray, p: float,
+def spectral_l2_norm(grid: RadialGrid, hat: np.ndarray,
                      support: slice = slice(None)) -> float:
-    """L^p norm of the pointwise modulus of the one or two fields whose
+    """L^2 norm of the pointwise modulus of the one or two fields whose
     spectral values are the rows of `hat` on the modes `support`, and 0 on
-    every other mode.
-
-    p = 2 needs no transform: by exact discrete Parseval (dr drho = pi/(N+1))
-    4 pi drho sum rho^2 |hat|^2 equals the rectangle rule of lp_norm.  Other
-    p synthesise every row in one transform call, and all-zero rows need none.
-    """
-    hat = np.atleast_2d(hat)
-    if p == 2:
-        return math.sqrt(4.0 * np.pi * grid.drho
-                         * np.sum(np.sum(grid.rho[support] ** 2 * hat ** 2, axis=-1)))
-    if not hat.any():
-        return lp_norm(grid, np.zeros(grid.n_modes), p)
-    return lp_norm(grid, modulus(physical_values(grid, hat, support)), p)
+    every other mode, with no transform: by exact discrete Parseval
+    (dr drho = pi/(N+1)) 4 pi drho sum rho^2 |hat|^2 equals the rectangle
+    rule of lp_norm."""
+    return math.sqrt(4.0 * np.pi * grid.drho
+                     * np.sum(np.sum(grid.rho[support] ** 2 * hat ** 2, axis=-1)))
 
 
 def weighted_sup_norm(grid: RadialGrid, values: np.ndarray) -> float:

@@ -11,6 +11,7 @@ from radns.besov import (
     BesovSpec,
     _block_lp_norm,
     _block_lq_norm,
+    _ramp,
     _sup_bound_weights,
     block_multiplier,
     block_support,
@@ -25,6 +26,18 @@ from radns.errors import NumericDomainError, UnsupportedParameterError
 from radns.semigroup import apply_semigroup
 from radns.solver import initial_data_gaussian
 from radns.spectral import lp_norm, make_grid, physical_values, to_spectral
+
+
+def masked_ramp(s):
+    """exp(-1/s) on the entries s > 0 alone, 0 on the others, through a mask
+    and a masked copy: the form the C^inf glue was once written in, kept as
+    the oracle of _ramp."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    pos = s > 0
+    with np.errstate(over="ignore"):        # -1/s of a subnormal s
+        out[pos] = np.exp(-1.0 / s[pos])
+    return out
 
 
 def block(grid, hat, j):
@@ -137,6 +150,21 @@ class TestPartition:
         assert np.all(profile[rho >= 2.0] == 0.0)
         assert np.all((profile >= 0.0) & (profile <= 1.0))
         assert np.all(np.diff(profile) <= 1e-12)
+
+    def test_ramp_matches_the_masked_form(self):
+        # bit for bit, with no warning, on a dense grid and on the edge
+        # values: signed zeros, subnormals, the smallest normal, 1, 2, NaN
+        # and the infinities
+        tiny, normal = np.finfo(float).smallest_subnormal, np.finfo(float).tiny
+        edges = np.array([0.0, -0.0, tiny, -tiny, 3.0 * tiny, 1e-310, -1e-310,
+                          normal, -normal, 1e-3, 1.0, -1.0, 2.0, -2.0,
+                          np.nan, -np.nan, np.inf, -np.inf])
+        dense = np.linspace(-3.0, 3.0, 600001)
+        logs = np.geomspace(tiny, 1e300, 200000)
+        for s in (edges, dense, logs, -logs, 1.0 - dense ** 2):
+            assert np.array_equal(_ramp(s), masked_ramp(s))
+        assert np.array_equal(_ramp(edges)[:3], [0.0, 0.0, 0.0])
+        assert _ramp(edges)[-2] == 1.0
 
     def test_block_support(self):
         rho = np.linspace(0.001, 10.0, 4000)
@@ -372,6 +400,22 @@ class TestBlockPathOracle:
         start = transform_counter[0]
         assert pair_besov_norm(grid, stacked(zero, zero), BesovSpec(0.0, math.inf, 1.0)) == 0.0
         assert transform_counter[0] == start
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+    def test_zero_block_reads_zero_with_no_transform(self, p, transform_counter):
+        # an all-zero block is exactly 0.0 with no synthesis, wide or narrow:
+        # no transform call, and nothing added into the running total
+        grid = make_grid(*self.GRID)
+        j_min, j_max = resolved_range(grid)
+        assert any(is_wide(grid, j) for j in range(j_min, j_max + 1))
+        total = np.zeros((2, grid.n_modes))
+        for j in range(j_min, j_max + 1):
+            support = block_support(grid, j)
+            coeffs = np.zeros((2, support.stop - support.start))
+            norm = _block_lp_norm(grid, coeffs, support, p, total)
+            assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
+        assert transform_counter == [0, 0]
+        assert not total.any()
 
 
 class TestScreening:

@@ -310,15 +310,27 @@ fit_tol = 0.01
         assert message in capsys.readouterr().err
         assert not (tmp_path / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize("key", ["R", "w", "dt", "T", "output_interval"])
+    def test_infinite_value_reported_with_its_line(self, tmp_path, capsys, key):
+        # each used to pass the schema: beside another bad key only the other
+        # key's line was reported, and R = inf alone ended in make_grid's
+        # message with no line number
+        cfg = write_config(tmp_path, f"N = 4\n{key} = inf\n")
+        assert command_dispatch(["simulate", "--config", cfg,
+                                 "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        sign = "non-negative" if key == "T" else "positive"
+        assert "N below minimum 8 (line 1)" in err
+        assert f"{key} must be finite and {sign} (line 2)" in err
+        assert not (tmp_path / "diagnostics.csv").exists()
+
     @pytest.mark.parametrize("text, code, message", [
         ("T = 1.03\n", 2, "whole multiple of dt"),
         ("T = 20\noutput_interval = 0.07\n", 2, "whole multiple of dt"),
         ("T = 20\nfit_t_lo = 50\nfit_t_hi = 10\n", 2, "fit_t_lo must be below"),
         ("T = 20\n", 0, ""),
         ("T = 140\noutput_interval = 10\n", 0, ""),
-        # no finite number of steps: these used to raise OverflowError
-        ("T = inf\n", 2, "whole multiple of dt"),
-        ("T = 20\noutput_interval = inf\n", 2, "whole multiple of dt"),
+        # too many steps to count: this used to raise OverflowError
         ("dt = 1e-320\n", 2, "whole multiple of dt"),
     ])
     def test_reinterpreted_config_rejected(self, tmp_path, capsys, text, code, message):

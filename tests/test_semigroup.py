@@ -31,7 +31,8 @@ from radns.semigroup import (
     probe_coordinates,
     scalar_kernel_parts,
 )
-from radns.spectral import make_grid, spectral_lp_norm
+from radns.spectral import make_grid
+from test_spectral import synthesised_lp_norm
 
 
 def kernel_values(rho, t: float) -> np.ndarray:
@@ -149,7 +150,7 @@ def kernel_band_norm(grid, t: float, p: float, band: str, j: int | None = None,
         mult = phi_hat(j, grid.rho)
     kernel = (kernel_values(grid.rho, t) if branch == "plus"
               else two_branch_kernel_values(grid.rho, t, branch)) * mult
-    return spectral_lp_norm(grid, np.stack((kernel.real, kernel.imag)), p)
+    return synthesised_lp_norm(grid, np.stack((kernel.real, kernel.imag)), p)
 
 
 def full_tensor_probe_integral(t: float, psi, points, n_nodes: int) -> np.ndarray:
@@ -420,9 +421,9 @@ class TestScalarKernelValues:
         want = two_branch_kernel_values(rho, t, "plus")
         assert np.count_nonzero(want) == rho.size
         np.testing.assert_allclose(kernel_values(rho, t), want, rtol=4.4e-16, atol=0.0)
-        # a single frequency as a scalar gives its two parts
-        re, im = scalar_kernel_parts(rho[-1] ** 2, t)
-        np.testing.assert_allclose(re + 1j * im, want[-1], rtol=4.4e-16, atol=0.0)
+        # a single frequency as a one-element array gives its two parts
+        re, im = scalar_kernel_parts(rho[-1:] ** 2, t)
+        np.testing.assert_allclose(re + 1j * im, want[-1:], rtol=4.4e-16, atol=0.0)
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 4.0, 16.0, 256.0])
     def test_real_form_matches_closed_form(self, t):

@@ -978,6 +978,13 @@ class TestSimulate:
         with pytest.raises(ConfigurationError, match="finite"):
             small_config(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field", ["t_final", "output_interval"])
+    def test_infinite_time_has_no_whole_steps(self, field):
+        # the config schema rejects both first; a SolverConfig built in code
+        # still meets this check, which used to end in OverflowError
+        with pytest.raises(ConfigurationError, match="whole multiple of dt"):
+            small_config(**{field: math.inf}).validate()
+
     def test_front_containment_enforced(self):
         with pytest.raises(ConfigurationError):
             small_config(t_final=100.0).validate()

@@ -24,10 +24,19 @@ from radns.spectral import (
     make_grid,
     modulus,
     physical_values,
-    spectral_lp_norm,
+    spectral_l2_norm,
     to_spectral,
     weighted_sup_norm,
 )
+
+
+def synthesised_lp_norm(grid, hat, p, support=slice(None)):
+    """L^p norm of the pointwise modulus of the one or two fields whose
+    spectral values are the rows of `hat` on the modes `support`: the rows
+    synthesised at every node, then the rectangle rule.  The closed form the
+    library's spectral norm once used for p != 2, kept as the oracle of
+    spectral_l2_norm and of the Besov blocks."""
+    return lp_norm(grid, modulus(physical_values(grid, np.atleast_2d(hat), support)), p)
 
 
 # The synthesis helpers the nonlinear forcing once went through, kept as
@@ -405,20 +414,27 @@ class TestNorms:
         assert lp_norm(grid, vec.samples, math.inf) == np.max(np.abs(vals))
 
     def test_pair_norms(self):
-        # spectral_lp_norm of a stack is the L^p norm of the pointwise modulus
-        # of the synthesised rows: a zero second row changes nothing, and two
-        # equal rows scale every norm by sqrt(2)
+        # the L^p norm of a stack is the L^p norm of the pointwise modulus of
+        # the synthesised rows: a zero second row changes nothing, and two
+        # equal rows scale every norm by sqrt(2); Parseval gives the same
+        # for p = 2 with no transform
         grid = make_grid(256, 10.0)
         a = np.exp(-grid.r ** 2)
         a_hat = to_spectral(grid, a)
         zero = np.zeros(grid.n_modes)
         for p in (1, 2, 3, math.inf):
-            single = spectral_lp_norm(grid, a_hat, p)
-            assert spectral_lp_norm(grid, (a_hat, zero), p) == single
-            assert spectral_lp_norm(grid, (zero, a_hat), p) == single
+            single = synthesised_lp_norm(grid, a_hat, p)
+            assert synthesised_lp_norm(grid, (a_hat, zero), p) == single
+            assert synthesised_lp_norm(grid, (zero, a_hat), p) == single
             assert single == pytest.approx(lp_norm(grid, a, p), rel=1e-12)
-            assert spectral_lp_norm(grid, (a_hat, a_hat), p) == pytest.approx(
+            assert synthesised_lp_norm(grid, (a_hat, a_hat), p) == pytest.approx(
                 math.sqrt(2.0) * lp_norm(grid, a, p), rel=1e-12)
+        single = spectral_l2_norm(grid, a_hat)
+        assert spectral_l2_norm(grid, np.stack((a_hat, zero))) == single
+        assert spectral_l2_norm(grid, np.stack((zero, a_hat))) == single
+        assert single == pytest.approx(synthesised_lp_norm(grid, a_hat, 2), rel=1e-12)
+        assert spectral_l2_norm(grid, np.stack((a_hat, a_hat))) == pytest.approx(
+            math.sqrt(2.0) * single, rel=1e-15)
 
     def test_pair_norm_matches_physical_modulus(self):
         # rectangle rule of the pointwise modulus hypot(a, b) of the
@@ -428,16 +444,29 @@ class TestNorms:
         b = np.cos(2.0 * grid.r) * np.exp(-grid.r ** 2 / 3)
         stack = np.stack((to_spectral(grid, a), to_spectral(grid, b)))
         for p in (1, 2, 3, math.inf):
-            assert spectral_lp_norm(grid, stack, p) == pytest.approx(
+            assert synthesised_lp_norm(grid, stack, p) == pytest.approx(
                 lp_norm(grid, np.hypot(a, b), p), rel=1e-12)
+        assert spectral_l2_norm(grid, stack) == pytest.approx(
+            lp_norm(grid, np.hypot(a, b), 2), rel=1e-12)
+
+    def test_l2_norm_on_a_support(self):
+        # values on the modes `support` alone, 0 on the others: Parseval on
+        # the support against synthesis of the zero-padded rows
+        grid = make_grid(512, 20.0)
+        hat = np.stack((to_spectral(grid, np.exp(-grid.r ** 2)),
+                        to_spectral(grid, np.exp(-grid.r ** 2 / 3))))
+        support = slice(40, 90)
+        assert spectral_l2_norm(grid, hat[:, support], support) == pytest.approx(
+            synthesised_lp_norm(grid, hat[:, support], 2, support), rel=1e-12)
 
     def test_zero_stack(self):
         grid = make_grid(64, 8.0)
         zeros = np.zeros((2, grid.n_modes))
+        assert spectral_l2_norm(grid, zeros) == 0.0
         for p in (1, 2, math.inf):
-            assert spectral_lp_norm(grid, zeros, p) == 0.0
+            assert synthesised_lp_norm(grid, zeros, p) == 0.0
         with pytest.raises(ConfigurationError):
-            spectral_lp_norm(grid, zeros, 0.5)
+            synthesised_lp_norm(grid, zeros, 0.5)
 
 
 class TestModulus:
