@@ -134,10 +134,12 @@ def _block_lp_norm(grid: RadialGrid, coeffs: np.ndarray, support: slice, p: floa
     its spectral values on the modes `support`: `spectral_l2_norm` for
     p = 2, exactly 0 with no synthesis for an all-zero block, and otherwise
     `lp_norm` of the node values, narrow blocks by the two-level product and
-    wider ones by one transform call; the node values of every block
-    synthesised are added into `total`, if given.  A call per block frees its
-    temporaries before the next block's: held across blocks, they raised the
-    peak RSS of a linear-decay run by 0.6 MiB."""
+    wider ones by one transform call on the block's band (the band-pruned
+    DST of `spectral.dst` on grids like N = 16384, where 2(N+1) has a large
+    prime factor, else the real FFT of length 2(N+1)); the node values of
+    every block synthesised are added into `total`, if given.  A call per
+    block frees its temporaries before the next block's: held across blocks,
+    they raised the peak RSS of a linear-decay run by 0.6 MiB."""
     if p == 2:
         return spectral_l2_norm(grid, coeffs, support)
     if not coeffs.any():

@@ -67,47 +67,6 @@ def make_grid(n_modes: int, outer_radius: float) -> RadialGrid:
     return RadialGrid(n, radius, dr, drho, idx * dr, idx * drho)
 
 
-# -- sine/cosine kernels ------------------------------------------------------
-#
-# A sine sum alone is a DST-I of length N.  A sine sum of x paired with a
-# cosine sum of y is one real FFT of length 2(N+1) (Martucci, IEEE Trans.
-# Signal Process. 42, 1994): put the odd extension of x plus the even
-# extension of y in z, z_j = y_j + x_j and z_{2(N+1)-j} = y_j - x_j for
-# j = 1..N, z_0 = z_{N+1} = 0; then bin m of its transform is
-# 2 sum_k y_k cos(pi m k/(N+1)) - 2i sum_k x_k sin(pi m k/(N+1)).  The
-# forcing (solver.nonlinear_rhs) writes z from its own weights, its three
-# syntheses as the rows of one array and f's sine sum and h's pair as the
-# rows of another, and transforms each with this module's `rfft`, so one
-# counter that wraps `rfft` and `dst` sees its 5 transforms in 2 calls, and
-# an ETD2 step's 10 in 4.
-
-def dst(x: np.ndarray) -> np.ndarray:
-    """Type-I DST along the last axis, 2 sum_k x_k sin(pi m k/(N+1)) for
-    m = 1..N: minus the imaginary part of bins 1..N of the real FFT of the
-    odd extension (0, x, 0, -reversed x) of length 2(N+1)."""
-    n = x.shape[-1]
-    z = np.zeros(x.shape[:-1] + (2 * (n + 1),))
-    z[..., 1:n + 1] = x
-    np.negative(x[..., ::-1], out=z[..., n + 2:])
-    # np.fft.rfft, not the module's rfft: a counter that wraps `rfft` sees
-    # each sine-only sum once, through `dst`
-    return -np.fft.rfft(z).imag[..., 1:n + 1]
-
-
-def _no_dct(x: np.ndarray) -> np.ndarray:
-    raise NotImplementedError("radns makes no DCT; cosine sums go through rfft")
-
-
-# Never called: perfbench/tracing.py still resolves and wraps `spectral.dct`
-# by name, so the name stays bound until the tracer's LAYERS drop it.
-dct = _no_dct
-
-
-def _sine_sum(coeffs: np.ndarray, step: float) -> np.ndarray:
-    """sqrt(2/pi) * step * sum_k coeffs_k sin(node_m * dual_node_k)."""
-    return np.sqrt(2.0 / np.pi) * step * 0.5 * dst(coeffs)
-
-
 def per_grid_cache(fn):
     """Memoise an array computed from a grid plus a few hashable scalars, or
     from the scalars alone.
@@ -128,6 +87,134 @@ def per_grid_cache(fn):
     return cached
 
 
+# -- sine/cosine kernels ------------------------------------------------------
+#
+# A sine sum alone is a DST-I of length N.  A sine sum of x paired with a
+# cosine sum of y is one real FFT of length 2(N+1) (Martucci, IEEE Trans.
+# Signal Process. 42, 1994): put the odd extension of x plus the even
+# extension of y in z, z_j = y_j + x_j and z_{2(N+1)-j} = y_j - x_j for
+# j = 1..N, z_0 = z_{N+1} = 0; then bin m of its transform is
+# 2 sum_k y_k cos(pi m k/(N+1)) - 2i sum_k x_k sin(pi m k/(N+1)).  The
+# forcing (solver.nonlinear_rhs) writes z from its own weights, its three
+# syntheses as the rows of one array and f's sine sum and h's pair as the
+# rows of another, and transforms each with this module's `rfft`, so one
+# counter that wraps `rfft` and `dst` sees its 5 transforms in 2 calls, and
+# an ETD2 step's 10 in 4.
+#
+# A DST of rows that are zero outside a band of W < N modes skips the long
+# FFT when L = 2(N+1) has a large prime factor p (32 < p, p^2 <= L: at
+# N = 16384, L = 32770 = 2 5 29 113, where numpy's FFT runs generic radix-29
+# and radix-113 passes and plans afresh on every call).  With L = p M, modes
+# k = alpha + M beta (0 <= alpha < M) and bins m = p q + r (0 <= r < p), the
+# sum g(m) = sum_k x_k w^{k m}, w = e^{2 pi i/L}, of a real row x is
+#
+#     g(p q + r) = sum_alpha e^{2 pi i q alpha/M} w^{r alpha} sum_beta x_{alpha+M beta} e^{2 pi i r beta/p}:
+#
+# the radix-p stage over the band's F <= ceil(W/M) + 1 folds is a product
+# (M x F) @ (F x p), the twiddles w^{r alpha} are two small tables
+# (alpha = d2 i + j), and one batched length-M FFT remains (FFT pruning:
+# Sorensen & Burrus, IEEE Trans. Signal Process. 41, 1993).  Since
+# g(L - m) = conj g(m), the columns r <= (p-1)/2 give every bin, and the DST
+# is 2 Im g(m).  Each row goes in on its own: packed as a + i v, v's cosine
+# sum would share a's sine sum near m = 0, where that sine sum is small, and
+# a's node values near r = 0 would carry up to 4e-14 of their sup instead of
+# 2e-15.  Every angle is reduced from its exact integer first, so each factor
+# is correct to rounding.
+
+def dst(x: np.ndarray, support: slice = slice(None)) -> np.ndarray:
+    """Type-I DST along the last axis, 2 sum_k x_k sin(pi m k/(N+1)) for
+    m = 1..N, of rows that are zero outside the modes `support`: minus the
+    imaginary part of bins 1..N of the real FFT of the odd extension
+    (0, x, 0, -reversed x) of length 2(N+1), or, for a band narrower than
+    the grid when 2(N+1) has a large prime factor, the band-pruned split of
+    the kernel comment above."""
+    n = x.shape[-1]
+    start, stop, _ = support.indices(n)
+    if stop - start < n and (split := _band_split(2 * (n + 1))):
+        return _band_dst(x, start, stop, *split)
+    z = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    z[..., 1:n + 1] = x
+    np.negative(x[..., ::-1], out=z[..., n + 2:])
+    # np.fft.rfft, not the module's rfft: a counter that wraps `rfft` sees
+    # each sine-only sum once, through `dst`
+    return -np.fft.rfft(z).imag[..., 1:n + 1]
+
+
+@per_grid_cache
+def _band_split(length: int) -> tuple[int, int] | None:
+    """(p, M) with p the largest prime factor of `length` = p M, when
+    32 < p and p^2 <= length; None otherwise (the full real FFT is used)."""
+    rest, factor, p = length, 2, 1
+    while factor * factor <= rest:
+        if rest % factor:
+            factor += 1
+        else:
+            rest //= factor
+            p = factor
+    p = max(p, rest)
+    return (p, length // p) if 32 < p and p * p <= length else None
+
+
+@per_grid_cache
+def _band_twiddles(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """w^{r alpha}, w = e^{2 pi i/length}, for r <= (p-1)/2 and
+    alpha = d2 i + j < M (d1 d2 = M, d1 the largest divisor <= sqrt(M)), as
+    the factors w^{r d2 i} of shape (d1, 1, h) and w^{r j} of shape (d2, h),
+    h = (p+1)/2."""
+    p, m = _band_split(length)
+    d1 = max(d for d in range(1, math.isqrt(m) + 1) if m % d == 0)
+    d2 = m // d1
+    r = np.arange(p // 2 + 1)
+    outer = np.exp(2j * np.pi / length * (np.outer(d2 * np.arange(d1), r) % length))
+    inner = np.exp(2j * np.pi / length * (np.outer(np.arange(d2), r) % length))
+    return outer[:, None, :], inner
+
+
+def _band_dst(x: np.ndarray, start: int, stop: int, p: int, m: int) -> np.ndarray:
+    """`dst` of the rows of `x`, zero outside the modes start+1..stop, by
+    the band-pruned split L = p M."""
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    half = p // 2
+    # the folds of M modes that hold modes start+1..stop
+    first, last = (start + 1) // m, stop // m
+    z = np.zeros((len(rows), (last - first + 1) * m))
+    z[:, start + 1 - first * m:stop + 1 - first * m] = rows[:, start:stop]
+    z = z.reshape(len(rows), -1, m).transpose(0, 2, 1)
+    # 2 e^{2 pi i r beta/p} as interleaved (re, im) columns, so that a real
+    # product gives the complex sums: half the work of a complex product
+    folds = 2 * np.exp(2j * np.pi / p * (np.outer(np.arange(first, last + 1),
+                                                  np.arange(half + 1)) % p))
+    folds = folds.view(float)
+    # matmul is several times slower at an inner dimension of 1
+    g = (z * folds if len(folds) == 1 else z @ folds).view(complex)   # [row, alpha, r]
+    outer, inner = _band_twiddles(2 * (n + 1))
+    g4 = g.reshape(len(rows), len(outer), len(inner), half + 1)
+    g4 *= outer
+    g4 *= inner
+    np.fft.ifft(g, axis=1, norm="forward", out=g)                     # [row, q, r]
+    # bins 0..N are q < M/2; columns r > half are conj g at p(M-1-q) + p-r
+    out = np.empty((len(rows), m // 2, p))
+    out[..., :half + 1] = g.imag[:, :m // 2]
+    np.negative(g.imag[:, :m // 2 - 1:-1, half:0:-1], out=out[..., half + 1:])
+    return out.reshape(len(rows), n + 1)[:, 1:].reshape(x.shape)
+
+
+def _no_dct(x: np.ndarray) -> np.ndarray:
+    raise NotImplementedError("radns makes no DCT; cosine sums go through rfft")
+
+
+# Never called: perfbench/tracing.py still resolves and wraps `spectral.dct`
+# by name, so the name stays bound until the tracer's LAYERS drop it.
+dct = _no_dct
+
+
+def _sine_sum(coeffs: np.ndarray, step: float, support: slice = slice(None)) -> np.ndarray:
+    """sqrt(2/pi) * step * sum_k coeffs_k sin(node_m * dual_node_k), of
+    coefficients that are zero outside the modes `support`."""
+    return np.sqrt(2.0 / np.pi) * step * 0.5 * dst(coeffs, support)
+
+
 # -- transforms ---------------------------------------------------------------
 
 def to_spectral(grid: RadialGrid, samples: np.ndarray) -> np.ndarray:
@@ -144,7 +231,7 @@ def physical_values(grid: RadialGrid, hat: np.ndarray,
     # array would add 0.45 MiB to a linear-decay run's peak RSS
     ghat = np.zeros(np.shape(hat)[:-1] + (grid.n_modes,))
     np.multiply(grid.rho[support], hat, out=ghat[..., support])
-    return _sine_sum(ghat, grid.drho) / grid.r
+    return _sine_sum(ghat, grid.drho, support) / grid.r
 
 
 # -- norms --------------------------------------------------------------------

@@ -40,18 +40,23 @@ def width_limit(n_modes):
     return math.ceil(math.sqrt(n_modes + 1))
 
 
-def direct_values(grid, coeffs, support):
+def direct_values(grid, coeffs, support, nodes=None):
     """The physical values sqrt(2/pi) drho sum_k rho_k c_k sin(pi m k/(N+1)) / r_m
-    of the rows `coeffs`, spectral values on the modes `support`, summed
-    directly in long double with every angle reduced from the exact integer
-    m k mod 2(N+1)."""
+    of the rows `coeffs`, spectral values on the modes `support`, at the
+    nodes m of `nodes` (default 1..N), summed directly in long double with
+    every angle reduced from the exact integer m k mod 2(N+1): one long-double
+    sine per residue, gathered, so the same sines as np.sin at each angle."""
     period = grid.n_modes + 1
-    k = np.arange(support.start + 1, support.stop + 1)
-    m = np.arange(1, grid.n_modes + 1)
-    sines = np.sin(PI / period * (np.outer(k, m) % (2 * period)))
+    m = np.arange(1, period) if nodes is None else np.asarray(nodes)
+    sines = np.sin(PI / period * np.arange(2 * period))
     weights = (np.sqrt(2 / PI) * np.longdouble(grid.drho)
                * grid.rho[support].astype(np.longdouble) * coeffs.astype(np.longdouble))
-    return (weights @ sines) / grid.r.astype(np.longdouble)
+    total = np.zeros((len(coeffs), len(m)), dtype=np.longdouble)
+    chunk = max(1, 2 ** 21 // len(m))     # modes per (chunk, nodes) gather
+    for lo in range(0, support.stop - support.start, chunk):
+        k = np.arange(support.start + 1 + lo, min(support.start + lo + chunk, support.stop) + 1)
+        total += weights[:, lo:lo + chunk] @ sines[np.outer(k, m) % (2 * period)]
+    return total / grid.r[m - 1].astype(np.longdouble)
 
 
 def block_pair(grid, j, rng):

@@ -2,9 +2,11 @@
 
 scipy is a test dependency only (quadrature, expm and minimisation oracles).
 A fresh interpreter with scipy blocked in `sys.modules` imports `radns.cli`
-and runs each kind of command on a tiny config; every command must exit 0
-and no scipy module may be loaded.  This module imports only the standard
-library, so it also runs where scipy is not installed.
+and runs each kind of command on a tiny config, and `besov-norm` once more
+on N = 1183, where the wide blocks take the band-pruned DST; every command
+must exit 0, the band-pruned path must run and no scipy module may be
+loaded.  This module imports only the standard library, so it also runs
+where scipy is not installed.
 """
 
 import json
@@ -18,7 +20,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = r"""
 import json, os, sys
 sys.modules["scipy"] = None          # any `import scipy...` now raises ImportError
+import radns.spectral
 from radns.cli import command_dispatch
+
+band_dst, band_calls = radns.spectral._band_dst, []
+def counting(*args):
+    band_calls.append(1)
+    return band_dst(*args)
+radns.spectral._band_dst = counting
 
 out = sys.argv[1]
 def config(name, text):
@@ -33,16 +42,18 @@ calls = {
     "simulate": config("run.cfg", run),
     "weighted-decay": config("weighted.cfg", run + "linear_only = true\n"),
     "besov-norm": config("besov.cfg", "N = 255\nR = 30\ns = 0\np = inf\nq = 1\n"),
+    # 2(N+1) = 2368 = 2^6 37: the wide blocks take the band-pruned DST
+    "besov-norm-band": config("band.cfg", "N = 1183\nR = 30\ns = 0\np = inf\nq = 1\n"),
     "fit": config("fit.cfg", "csv = " + os.path.join(out, "simulate", "diagnostics.csv")
                   + "\nfit_t_lo = 1\nfit_t_hi = 4\n"),
     "kernel-probe": config("probe.cfg", "t_list = 16\n"),
 }
-codes = {command: command_dispatch([command, "--config", cfg, "--quiet",
-                                    "--out", os.path.join(out, command)])
+codes = {command: command_dispatch([command.removesuffix("-band"), "--config", cfg,
+                                    "--quiet", "--out", os.path.join(out, command)])
          for command, cfg in calls.items()}
 loaded = sorted(name for name, module in sys.modules.items()
                 if name.split(".")[0] == "scipy" and module is not None)
-print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+print(json.dumps({"codes": codes, "scipy_modules": loaded, "band_calls": len(band_calls)}))
 """
 
 
@@ -54,5 +65,7 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == {"grid-check": 0, "simulate": 0, "weighted-decay": 0,
-                               "besov-norm": 0, "fit": 0, "kernel-probe": 0}
+                               "besov-norm": 0, "besov-norm-band": 0, "fit": 0,
+                               "kernel-probe": 0}
     assert result["scipy_modules"] == []
+    assert result["band_calls"] > 0
