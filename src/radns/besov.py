@@ -200,7 +200,8 @@ def _sup_bound_weights(grid: RadialGrid, hat: np.ndarray) -> np.ndarray:
     """w_k = sqrt(2/pi) drho rho_k^2 |(ahat_k, vhat_k)| (one row of `hat` per
     field): sum_k |phi_hat_j| w_k over block j's support bounds the sup of its
     modulus, since |sin(r rho) / r| <= rho."""
-    return math.sqrt(2.0 / math.pi) * grid.drho * grid.rho ** 2 * np.linalg.norm(hat, axis=0)
+    size = np.abs(hat[0]) if len(hat) == 1 else np.linalg.norm(hat, axis=0)
+    return math.sqrt(2.0 / math.pi) * grid.drho * grid.rho ** 2 * size
 
 
 def _block_lq_norm(grid: RadialGrid, hat: np.ndarray, s: float, p: float, q: float,

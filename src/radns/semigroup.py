@@ -58,8 +58,11 @@ def mode_product(entries, pair: np.ndarray) -> np.ndarray:
     m11, m12, m21, m22 = entries
     a, v = pair
     out = np.empty_like(pair)
-    out[0] = m11 * a + m12 * v
-    out[1] = m21 * a + m22 * v
+    term = np.empty_like(a)
+    np.multiply(m11, a, out=out[0])
+    out[0] += np.multiply(m12, v, out=term)
+    np.multiply(m21, a, out=out[1])
+    out[1] += np.multiply(m22, v, out=term)
     return out
 
 
@@ -139,11 +142,28 @@ class CutoffPsi:
 
     def __call__(self, xi1, xi2, xi3) -> np.ndarray:
         xi1 = np.asarray(xi1, float)
-        # C^inf bumps exp(-1/(1 - s^2)) on |s| < 1; the axial one needs xi1 alone
-        axial = _ramp(1.0 - ((np.abs(xi1) - self.axial_center) / self.axial_width) ** 2)
-        norm = np.sqrt(xi1 ** 2 + np.asarray(xi2, float) ** 2 + np.asarray(xi3, float) ** 2)
-        shell = _ramp(1.0 - ((norm - self.shell_center) / self.shell_width) ** 2)
-        return shell * axial
+        squares = np.broadcast_arrays(np.square(np.asarray(xi2, float)),
+                                      np.square(np.asarray(xi3, float)))
+        return self.from_squares(xi1, self.axial_bump(xi1), *squares)
+
+    def axial_bump(self, xi1) -> np.ndarray:
+        """The axial factor of Psi, a function of xi1 alone."""
+        # C^inf bumps exp(-1/(1 - s^2)) on |s| < 1
+        return _ramp(1.0 - ((np.abs(xi1) - self.axial_center) / self.axial_width) ** 2)
+
+    def from_squares(self, xi1, axial, xi2_sq, xi3_sq) -> np.ndarray:
+        """Psi from xi1, its axial_bump and the squares xi2^2, xi3^2 (of one
+        shape): the shell bump's argument is formed in place from
+        xi1^2 + xi2^2 + xi3^2, summed in that order."""
+        shell = np.asarray(np.square(xi1) + xi2_sq)
+        shell += xi3_sq
+        np.sqrt(shell, out=shell)
+        shell -= self.shell_center
+        shell /= self.shell_width
+        np.square(shell, out=shell)
+        shell = _ramp(np.subtract(1.0, shell, out=shell))
+        shell *= axial
+        return shell
 
     def transverse_band(self, xi1) -> tuple[np.ndarray, np.ndarray]:
         """Radii (inner, outer) of the annulus in the (xi_2, xi_3) plane
@@ -208,8 +228,9 @@ def _probe_integral(t: float, psi: CutoffPsi, coords: tuple[np.ndarray, np.ndarr
     0 outside the annulus psi.transverse_band(X_1).  So a slab evaluates only
     the pairs with u_i^2 + u_j^2 in that band, widened by _BAND_MARGIN: one
     slice of _pair_table(n_nodes).  The sums are the full-box sums without
-    their zero terms.  The transverse marginal is summed once per call, from
-    per-pair totals over the slabs.
+    their zero terms.  The squared scaled (xi_2, xi_3) of each pair, the
+    axial bump of each X_1 and the transverse marginal, from per-pair totals
+    over the slabs, are formed once per call.
     """
     s = 1.0 / math.sqrt(t)
     rule = _gauss_legendre(n_nodes)
@@ -223,7 +244,9 @@ def _probe_integral(t: float, psi: CutoffPsi, coords: tuple[np.ndarray, np.ndarr
     starts = np.searchsorted(unit_sq, inner * inner - _BAND_MARGIN)
     stops = np.searchsorted(unit_sq, outer * outer + _BAND_MARGIN, side="right")
     pair_sq = x2[rows] ** 2 + x2[cols] ** 2
-    scaled_rows, scaled_cols = scaled2[rows], scaled2[cols]
+    scaled_sq = np.square(scaled2)
+    rows_sq, cols_sq = scaled_sq[rows], scaled_sq[cols]
+    axial_bump = psi.axial_bump(scaled1)
     area = (t ** -0.75) ** 2                # per axis t^{-3/4} times the unit weight
 
     # [real, imaginary] per-pair totals over the slabs, and axial marginals
@@ -234,7 +257,7 @@ def _probe_integral(t: float, psi: CutoffPsi, coords: tuple[np.ndarray, np.ndarr
             continue
         band = slice(start, stop)
         slab = scalar_kernel_parts(xi1 ** 2 + pair_sq[band], t)
-        slab *= psi(scaled1[i], scaled_rows[band], scaled_cols[band]) * (wi * area)
+        slab *= psi.from_squares(scaled1[i], axial_bump[i], rows_sq[band], cols_sq[band]) * (wi * area)
         axial[:, i] = slab @ unit_weight[band]
         pair_totals[:, band] += slab
     pair_totals *= unit_weight

@@ -120,18 +120,32 @@ def per_grid_cache(fn):
 # a's node values near r = 0 would carry up to 4e-14 of their sup instead of
 # 2e-15.  Every angle is reduced from its exact integer first, so each factor
 # is correct to rounding.
+#
+# Where p^2 > L and p > 1000 (16386 = 2 3 2731, the probe frame's grid) the
+# band takes Bluestein's chirp-z (IEEE Trans. Audio Electroacoust. 18, 1970)
+# instead: with m k = (m^2 + k^2 - (m-k)^2)/2 and c_n = e^{i pi n^2/L},
+#
+#     g(m) = c_m sum_k (x_k c_k) conj(c_{m-k}),
+#
+# a linear convolution of the band's W modes, each row on its own, by FFTs of
+# one size F = 2^ceil(log2(N+W-1)), taken only where F <= L: it was measured
+# slower at smaller p or larger F (README).  Each chirp angle
+# pi (n^2 mod 2L)/L is reduced from its exact integer.
 
 def dst(x: np.ndarray, support: slice = slice(None)) -> np.ndarray:
     """Type-I DST along the last axis, 2 sum_k x_k sin(pi m k/(N+1)) for
     m = 1..N, of rows that are zero outside the modes `support`: minus the
     imaginary part of bins 1..N of the real FFT of the odd extension
     (0, x, 0, -reversed x) of length 2(N+1), or, for a band narrower than
-    the grid when 2(N+1) has a large prime factor, the band-pruned split of
-    the kernel comment above."""
+    the grid when 2(N+1) has a large prime factor, the band-pruned split or
+    the chirp-z convolution of the kernel comment above."""
     n = x.shape[-1]
     start, stop, _ = support.indices(n)
-    if stop - start < n and (split := _band_split(2 * (n + 1))):
-        return _band_dst(x, start, stop, *split)
+    if stop - start < n:
+        if split := _band_split(2 * (n + 1)):
+            return _band_dst(x, start, stop, *split)
+        if size := _chirp_size(n, stop - start):
+            return _chirp_dst(x, start, stop, size)
     z = np.zeros(x.shape[:-1] + (2 * (n + 1),))
     z[..., 1:n + 1] = x
     np.negative(x[..., ::-1], out=z[..., n + 2:])
@@ -141,9 +155,7 @@ def dst(x: np.ndarray, support: slice = slice(None)) -> np.ndarray:
 
 
 @per_grid_cache
-def _band_split(length: int) -> tuple[int, int] | None:
-    """(p, M) with p the largest prime factor of `length` = p M, when
-    32 < p and p^2 <= length; None otherwise (the full real FFT is used)."""
+def _largest_prime_factor(length: int) -> int:
     rest, factor, p = length, 2, 1
     while factor * factor <= rest:
         if rest % factor:
@@ -151,8 +163,23 @@ def _band_split(length: int) -> tuple[int, int] | None:
         else:
             rest //= factor
             p = factor
-    p = max(p, rest)
+    return max(p, rest)
+
+
+def _band_split(length: int) -> tuple[int, int] | None:
+    """(p, M) with p the largest prime factor of `length` = p M, when
+    32 < p and p^2 <= length; None otherwise."""
+    p = _largest_prime_factor(length)
     return (p, length // p) if 32 < p and p * p <= length else None
+
+
+def _chirp_size(n: int, width: int) -> int | None:
+    """The FFT size F = 2^ceil(log2(N+W-1)) of the chirp-z path for a band of
+    W modes on N, when the largest prime factor of L = 2(N+1) exceeds 1000
+    and F <= L; None otherwise."""
+    length = 2 * (n + 1)
+    size = 1 << (n + width - 2).bit_length()
+    return size if _largest_prime_factor(length) > 1000 and size <= length else None
 
 
 @per_grid_cache
@@ -198,6 +225,34 @@ def _band_dst(x: np.ndarray, start: int, stop: int, p: int, m: int) -> np.ndarra
     out[..., :half + 1] = g.imag[:, :m // 2]
     np.negative(g.imag[:, :m // 2 - 1:-1, half:0:-1], out=out[..., half + 1:])
     return out.reshape(len(rows), n + 1)[:, 1:].reshape(x.shape)
+
+
+def _chirp_dst(x: np.ndarray, start: int, stop: int, size: int) -> np.ndarray:
+    """`dst` of the rows of `x`, zero outside the modes start+1..stop, by the
+    chirp-z convolution at FFT size `size`."""
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    length = 2 * (n + 1)
+    width = stop - start
+    lag = np.arange(n + 1)
+    angle = np.pi / length * (lag * lag % (2 * length))
+    chirp = np.empty(n + 1, dtype=complex)                              # c_0 .. c_N
+    np.cos(angle, out=chirp.real)
+    np.sin(angle, out=chirp.imag)
+    # slot d holds conj c at the lag m - k = d - start: the first N slots the
+    # lags -start..N-1-start, the last W-1 the lags 1-stop..-1-start
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = chirp[np.abs(lag[:n] - start)]
+    kernel[size - width + 1:] = chirp[stop - 1:start:-1]
+    np.conjugate(kernel, out=kernel)
+    z = np.zeros((len(rows), size), dtype=complex)
+    np.multiply(rows[:, start:stop], chirp[start + 1:stop + 1], out=z[:, :width])
+    np.fft.fft(z, axis=-1, out=z)
+    z *= np.fft.fft(kernel)
+    np.fft.ifft(z, axis=-1, out=z)
+    g = z[:, :n]
+    g *= chirp[1:]
+    return 2.0 * g.imag.reshape(x.shape)
 
 
 def _no_dct(x: np.ndarray) -> np.ndarray:

@@ -436,6 +436,9 @@ class TestScreening:
             for x, y in ((a, None), (a, v)):
                 sups = oracle_block_norms(grid, x, y, math.inf, indices)
                 weights = _sup_bound_weights(grid, hat[:1] if y is None else hat)
+                if y is None:       # one row, |a|, reads the bits of the pair (a, 0)
+                    pair = np.stack((a, np.zeros_like(a)))
+                    assert np.array_equal(weights, _sup_bound_weights(grid, pair))
                 for j, sup in sups.items():
                     code_bound = float(block_multiplier(grid, j)
                                        @ weights[block_support(grid, j)])

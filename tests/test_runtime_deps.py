@@ -4,8 +4,8 @@ scipy is a test dependency only (quadrature, expm and minimisation oracles).
 A fresh interpreter with scipy blocked in `sys.modules` imports `radns.cli`
 and runs each kind of command on a tiny config, and `besov-norm` once more
 on N = 1183, where the wide blocks take the band-pruned DST; every command
-must exit 0, the band-pruned path must run and no scipy module may be
-loaded.  This module imports only the standard library, so it also runs
+must exit 0, the band-pruned path and (in `kernel-probe`'s frame) the
+chirp-z path must run, and no scipy module may be loaded.  This module imports only the standard library, so it also runs
 where scipy is not installed.
 """
 
@@ -23,11 +23,12 @@ sys.modules["scipy"] = None          # any `import scipy...` now raises ImportEr
 import radns.spectral
 from radns.cli import command_dispatch
 
-band_dst, band_calls = radns.spectral._band_dst, []
-def counting(*args):
-    band_calls.append(1)
-    return band_dst(*args)
-radns.spectral._band_dst = counting
+path_calls = {"band": 0, "chirp": 0}
+for path in path_calls:
+    def counting(*args, path=path, fn=getattr(radns.spectral, f"_{path}_dst")):
+        path_calls[path] += 1
+        return fn(*args)
+    setattr(radns.spectral, f"_{path}_dst", counting)
 
 out = sys.argv[1]
 def config(name, text):
@@ -53,7 +54,7 @@ codes = {command: command_dispatch([command.removesuffix("-band"), "--config", c
          for command, cfg in calls.items()}
 loaded = sorted(name for name, module in sys.modules.items()
                 if name.split(".")[0] == "scipy" and module is not None)
-print(json.dumps({"codes": codes, "scipy_modules": loaded, "band_calls": len(band_calls)}))
+print(json.dumps({"codes": codes, "scipy_modules": loaded, "path_calls": path_calls}))
 """
 
 
@@ -68,4 +69,4 @@ def test_cli_runs_without_scipy(tmp_path):
                                "besov-norm": 0, "besov-norm-band": 0, "fit": 0,
                                "kernel-probe": 0}
     assert result["scipy_modules"] == []
-    assert result["band_calls"] > 0
+    assert result["path_calls"]["band"] > 0 and result["path_calls"]["chirp"] > 0

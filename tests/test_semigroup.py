@@ -16,7 +16,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from radns.besov import phi_hat, theta
+from radns.besov import _ramp, phi_hat, theta
 from radns.errors import NumericDomainError, SolverAbort, UsageError
 from radns.semigroup import (
     CutoffPsi,
@@ -174,6 +174,14 @@ def full_tensor_probe_integral(t: float, psi, points, n_nodes: int) -> np.ndarra
         t1 = (np.cos(p1 * x1) @ flat).reshape(n_nodes, n_nodes)
         vals.append(np.cos(p3 * x2) @ (np.cos(p2 * x2) @ t1))
     return 8.0 * np.abs(np.array(vals))
+
+
+def reference_psi(psi: CutoffPsi, xi1, xi2, xi3) -> np.ndarray:
+    """Psi written out as one expression of the three coordinates: the
+    product of the shell and axial bumps exp(-1/(1 - s^2)) on |s| < 1."""
+    axial = _ramp(1.0 - ((np.abs(xi1) - psi.axial_center) / psi.axial_width) ** 2)
+    norm = np.sqrt(xi1 ** 2 + xi2 ** 2 + xi3 ** 2)
+    return _ramp(1.0 - ((norm - psi.shell_center) / psi.shell_width) ** 2) * axial
 
 
 class TestEigenvalues:
@@ -512,9 +520,9 @@ class TestKernelProbe:
 
     def test_zero_cutoff_gives_zero(self):
         class ZeroPsi(CutoffPsi):
-            def __call__(self, xi1, xi2, xi3):
-                return np.zeros(np.broadcast(np.asarray(xi1), np.asarray(xi2),
-                                             np.asarray(xi3)).shape)
+            def from_squares(self, xi1, axial, xi2_sq, xi3_sq):
+                return np.zeros(np.broadcast(np.asarray(xi1), np.asarray(xi2_sq),
+                                             np.asarray(xi3_sq)).shape)
 
         assert kernel_probe(16.0, ZeroPsi()) == 0.0
 
@@ -614,12 +622,13 @@ class TestProbeIntegral:
             return np.argmin(np.abs(np.asarray(values, float)[..., None] - nodes), axis=-1)
 
         class RecordingPsi(CutoffPsi):
-            def __call__(self, xi1, xi2, xi3):
-                i, j, l = nearest(scaled1, xi1), nearest(scaled23, xi2), nearest(scaled23, xi3)
+            def from_squares(self, xi1, axial, xi2_sq, xi3_sq):
+                i = nearest(scaled1, xi1)
+                j, l = nearest(scaled23, np.sqrt(xi2_sq)), nearest(scaled23, np.sqrt(xi3_sq))
                 evaluated[i, j, l] = evaluated[i, l, j] = True
                 assert int(i) not in slabs
-                slabs[int(i)] = (np.size(xi2), set(zip(j.tolist(), l.tolist())))
-                return super().__call__(xi1, xi2, xi3)
+                slabs[int(i)] = (np.size(xi2_sq), set(zip(j.tolist(), l.tolist())))
+                return super().from_squares(xi1, axial, xi2_sq, xi3_sq)
 
         _probe_integral(t, RecordingPsi(**dataclasses.asdict(psi)), probe_coordinates(t), n)
         # each slab evaluates every pair j >= l whose squared radius lies in
@@ -639,6 +648,30 @@ class TestProbeIntegral:
         assert np.any(hole) == (cutoff != "wide-shell") and not np.any(evaluated & hole)
         # Psi is nonzero on 0.1358 (default), 0.0529 (narrow) and 0.3644 (wide)
         assert np.count_nonzero(evaluated) <= SUPPORT_FRACTIONS[cutoff] * n ** 3
+
+    @pytest.mark.parametrize("cutoff", PROBE_CUTOFFS)
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("t", [16.0, 64.0, 256.0])
+    def test_psi_from_squares_is_psi(self, t, n, cutoff):
+        # a slab evaluates Psi from the squares and axial bumps the probe holds
+        # once per call; on every slab's points that is __call__ on the
+        # coordinates, and the one-expression reference, bit for bit
+        psi = PROBE_CUTOFFS[cutoff]
+        slabs = []
+
+        class RecordingPsi(CutoffPsi):
+            def from_squares(self, xi1, axial, xi2_sq, xi3_sq):
+                value = super().from_squares(xi1, axial, xi2_sq, xi3_sq)
+                slabs.append((xi1, xi2_sq, xi3_sq, value))
+                return value
+
+        _probe_integral(t, RecordingPsi(**dataclasses.asdict(psi)), probe_coordinates(t), n)
+        assert len(slabs) >= n // 4
+        for xi1, xi2_sq, xi3_sq, value in slabs:
+            xi2, xi3 = np.sqrt(xi2_sq), np.sqrt(xi3_sq)
+            assert np.array_equal(xi2 ** 2, xi2_sq) and np.array_equal(xi3 ** 2, xi3_sq)
+            assert np.array_equal(value, psi(xi1, xi2, xi3))
+            assert np.array_equal(value, reference_psi(psi, xi1, xi2, xi3))
 
     def test_memory_below_one_tensor(self):
         # the marginals are summed slab by slab: no n^3 array is ever built
