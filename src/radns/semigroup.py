@@ -105,6 +105,12 @@ def scalar_kernel_parts(rho_sq: np.ndarray, t: float) -> np.ndarray:
     rho = 2 the root is imaginary and e^{t lambda_+} = e^{-t rho^2/2}
     (cos theta - i sin theta) with theta = t sqrt(rho^2 - rho^4/4); from
     rho = 2 on it is the real e^{-t (rho^2/2 + sqrt(rho^4/4 - rho^2))}.
+
+    The unit-circle factor comes from one tangent tau = tan(-theta/2), which
+    numpy runs in SIMD where float64 cos and sin go through scalar libm:
+    cos theta = (1 - tau)(1 + tau)/(1 + tau^2) and -sin theta = 2 tau/(1 +
+    tau^2), divided before the product with e^{-t rho^2/2}.  The hyperbolic
+    branch has tau = -0, so its parts are exactly (e^{t lambda_+}, -0).
     """
     exponent = rho_sq * (-0.5 * t)
     root = 4.0 / rho_sq
@@ -113,12 +119,16 @@ def scalar_kernel_parts(rho_sq: np.ndarray, t: float) -> np.ndarray:
     if hyperbolic.any():
         exponent[hyperbolic] *= 1.0 + np.sqrt(-root[hyperbolic])
         root[hyperbolic] = 0.0
-    # -theta, since the exponent is -t rho^2/2: its sine carries the minus sign
-    phase = np.sqrt(root, out=root)
-    phase *= exponent
+    # -theta/2, since the exponent is -t rho^2/2: its sine carries the minus sign
+    tau = np.sqrt(root, out=root)
+    tau *= exponent
+    tau *= 0.5
+    np.tan(tau, out=tau)
     parts = np.empty((2,) + rho_sq.shape)
-    np.cos(phase, out=parts[0])
-    np.sin(phase, out=parts[1])
+    np.subtract(1.0, tau, out=parts[0])
+    parts[0] *= 1.0 + tau
+    np.add(tau, tau, out=parts[1])
+    parts /= 1.0 + tau * tau
     parts *= np.exp(exponent, out=exponent)
     return parts
 
@@ -264,9 +274,12 @@ def _probe_integral(t: float, psi: CutoffPsi, coords: tuple[np.ndarray, np.ndarr
     transverse = 0.5 * np.stack([np.bincount(rows, total, n_nodes)
                                  + np.bincount(cols, total, n_nodes) for total in pair_totals])
 
-    sums = np.concatenate([np.cos(np.outer(coord, nodes)) @ marginal.T for coord, nodes, marginal
-                           in zip(coords, (x1, x2), (axial, transverse))])
-    return 8.0 * modulus(sums.T)
+    sums = []
+    for coord, nodes, marginal in zip(coords, (x1, x2), (axial, transverse)):
+        phases = np.outer(coord, nodes)
+        sums.append(np.cos(phases, out=phases) @ marginal.T)
+        del phases                          # one phase table alive at a time
+    return 8.0 * modulus(np.concatenate(sums).T)
 
 
 def kernel_probe(t: float, psi: CutoffPsi, refine_rtol: float = 1.0e-6,
