@@ -18,22 +18,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericDomainError, UnsupportedParameterError
-from .spectral import (
-    RadialGrid,
-    lp_norm,
-    modulus,
-    per_grid_cache,
-    physical_values,
-    spectral_l2_norm,
-)
+from .spectral import RadialGrid, lp_norm, modulus, per_grid_cache, physical_values, sup_modulus
 
 
 def _ramp(s: np.ndarray) -> np.ndarray:
     """exp(-1/s) for s > 0, zero otherwise (the C^inf glue), in one array:
-    -1/s where s > 0 and -inf elsewhere, exponentiated in place."""
-    out = np.full_like(s, -np.inf)
-    with np.errstate(over="ignore"):            # -1/s of a subnormal s
-        np.divide(-1.0, s, out=out, where=s > 0)
+    s clipped to +0 where s <= 0 or NaN, so -1/s is -inf there, then
+    exponentiated in place.  No masked divide: numpy's masked loop took most
+    of a call."""
+    out = np.fmax(s, 0.0, out=np.empty_like(s))
+    out += 0.0                                  # -0 -> +0
+    with np.errstate(divide="ignore", over="ignore"):   # -1/+0, -1/subnormal
+        np.divide(-1.0, out, out=out)
     return np.exp(out, out=out)
 
 
@@ -118,8 +114,9 @@ def _narrow_physical_values(grid: RadialGrid, hat: np.ndarray, support: slice) -
     if support.stop - support.start == 1 and support.stop < len(cos_d):
         # matmul is several times slower at inner dimension 1: the one-mode
         # block takes in the next mode, outside its support, at coefficient 0
-        hat = np.pad(hat, ((0, 0), (0, 1)))
-        support = slice(support.start, support.stop + 1)
+        wide = np.zeros((len(hat), 2))
+        wide[:, 0] = hat[:, 0]
+        hat, support = wide, slice(support.start, support.stop + 1)
     coeffs = (math.sqrt(2.0 / math.pi) * grid.drho * grid.rho[support] * hat)[:, :, None]
     sums = sin_p[:, support] @ (coeffs * cos_d[support])      # (rows, P, B)
     sums += cos_p[:, support] @ (coeffs * sin_d[support])
@@ -130,18 +127,18 @@ def _narrow_physical_values(grid: RadialGrid, hat: np.ndarray, support: slice) -
 
 def _block_lp_norm(grid: RadialGrid, coeffs: np.ndarray, support: slice, p: float,
                    total: np.ndarray | None) -> float:
-    """L^p norm of the pointwise modulus of a block whose rows `coeffs` hold
-    its spectral values on the modes `support`: `spectral_l2_norm` for
-    p = 2, exactly 0 with no synthesis for an all-zero block, and otherwise
-    `lp_norm` of the node values, narrow blocks by the two-level product and
-    wider ones by one transform call on the block's band (the band-pruned
-    DST of `spectral.dst` on grids like N = 16384, where 2(N+1) has a large
-    prime factor, else the real FFT of length 2(N+1)); the node values of
-    every block synthesised are added into `total`, if given.  A call per
-    block frees its temporaries before the next block's: held across blocks,
-    they raised the peak RSS of a linear-decay run by 0.6 MiB."""
-    if p == 2:
-        return spectral_l2_norm(grid, coeffs, support)
+    """L^p norm (p != 2) of the pointwise modulus of a block whose rows
+    `coeffs` hold its spectral values on the modes `support`: exactly 0 with
+    no synthesis for an all-zero block, and otherwise read from the node
+    values, narrow blocks by the two-level product and wider ones by one
+    transform call on the block's band (the band-pruned DST of
+    `spectral.dst` on grids like N = 16384, where 2(N+1) has a large prime
+    factor, else the real FFT of length 2(N+1)), by `sup_modulus` for
+    p = inf: the exact modulus at the top nodes of the squared moduli alone.
+    The node values of every block synthesised are added into `total`, if
+    given.  A call per block frees its temporaries before the next block's:
+    held across blocks, they raised the peak RSS of a linear-decay run by
+    0.6 MiB."""
     if not coeffs.any():
         return 0.0
     if support.stop - support.start > _narrow_width(grid):
@@ -150,7 +147,7 @@ def _block_lp_norm(grid: RadialGrid, coeffs: np.ndarray, support: slice, p: floa
         values = _narrow_physical_values(grid, coeffs, support)
     if total is not None:
         total += values
-    return lp_norm(grid, modulus(values), p)
+    return sup_modulus(values) if np.isinf(p) else lp_norm(grid, modulus(values), p)
 
 
 @dataclass(frozen=True)
@@ -210,11 +207,14 @@ def _block_lq_norm(grid: RadialGrid, hat: np.ndarray, s: float, p: float, q: flo
     modulus of the fields whose spectral values on `grid` are `hat`, one
     field (N,) or a stack of fields, one per row.
 
-    Blocks go one at a time in j order, each on its support alone: Parseval
-    for p = 2; else, unless the block is all zero, a narrow block's node values
-    come from the two-level product and a wider block's from one transform
-    call, and are added into `total`, if given.  For p = inf a block counts as
-    0, with no synthesis, while its bound B_j = 2^{sj} sum_k |phi_hat_j| w_k
+    Blocks go one at a time in j order, each on its support alone.  For
+    p = 2, by exact discrete Parseval, a block term is the dot of
+    phi_hat_j^2 with the energy row 4 pi drho rho_k^2 (a_k^2 + v_k^2), formed
+    once per call, with no synthesis.  Else, unless the block is all zero, a
+    narrow block's node values come from the two-level product and a wider
+    block's from one transform call, and are added into `total`, if given
+    (a p = inf sup by `spectral.sup_modulus`).  For p = inf a block counts
+    as 0, with no synthesis, while its bound B_j = 2^{sj} sum_k |phi_hat_j| w_k
     plus the B of the blocks already skipped is at most _SKIP_FRACTION times
     the l^q sum of the terms kept so far (kept as a running sum of their q-th
     powers, or a running maximum for q = inf); by the triangle inequality in
@@ -229,10 +229,21 @@ def _block_lq_norm(grid: RadialGrid, hat: np.ndarray, s: float, p: float, q: flo
             f"{indices[0]}..{indices[-1]}") from None
     hat = np.atleast_2d(hat)
     bound_weights = _sup_bound_weights(grid, hat) if np.isinf(p) else None
+    energy = None
+    if p == 2:      # in place: (2, N) temporaries raised linear-decay's peak RSS 0.25 MiB
+        energy = np.square(hat[0])
+        for row in hat[1:]:
+            energy += row * row
+        energy *= grid.rho
+        energy *= grid.rho
+        energy *= 4.0 * np.pi * grid.drho
     terms, skipped, kept = [], 0.0, 0.0
     for j, weight in zip(indices, weights):
         support = block_support(grid, j)
         mult = block_multiplier(grid, j)
+        if energy is not None:
+            terms.append(weight * math.sqrt(mult @ (mult * energy[support])))
+            continue
         if bound_weights is not None:
             bound = weight * float(mult @ bound_weights[support])
             if skipped + bound <= _SKIP_FRACTION * (kept if np.isinf(q) else kept ** (1.0 / q)):

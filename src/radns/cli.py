@@ -14,6 +14,11 @@ import os
 import sys
 import warnings
 
+# One BLAS/OpenMP thread unless the user set a count, before numpy starts its
+# pools: on 2 vCPUs the default pool made the probe's first eigvalsh ~40x slower.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from .besov import BesovSpec, pair_besov_norm

@@ -54,14 +54,12 @@ from .errors import ConfigurationError, SolverAbort
 from .semigroup import apply_semigroup, mode_function_entries, mode_matrices, mode_product
 from .spectral import (
     RadialGrid,
-    lp_norm,
     make_grid,
-    modulus,
     per_grid_cache,
     physical_values,
     spectral_l2_norm,
+    sup_modulus,
     to_spectral,
-    weighted_sup_norm,
 )
 
 
@@ -353,26 +351,32 @@ def initial_state(config: SolverConfig) -> SolverState:
 def diagnostics_row(state: SolverState, linear: np.ndarray) -> DiagnosticsRow:
     """The row's norms from the spectral pair and the linear flow `linear`
     at state.t; the nonlinear part is state - linear.  L^2 norms by exact
-    discrete Parseval, the Besov norms read straight from the spectral pairs,
-    and the sup norms from the sum of the (a, v) blocks that the pair's
-    B^0_{inf,1} norm synthesises: the block multipliers sum to 1 on every
-    mode, and a block that screening skips moves each node value by at most
-    its bound, at most 1e-17 of the kept l^1 sum."""
+    discrete Parseval (B^0_{2,1} from one energy row), the Besov norms read
+    straight from the spectral pairs, and the sup norms from the sum of the
+    (a, v) blocks that the pair's B^0_{inf,1} norm synthesises: the block
+    multipliers sum to 1 on every mode, and a block that screening skips
+    moves each node value by at most its bound, at most 1e-17 of the kept
+    l^1 sum; each sup is `spectral.sup_modulus` of that sum.  A state that
+    is its own linear flow (`linear is state.pair`: a linear-only row, or
+    row 0) has a nonlinear part of exactly 0: its nl columns are 0.0, with
+    no subtraction and no third Besov pass."""
     grid, hat = state.grid, state.pair
     values = np.zeros((2, grid.n_modes))
     spec_inf1 = BesovSpec(0.0, np.inf, 1.0)
     besov0_inf1 = pair_besov_norm(grid, hat, spec_inf1, values)
-    av = modulus(values)
-    nl = hat - linear
+    nl_l2 = nl_besov_inf1 = 0.0
+    if linear is not hat:
+        nl = hat - linear
+        nl_l2, nl_besov_inf1 = spectral_l2_norm(grid, nl), pair_besov_norm(grid, nl, spec_inf1)
     return DiagnosticsRow(
         t=state.t,
         l2_av=spectral_l2_norm(grid, hat),
-        linf_av=lp_norm(grid, av, np.inf),
+        linf_av=sup_modulus(values),
         besov0_21=pair_besov_norm(grid, hat, BesovSpec(0.0, 2.0, 1.0)),
         besov0_inf1=besov0_inf1,
-        nl_l2=spectral_l2_norm(grid, nl),
-        nl_besov_inf1=pair_besov_norm(grid, nl, spec_inf1),
-        weighted_sup=weighted_sup_norm(grid, av),
+        nl_l2=nl_l2,
+        nl_besov_inf1=nl_besov_inf1,
+        weighted_sup=sup_modulus(values, grid.r),
     )
 
 

@@ -322,18 +322,34 @@ def lp_norm(grid: RadialGrid, values: np.ndarray, p: float) -> float:
     return float((4.0 * np.pi * grid.dr * np.sum(vals ** p * grid.r ** 2)) ** (1.0 / p))
 
 
-def spectral_l2_norm(grid: RadialGrid, hat: np.ndarray,
-                     support: slice = slice(None)) -> float:
+def spectral_l2_norm(grid: RadialGrid, hat: np.ndarray) -> float:
     """L^2 norm of the pointwise modulus of the one or two fields whose
-    spectral values are the rows of `hat` on the modes `support`, and 0 on
-    every other mode, with no transform: by exact discrete Parseval
-    (dr drho = pi/(N+1)) 4 pi drho sum rho^2 |hat|^2 equals the rectangle
-    rule of lp_norm."""
+    spectral values are the rows of `hat`, with no transform: by exact
+    discrete Parseval (dr drho = pi/(N+1)) 4 pi drho sum rho^2 |hat|^2
+    equals the rectangle rule of lp_norm."""
     return math.sqrt(4.0 * np.pi * grid.drho
-                     * np.sum(np.sum(grid.rho[support] ** 2 * hat ** 2, axis=-1)))
+                     * np.sum(np.sum(grid.rho ** 2 * hat ** 2, axis=-1)))
 
 
-def weighted_sup_norm(grid: RadialGrid, values: np.ndarray) -> float:
-    """sup_r r |f(r)| of the samples `values` at r_m, the radial form of
-    || |x| f ||_inf."""
-    return float(np.max(grid.r * np.abs(values), initial=0.0))
+#: Squared sups in this range are formed without a harmful under- or overflow.
+_SQUARE_RANGE = (2.0 ** -960, 2.0 ** 1000)
+
+
+def sup_modulus(rows: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """max of modulus(rows), or of weight * modulus(rows), bit for bit, with
+    the modulus evaluated only at the nodes where a^2 + v^2 (weighted:
+    (w a)^2 + (w v)^2) is within 1e-12 relative of its max.  With that max
+    in _SQUARE_RANGE each square is within a few ulp of the squared modulus,
+    so the largest modulus is among them; any other max reads them all."""
+    with np.errstate(over="ignore"):           # an overflow reads the full modulus
+        scaled = rows if weight is None else rows * weight
+        squares = np.square(scaled[0])
+        for row in scaled[1:]:
+            squares += row * row
+    top = squares.max(initial=0.0)
+    nodes = (np.flatnonzero(squares >= (1.0 - 1e-12) * top)
+             if _SQUARE_RANGE[0] <= top <= _SQUARE_RANGE[1] else slice(None))
+    values = modulus(rows[:, nodes])
+    if weight is not None:
+        values = weight[nodes] * values
+    return float(values.max(initial=0.0))

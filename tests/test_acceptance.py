@@ -50,10 +50,10 @@ from radns.spectral import (
     make_grid,
     physical_values,
     to_spectral,
-    weighted_sup_norm,
 )
 from test_semigroup import hi_freq_identity_check, kernel_values
 from test_solver import zero_forcing
+from test_sup_modulus import weighted_sup_norm
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:

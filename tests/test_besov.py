@@ -152,17 +152,20 @@ class TestPartition:
         assert np.all(np.diff(profile) <= 1e-12)
 
     def test_ramp_matches_the_masked_form(self):
-        # bit for bit, with no warning, on a dense grid and on the edge
-        # values: signed zeros, subnormals, the smallest normal, 1, 2, NaN
-        # and the infinities
-        tiny, normal = np.finfo(float).smallest_subnormal, np.finfo(float).tiny
-        edges = np.array([0.0, -0.0, tiny, -tiny, 3.0 * tiny, 1e-310, -1e-310,
-                          normal, -normal, 1e-3, 1.0, -1.0, 2.0, -2.0,
+        # bit for bit (signed zeros included), with no warning, on a dense
+        # grid, on 10^5 random normals and on the edge values: signed zeros,
+        # +-subnormals, the smallest and largest normals, 1, 2, NaN and the
+        # infinities; and on a 0-d input
+        finfo = np.finfo(float)
+        tiny, normal = finfo.smallest_subnormal, finfo.tiny
+        edges = np.array([0.0, -0.0, tiny, -tiny, 3.0 * tiny, -3.0 * tiny, 1e-310, -1e-310,
+                          normal, -normal, 1e-3, 1.0, -1.0, 2.0, -2.0, finfo.max, -finfo.max,
                           np.nan, -np.nan, np.inf, -np.inf])
         dense = np.linspace(-3.0, 3.0, 600001)
         logs = np.geomspace(tiny, 1e300, 200000)
-        for s in (edges, dense, logs, -logs, 1.0 - dense ** 2):
-            assert np.array_equal(_ramp(s), masked_ramp(s))
+        normals = np.random.default_rng(3).standard_normal(100000)
+        for s in (edges, dense, logs, -logs, 1.0 - dense ** 2, normals, np.float64(0.5)):
+            assert _ramp(s).tobytes() == masked_ramp(s).tobytes()
         assert np.array_equal(_ramp(edges)[:3], [0.0, 0.0, 0.0])
         assert _ramp(edges)[-2] == 1.0
 

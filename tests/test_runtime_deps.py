@@ -5,8 +5,10 @@ A fresh interpreter with scipy blocked in `sys.modules` imports `radns.cli`
 and runs each kind of command on a tiny config, and `besov-norm` once more
 on N = 1183, where the wide blocks take the band-pruned DST; every command
 must exit 0, the band-pruned path and (in `kernel-probe`'s frame) the
-chirp-z path must run, and no scipy module may be loaded.  This module imports only the standard library, so it also runs
-where scipy is not installed.
+chirp-z path must run, and no scipy module may be loaded.  A second fresh
+interpreter checks that importing `radns.cli` holds BLAS and OpenMP at one
+thread unless the user set a count.  This module imports only the standard
+library, so it also runs where scipy is not installed.
 """
 
 import json
@@ -70,3 +72,32 @@ def test_cli_runs_without_scipy(tmp_path):
                                "kernel-probe": 0}
     assert result["scipy_modules"] == []
     assert result["path_calls"]["band"] > 0 and result["path_calls"]["chirp"] > 0
+
+
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+THREAD_SCRIPT = r"""
+import json, os, sys
+import radns.cli
+print(json.dumps({name: os.environ.get(name) for name in sys.argv[1:]}))
+"""
+
+
+def thread_settings(overrides):
+    """The thread variables a fresh interpreter sees after importing
+    radns.cli, from an environment without them plus `overrides`."""
+    env = {name: value for name, value in os.environ.items() if name not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(overrides)
+    proc = subprocess.run([sys.executable, "-c", THREAD_SCRIPT, *THREAD_VARIABLES], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_holds_blas_and_openmp_at_one_thread():
+    """radns.cli sets each thread count to 1 before numpy starts its pools,
+    and a count the user set wins."""
+    assert thread_settings({}) == dict.fromkeys(THREAD_VARIABLES, "1")
+    assert thread_settings({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}) == {
+        "OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}

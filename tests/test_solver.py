@@ -8,7 +8,14 @@ from scipy.integrate import solve_ivp
 
 import radns.semigroup
 import radns.solver
-from radns.besov import BesovSpec, _sup_bound_weights, block_support, resolved_range
+from radns.besov import (
+    BesovSpec,
+    _sup_bound_weights,
+    block_support,
+    pair_besov_norm,
+    resolved_range,
+)
+from radns.decay import linear_rows
 from radns.errors import ConfigurationError, SolverAbort
 from radns.semigroup import _propagator, apply_semigroup, mode_product
 from radns.solver import (
@@ -31,8 +38,8 @@ from radns.spectral import (
     make_grid,
     modulus,
     physical_values,
+    spectral_l2_norm,
     to_spectral,
-    weighted_sup_norm,
 )
 from test_besov import is_wide, oracle_pair_besov_norm, screened_kept_blocks
 from test_spectral import (
@@ -42,6 +49,7 @@ from test_spectral import (
     gradient_profile,
     physical_and_gradient,
 )
+from test_sup_modulus import weighted_sup_norm
 
 
 def small_config(**overrides):
@@ -843,6 +851,54 @@ class TestDiagnosticsRow:
         flow = apply_semigroup(start.grid, start.pair, state.t)
         for got, want in zip(rows[-1].as_tuple(), oracle_row(state, flow)):
             assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestLinearOnlyRows:
+    """A row whose state is its own linear flow writes nl_l2 = nl_besov_inf1
+    = 0.0 with no subtraction and no third Besov pass; a stepped row still
+    measures state - linear."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Count the solver's pair_besov_norm calls and record each row's
+        (state, linear) arguments."""
+        calls, seen = [0], []
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return pair_besov_norm(*args, **kwargs)
+
+        def recording(state, linear):
+            seen.append((state, linear))
+            return diagnostics_row(state, linear)
+
+        monkeypatch.setattr(radns.solver, "pair_besov_norm", counting)
+        monkeypatch.setattr(radns.solver, "diagnostics_row", recording)
+        return calls, seen
+
+    def test_linear_rows_skip_the_nonlinear_pass(self, monkeypatch):
+        calls, seen = self.record(monkeypatch)
+        rows = linear_rows(small_config(t_final=2.0, output_interval=0.5))
+        assert len(rows) == 5
+        assert all(row.nl_l2 == 0.0 and row.nl_besov_inf1 == 0.0 for row in rows)
+        assert calls[0] == 2 * len(rows)        # a stepped row makes 3
+        monkeypatch.undo()
+        for row, (state, linear) in zip(rows, seen):
+            assert state.pair is linear
+            # the subtraction's path reads the same bits on a copy of the flow
+            assert row.as_tuple() == diagnostics_row(state, linear.copy()).as_tuple()
+
+    def test_stepped_rows_measure_the_subtraction(self, monkeypatch):
+        calls, seen = self.record(monkeypatch)
+        rows, _ = simulate(small_config(t_final=1.0, output_interval=0.5))
+        assert len(rows) == 3
+        assert calls[0] == 3 * len(rows) - 1    # row 0 is its own linear flow
+        monkeypatch.undo()
+        spec = BesovSpec(0.0, math.inf, 1.0)
+        for row, (state, linear) in zip(rows[1:], seen[1:]):
+            nl = state.pair - linear
+            assert row.nl_l2 == spectral_l2_norm(state.grid, nl) > 0.0
+            assert row.nl_besov_inf1 == pair_besov_norm(state.grid, nl, spec) > 0.0
 
 
 class TestOutputPropagation:
